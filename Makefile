@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint bench bench-baseline fuzz faultsweep serve-smoke microbench
+.PHONY: all build test race lint bench bench-baseline fuzz faultsweep serve-smoke microbench perfbench-test
 
 all: lint test race
 
@@ -16,19 +16,23 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# Mirrors the perfbench step of the `test` job.  perfbench/ is its own module
+# (it imports this one through `replace extscc => ../`), so the root
+# `go test ./...` never compiles it; an API change could break the benchmark
+# unnoticed without this.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Mirrors the `race` job: the WithWorkers pools, the in-memory storage
 # backend, and the sharded multi-volume backend under the race detector,
 # once per storage spec, plus a leg with the compress codec as the process
 # default (EXTSCC_CODEC) so the LZ encode/decode paths run under the
-# detector too, and two legs with the shared block cache enabled
-# (EXTSCC_CACHE) so concurrent readers hammer one LRU under the detector.
+# detector too.
 race:
 	EXTSCC_STORAGE=os $(GO) test -race -short ./...
 	EXTSCC_STORAGE=mem $(GO) test -race -short ./...
 	EXTSCC_STORAGE=shard=mem,mem $(GO) test -race -short ./...
 	EXTSCC_STORAGE=mem EXTSCC_CODEC=compress $(GO) test -race -short ./...
-	EXTSCC_STORAGE=mem EXTSCC_CACHE=32m $(GO) test -race -short ./...
-	EXTSCC_STORAGE=shard=mem,mem EXTSCC_CACHE=32m $(GO) test -race -short ./...
 
 # Mirrors the `lint` job.  staticcheck and govulncheck are skipped when not
 # installed so the target works offline; CI always runs them.
@@ -70,7 +74,7 @@ fuzz:
 # must cut pipeline bytes by >= 30% and lower block I/Os; on the shuffled
 # codecw workload, where varint stays under 10%, compress must cut bytes by
 # >= 20%), with the three-codec sweep also gated against the committed
-# baseline.
+# baseline.  Every CSV row carries the per-phase *_ms columns.
 bench:
 	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-workers -workers 0 \
 		-json BENCH_workers.json -csv BENCH_workers.csv
@@ -80,8 +84,6 @@ bench:
 	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec -workers 1 \
 		-json BENCH_codec.json -csv BENCH_codec.csv \
 		-baseline bench/baseline.json -tolerance 0.25
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-cache -workers 1 \
-		-json BENCH_prof.json -csv BENCH_prof.csv
 
 # Steady-state allocation microbenchmarks: the per-frame encode/decode hot
 # path of every codec family must report 0 allocs/op (see -benchmem output;
@@ -116,7 +118,7 @@ serve-smoke:
 # wrong answer.
 faultsweep:
 	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio \
-		-run 'Fault|Corrupt|Retry|Torn|Version1|WriteAppends' -count=1
+		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
 	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=40,mode=transient,path=extscc-engine-' \
 		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3

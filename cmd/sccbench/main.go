@@ -24,13 +24,9 @@
 // count, compress must cut them too, and on the shuffled-edge write workload
 // that rides along (experiment "codecw") compress must cut bytes by at least
 // 20% on a stream where varint's delta encoding stays under 10% — the regime
-// the LZ family exists for.  -compare-cache runs every codec family (or just
-// -codec) with the shared read-block cache off and on and fails unless both
-// legs agree on every SCC count, every accounted I/O count and every byte
-// count, and the cache-on leg actually hit; it then reports the wall-clock
-// speedup.  -json writes all measurements as a JSON report; -baseline gates
-// the sequential OS-backend measurements against a committed report and
-// exits non-zero on a regression beyond -tolerance.
+// the LZ family exists for.  -json writes all measurements as a JSON report;
+// -baseline gates the sequential OS-backend measurements against a committed
+// report and exits non-zero on a regression beyond -tolerance.
 package main
 
 import (
@@ -42,7 +38,6 @@ import (
 	"time"
 
 	"extscc/internal/bench"
-	"extscc/internal/blockio"
 	"extscc/internal/cliflags"
 	"extscc/internal/storage"
 )
@@ -64,8 +59,6 @@ func main() {
 	retry := cliflags.Retry()
 	shards := flag.Int("shards", 0, "compute-shard count for the sharded contraction pre-pass (0 = unsharded)")
 	compareShards := flag.Bool("compare-shards", false, "run at 1, 2 and 4 compute shards, each striped over that many in-memory volumes, verify identical SCC counts, and report the wall-clock speedup")
-	cacheSpec := cliflags.CacheBlocks()
-	compareCache := flag.Bool("compare-cache", false, "run every codec family (or just -codec) cache-off and cache-on, verify identical SCCs and accounted I/O and byte counts, require cache hits, and report the wall-clock speedup")
 	compareCodec := flag.Bool("compare-codec", false, "run with the fixed, varint and compress codecs, verify identical SCCs, and report the byte and block-I/O reductions (fails unless varint cuts pipeline bytes by >= 30% with fewer block I/Os, compress cuts pipeline bytes, and on the shuffled write workload compress cuts >= 20% where varint stays under 10%)")
 	jsonPath := flag.String("json", "", "write measurements as a JSON report to this file")
 	baselinePath := flag.String("baseline", "", "gate the workers=1 measurements against this committed JSON report")
@@ -89,9 +82,6 @@ func main() {
 	}
 	if *compareShards && (*compareWorkers || *compareStorage || *compareCodec) {
 		log.Fatal("-compare-shards is a separate gate; run it as its own invocation")
-	}
-	if *compareCache && (*compareWorkers || *compareStorage || *compareCodec || *compareShards) {
-		log.Fatal("-compare-cache is a separate gate; run it as its own invocation")
 	}
 	if *compareShards && (*storageName != "" || *shards != 0) {
 		log.Fatal("-compare-shards picks its own backends and shard counts; do not combine it with -storage or -shards")
@@ -122,24 +112,9 @@ func main() {
 		// respects CPU quotas, NumCPU would oversubscribe in containers.
 		resolvedWorkers = runtime.GOMAXPROCS(0)
 	}
-	// bench.Config.Cache semantics: 0 = the process default (EXTSCC_CACHE),
-	// > 0 an explicit budget, < 0 explicitly off — so "-cache-blocks 0"
-	// maps to -1.
-	var cacheBytes int64
-	if *cacheSpec != "" {
-		n, err := blockio.ParseCacheSize(*cacheSpec)
-		if err != nil {
-			log.Fatalf("-cache-blocks: %v", err)
-		}
-		if n == 0 {
-			cacheBytes = -1
-		} else {
-			cacheBytes = n
-		}
-	}
 
-	runOnce := func(w int, b storage.Backend, codec string, shardCount int, cache int64) ([]bench.Measurement, error) {
-		cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: w, Storage: b, Codec: codec, Retries: *retry, Shards: shardCount, Cache: cache}
+	runOnce := func(w int, b storage.Backend, codec string, shardCount int) ([]bench.Measurement, error) {
+		cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: w, Storage: b, Codec: codec, Retries: *retry, Shards: shardCount}
 		if *experiment == "all" {
 			return bench.RunAll(cfg)
 		}
@@ -152,13 +127,13 @@ func main() {
 	var gateFailures []string
 	var ms []bench.Measurement
 	if *compareWorkers {
-		seq, err := runOnce(1, backend, *codecName, *shards, cacheBytes)
+		seq, err := runOnce(1, backend, *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
 		ms = seq
 		if resolvedWorkers > 1 {
-			par, err := runOnce(resolvedWorkers, backend, *codecName, *shards, cacheBytes)
+			par, err := runOnce(resolvedWorkers, backend, *codecName, *shards)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -182,11 +157,11 @@ func main() {
 			fmt.Println("worker comparison: only one CPU available, parallel run skipped")
 		}
 	} else if *compareStorage {
-		osMs, err := runOnce(resolvedWorkers, storage.OS(), *codecName, *shards, cacheBytes)
+		osMs, err := runOnce(resolvedWorkers, storage.OS(), *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
-		memMs, err := runOnce(resolvedWorkers, storage.NewMem(), *codecName, *shards, cacheBytes)
+		memMs, err := runOnce(resolvedWorkers, storage.NewMem(), *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -208,7 +183,7 @@ func main() {
 		}
 	} else if *compareCodec {
 		for _, family := range []string{"fixed", "varint", "compress"} {
-			got, err := runOnce(resolvedWorkers, backend, family, *shards, cacheBytes)
+			got, err := runOnce(resolvedWorkers, backend, family, *shards)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -301,7 +276,7 @@ func main() {
 				}
 				b = storage.NewSharded(children...)
 			}
-			got, err := runOnce(resolvedWorkers, b, *codecName, n, cacheBytes)
+			got, err := runOnce(resolvedWorkers, b, *codecName, n)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -326,55 +301,9 @@ func main() {
 					base.Round(time.Millisecond), n, d.Round(time.Millisecond), speedup)
 			}
 		}
-	} else if *compareCache {
-		budget := cacheBytes
-		if budget <= 0 {
-			budget = 32 << 20 // a budget large enough that the quick sweeps keep their hot files resident
-		}
-		families := []string{"fixed", "varint", "compress"}
-		if *codecName != "" {
-			families = []string{*codecName}
-		}
-		var offAll, onAll []bench.Measurement
-		for _, family := range families {
-			off, err := runOnce(resolvedWorkers, backend, family, *shards, -1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			on, err := runOnce(resolvedWorkers, backend, family, *shards, budget)
-			if err != nil {
-				log.Fatal(err)
-			}
-			offAll = append(offAll, off...)
-			onAll = append(onAll, on...)
-		}
-		ms = append(offAll, onAll...)
-		var hits, misses int64
-		for _, m := range onAll {
-			hits += m.CacheHits
-			misses += m.CacheMisses
-		}
-		if violations := bench.VerifyCacheEquivalence(ms); len(violations) > 0 {
-			for _, v := range violations {
-				log.Printf("cache-equivalence violation: %s", v)
-			}
-			gateFailures = append(gateFailures,
-				fmt.Sprintf("cache-off and cache-on disagree on %d measurement(s)", len(violations)))
-		} else {
-			offTotal, onTotal := totalDuration(offAll), totalDuration(onAll)
-			speedup := "n/a"
-			if onTotal > 0 {
-				speedup = fmt.Sprintf("%.2fx", float64(offTotal)/float64(onTotal))
-			}
-			fmt.Printf("cache comparison (budget %d bytes): off took %s, on took %s (speedup %s); %d hits, %d misses; SCCs, I/O and byte counts identical\n",
-				budget, offTotal.Round(time.Millisecond), onTotal.Round(time.Millisecond), speedup, hits, misses)
-		}
-		if hits == 0 {
-			gateFailures = append(gateFailures, "cache-enabled sweep recorded no cache hits")
-		}
 	} else {
 		var err error
-		ms, err = runOnce(resolvedWorkers, backend, *codecName, *shards, cacheBytes)
+		ms, err = runOnce(resolvedWorkers, backend, *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -396,7 +325,7 @@ func main() {
 		fmt.Printf("CSV written to %s\n", *csvPath)
 	}
 
-	cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: resolvedWorkers, Storage: backend, Codec: *codecName, Retries: *retry, Shards: *shards, Cache: cacheBytes}
+	cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: resolvedWorkers, Storage: backend, Codec: *codecName, Retries: *retry, Shards: *shards}
 	report := bench.NewReport(*experiment, cfg, ms)
 	if *jsonPath != "" {
 		if err := report.WriteFile(*jsonPath); err != nil {

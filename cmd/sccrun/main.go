@@ -39,7 +39,6 @@ func main() {
 	storageName := cliflags.Storage()
 	codecName := cliflags.Codec()
 	retry := cliflags.Retry()
-	cacheSpec := cliflags.CacheBlocks()
 	profile := flag.Bool("profile", false, "print the per-phase wall-clock/allocation profile after the run")
 	shards := flag.Int("shards", 0, "split the contraction into this many concurrent per-node-range shards (0 = unsharded)")
 	maxDur := flag.Duration("max-duration", 0, "abort after this duration (0 = unlimited)")
@@ -64,11 +63,7 @@ func main() {
 	}
 	defer unstage()
 
-	cacheOpts, err := cliflags.CacheOptions(*cacheSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	engOpts := append([]extscc.Option{
+	eng, err := extscc.New(
 		extscc.WithAlgorithm(*algo),
 		extscc.WithMemory(*memory),
 		extscc.WithBlockSize(*block),
@@ -84,8 +79,7 @@ func main() {
 			fmt.Printf("  iteration %d: |V|=%d |E|=%d removed=%d preserved=%d added=%d\n",
 				p.Iteration, p.NumNodes, p.NumEdges, p.NumRemoved, p.PreservedEdges, p.AddedEdges)
 		}),
-	}, cacheOpts...)
-	eng, err := extscc.New(engOpts...)
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,9 +113,6 @@ func main() {
 		res.Stats.TotalIOs, res.Stats.RandomIOs, res.Stats.BytesRead, res.Stats.BytesWritten, res.Stats.CompressionRatio)
 	if res.Stats.Retries > 0 {
 		fmt.Printf("retries: %d transient storage failures recovered\n", res.Stats.Retries)
-	}
-	if res.Stats.CacheHits+res.Stats.CacheMisses > 0 {
-		fmt.Printf("block cache: %d hits, %d misses (accounted I/O unchanged)\n", res.Stats.CacheHits, res.Stats.CacheMisses)
 	}
 	if *profile {
 		fmt.Print("phases:\n")

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"extscc"
-	"extscc/internal/blockio"
 	"extscc/internal/cliflags"
 	"extscc/internal/iomodel"
 	"extscc/internal/serve"
@@ -57,7 +56,6 @@ func main() {
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent lookups into one sweep")
 	batchMax := flag.Int("batch-max", 256, "max point lookups per sweep")
 	cacheSize := flag.Int("cache", 4096, "hot-label LRU capacity (negative disables)")
-	cacheSpec := cliflags.CacheBlocks()
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes runtime internals; enable only on trusted listeners)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	flag.Parse()
@@ -72,20 +70,6 @@ func main() {
 	backend, err := cliflags.ResolveStorage(*storageName)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// serve.Options.CacheBytes: 0 defers to EXTSCC_CACHE, negative is an
-	// explicit off — so a -cache-blocks of "0" maps to -1.
-	var cacheBytes int64
-	if *cacheSpec != "" {
-		n, err := blockio.ParseCacheSize(*cacheSpec)
-		if err != nil {
-			log.Fatalf("-cache-blocks: %v", err)
-		}
-		if n == 0 {
-			cacheBytes = -1
-		} else {
-			cacheBytes = n
-		}
 	}
 
 	var src extscc.Source
@@ -120,7 +104,6 @@ func main() {
 		BatchWindow:  *batchWindow,
 		MaxBatch:     *batchMax,
 		CacheSize:    *cacheSize,
-		CacheBytes:   cacheBytes,
 		DrainTimeout: *drain,
 		EnablePprof:  *pprofFlag,
 	})

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
 	"extscc/internal/iomodel"
 	"extscc/internal/prof"
@@ -281,33 +280,6 @@ func WithCodec(name string) Option {
 	}
 }
 
-// WithBlockCache gives every run of the engine a shared read-block cache of
-// the given byte budget: block reads that hit the cache skip the storage
-// backend entirely.  0 disables caching for this engine even when the
-// EXTSCC_CACHE environment variable sets a process-wide default budget;
-// negative budgets are rejected.
-//
-// Like WithStorage and WithWorkers — and unlike WithCodec — the cache never
-// changes the accounted I/O: a cache hit is charged exactly like the random
-// block read it replaced, so Result.Stats reports identical counters cache
-// on or off, and the labelling is byte-identical.  The physical win shows up
-// only in Result.Stats.CacheHits and in wall-clock.  The cache is shared by
-// every Run of the engine (concurrent runs included), so repeated scans of
-// the same staged input amortise across runs.
-func WithBlockCache(bytes int64) Option {
-	return func(e *Engine) error {
-		switch {
-		case bytes < 0:
-			return fmt.Errorf("extscc: WithBlockCache(%d): cache budget cannot be negative", bytes)
-		case bytes == 0:
-			e.base.Cache = iomodel.NoBlockCache
-		default:
-			e.base.Cache = blockio.NewBlockCache(bytes)
-		}
-		return nil
-	}
-}
-
 // WithProgress installs a callback that receives progress events (one per
 // contraction iteration for the contraction-based algorithms).  The callback
 // runs on the computing goroutine, so cancelling the run's context from
@@ -344,7 +316,6 @@ func New(opts ...Option) (*Engine, error) {
 		Codec:      e.base.Codec,
 		Retries:    e.base.Retries,
 		Storage:    e.base.Storage,
-		Cache:      e.base.Cache,
 	}.Validate()
 	if err != nil {
 		return nil, err
@@ -472,18 +443,11 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 			// a recovered fault is a recovered fault wherever it struck.
 			Retries:       full.Retries,
 			CorruptFrames: full.CorruptFrames,
-			// Cache hits, like retries, are physical-layer events: they are
-			// reported whole-run and live outside the Snapshot the I/O-model
-			// equivalence checks compare, because hit patterns legitimately
-			// vary with worker count and eviction timing while the accounted
-			// counters above do not.
-			CacheHits:   cfg.Stats.CacheHits(),
-			CacheMisses: cfg.Stats.CacheMisses(),
-			Phases:      phaseStats(cfg.Prof),
-			Workers:     cfg.WorkerCount(),
-			Storage:     cfg.Backend().Name(),
-			Codec:       cfg.CodecFamily(),
-			Duration:    time.Since(start),
+			Phases:        phaseStats(cfg.Prof),
+			Workers:       cfg.WorkerCount(),
+			Storage:       cfg.Backend().Name(),
+			Codec:         cfg.CodecFamily(),
+			Duration:      time.Since(start),
 		},
 		runDir: runDir,
 		cfg:    cfg,

@@ -21,12 +21,11 @@ type faultRunResult struct {
 
 // runFaulted executes the sweep workload once against inner wrapped in plan.
 // Workers is pinned to 1 so the backend op sequence is deterministic, which
-// is what makes "inject at the k-th op" reproducible.  A positive cache is a
-// block-cache budget for the run (0 leaves the engine default).
-func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retries int, cache int64, plan *storage.FaultPlan) faultRunResult {
+// is what makes "inject at the k-th op" reproducible.
+func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retries int, plan *storage.FaultPlan) faultRunResult {
 	t.Helper()
 	fb := storage.NewFault(inner, plan)
-	opts := []extscc.Option{
+	eng, err := extscc.New(
 		extscc.WithAlgorithm("ext-scc-op"),
 		extscc.WithStorage(fb),
 		extscc.WithTempDir(tempDir),
@@ -34,11 +33,7 @@ func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retri
 		extscc.WithNodeBudget(40),
 		extscc.WithCodec(codec),
 		extscc.WithRetry(retries),
-	}
-	if cache > 0 {
-		opts = append(opts, extscc.WithBlockCache(cache))
-	}
-	eng, err := extscc.New(opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +130,7 @@ func TestEngineFaultSweep(t *testing.T) {
 				// Baseline: an empty plan counts the op budget and pins the
 				// fault-free labelling; the wrapper itself must be invisible.
 				inner, tempDir := newBackend()
-				base := runFaulted(t, inner, tempDir, codec, 0, 0, storage.NewFaultPlan())
+				base := runFaulted(t, inner, tempDir, codec, 0, storage.NewFaultPlan())
 				if base.err != nil {
 					t.Fatalf("fault-free baseline failed: %v", base.err)
 				}
@@ -174,7 +169,7 @@ func TestEngineFaultSweep(t *testing.T) {
 					plan := storage.NewFaultPlan(&storage.FaultRule{
 						Op: storage.OpAny, N: k, Count: 1, Mode: fl.mode, Seed: uint64(k),
 					})
-					got := runFaulted(t, inner, tempDir, codec, fl.retries, 0, plan)
+					got := runFaulted(t, inner, tempDir, codec, fl.retries, plan)
 					if got.err == nil {
 						// Success is only acceptable when it is *exactly* the
 						// fault-free run: same partition, same accounted I/O.
@@ -209,7 +204,7 @@ func TestEngineFaultSweep(t *testing.T) {
 					plan := storage.NewFaultPlan(&storage.FaultRule{
 						Op: storage.OpWrite, N: 2, Count: 1, Mode: storage.ModeTorn,
 					})
-					got := runFaulted(t, inner, tempDir, codec, 2, 0, plan)
+					got := runFaulted(t, inner, tempDir, codec, 2, plan)
 					if got.err != nil {
 						t.Errorf("%s: torn write with retries failed: %v", tag, got.err)
 					} else {
@@ -235,7 +230,7 @@ func TestEngineFaultSweep(t *testing.T) {
 // absorbed — with identical output and I/O counters — at WithRetry(2).
 func TestEngineRetryRecoversTransientFault(t *testing.T) {
 	mem := storage.NewMem()
-	base := runFaulted(t, mem, mem.TempPath(), extscc.CodecFixed, 0, 0, storage.NewFaultPlan())
+	base := runFaulted(t, mem, mem.TempPath(), extscc.CodecFixed, 0, storage.NewFaultPlan())
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -246,7 +241,7 @@ func TestEngineRetryRecoversTransientFault(t *testing.T) {
 		})
 	}
 
-	bare := runFaulted(t, storage.NewMem(), "/mem/tmp", extscc.CodecFixed, 0, 0, newPlan())
+	bare := runFaulted(t, storage.NewMem(), "/mem/tmp", extscc.CodecFixed, 0, newPlan())
 	if bare.err == nil {
 		t.Fatal("transient write fault at WithRetry(0) did not fail the run")
 	}
@@ -255,7 +250,7 @@ func TestEngineRetryRecoversTransientFault(t *testing.T) {
 	}
 
 	mem2 := storage.NewMem()
-	retried := runFaulted(t, mem2, mem2.TempPath(), extscc.CodecFixed, 2, 0, newPlan())
+	retried := runFaulted(t, mem2, mem2.TempPath(), extscc.CodecFixed, 2, newPlan())
 	if retried.err != nil {
 		t.Fatalf("transient write fault at WithRetry(2) still failed: %v", retried.err)
 	}
@@ -287,7 +282,7 @@ func TestEngineTornWriteRecovery(t *testing.T) {
 				return storage.OS(), t.TempDir()
 			}
 			inner, tempDir := newBackend()
-			base := runFaulted(t, inner, tempDir, extscc.CodecVarint, 0, 0, storage.NewFaultPlan())
+			base := runFaulted(t, inner, tempDir, extscc.CodecVarint, 0, storage.NewFaultPlan())
 			if base.err != nil {
 				t.Fatal(base.err)
 			}
@@ -295,7 +290,7 @@ func TestEngineTornWriteRecovery(t *testing.T) {
 			plan := storage.NewFaultPlan(&storage.FaultRule{
 				Op: storage.OpWrite, N: 2, Count: 1, Mode: storage.ModeTorn,
 			})
-			got := runFaulted(t, inner2, tempDir2, extscc.CodecVarint, 2, 0, plan)
+			got := runFaulted(t, inner2, tempDir2, extscc.CodecVarint, 2, plan)
 			if got.err != nil {
 				t.Fatalf("torn write with retries failed: %v", got.err)
 			}
@@ -320,7 +315,7 @@ func TestEngineCorruptReadFailsTyped(t *testing.T) {
 	plan := storage.NewFaultPlan(&storage.FaultRule{
 		Op: storage.OpRead, N: 4, Count: 1, Mode: storage.ModeCorrupt, Seed: 99,
 	})
-	got := runFaulted(t, mem, mem.TempPath(), extscc.CodecVarint, 2, 0, plan)
+	got := runFaulted(t, mem, mem.TempPath(), extscc.CodecVarint, 2, plan)
 	if got.err == nil {
 		t.Fatal("corrupted read did not fail the run")
 	}
@@ -341,64 +336,11 @@ func TestFaultSpecDrivesDefaultBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runFaulted(t, storage.NewMem(), "/mem/tmp", extscc.CodecFixed, 2, 0, plan)
+	got := runFaulted(t, storage.NewMem(), "/mem/tmp", extscc.CodecFixed, 2, plan)
 	if got.err != nil {
 		t.Fatalf("spec-driven transient fault with retries failed the run: %v", got.err)
 	}
 	if got.stats.Retries == 0 {
 		t.Fatal("spec-driven fault fired no retries")
-	}
-}
-
-// TestEngineFaultSweepCached re-runs a focused fault sweep with the block
-// cache enabled: faults must behave exactly as without one — recovered runs
-// byte-identical to the cached baseline, failures typed, the backend left
-// clean — and a faulted or corrupt read must never be served back from the
-// cache (the corrupt flavor fails typed, it cannot "succeed from memory").
-func TestEngineFaultSweepCached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault sweep is a multi-run workload; skipped with -short")
-	}
-	const cacheBudget = 8 << 20
-	newBackend := func() (extscc.Storage, string) {
-		m := storage.NewMem()
-		return m, m.TempPath()
-	}
-
-	inner, tempDir := newBackend()
-	base := runFaulted(t, inner, tempDir, extscc.CodecVarint, 0, cacheBudget, storage.NewFaultPlan())
-	if base.err != nil {
-		t.Fatalf("cached fault-free baseline failed: %v", base.err)
-	}
-	assertClean(t, "baseline", inner, tempDir)
-	if base.stats.CacheHits == 0 {
-		t.Fatal("cached baseline recorded no cache hits; the leg proves nothing")
-	}
-
-	flavors := []sweepFlavor{
-		{"transient-retry", storage.ModeTransient, 2},
-		{"permanent", storage.ModePermanent, 2},
-		{"torn-retry", storage.ModeTorn, 2},
-		{"corrupt", storage.ModeCorrupt, 2},
-	}
-	const samples = 8
-	for i := 0; i < samples; i++ {
-		k := 1 + int64(i)*(base.ops-1)/int64(samples-1)
-		fl := flavors[i%len(flavors)]
-		tag := fmt.Sprintf("cached-%s@op%d", fl.name, k)
-		inner, tempDir := newBackend()
-		plan := storage.NewFaultPlan(&storage.FaultRule{
-			Op: storage.OpAny, N: k, Count: 1, Mode: fl.mode, Seed: uint64(k),
-		})
-		got := runFaulted(t, inner, tempDir, extscc.CodecVarint, fl.retries, cacheBudget, plan)
-		if got.err == nil {
-			if fmt.Sprint(got.labels) != fmt.Sprint(base.labels) {
-				t.Errorf("%s: succeeded with a different labelling", tag)
-			}
-			assertIOEqual(t, tag, got.stats, base.stats)
-		} else if !errors.Is(got.err, storage.ErrInjected) && !errors.Is(got.err, extscc.ErrCorrupt) {
-			t.Errorf("%s: failed with an untyped error: %v", tag, got.err)
-		}
-		assertClean(t, tag, inner, tempDir)
 	}
 }

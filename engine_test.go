@@ -384,6 +384,47 @@ func TestWithWorkersRejectsNegative(t *testing.T) {
 	}
 }
 
+// TestRunReportsPhases checks per-phase profiling is always on: every run
+// surfaces a stage phase and — on a contracting workload — a contract phase,
+// each with a positive invocation count.
+func TestRunReportsPhases(t *testing.T) {
+	eng, err := extscc.New(
+		extscc.WithNodeBudget(40), // forces several contraction iterations
+		extscc.WithWorkers(1),
+		extscc.WithStorage(extscc.MemStorage()),
+		extscc.WithTempDir(t.TempDir()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), extscc.SliceSource(graphgen.Random(220, 660, 11), 500, 501))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	phases := res.Stats.Phases
+	if len(phases) == 0 {
+		t.Fatal("run reported no phases")
+	}
+	got := map[string]extscc.PhaseStat{}
+	for _, p := range phases {
+		got[p.Name] = p
+	}
+	for _, name := range []string{"stage", "contract", "sort"} {
+		p, ok := got[name]
+		if !ok {
+			t.Errorf("run reported no %q phase (got %v)", name, phases)
+			continue
+		}
+		if p.Count <= 0 {
+			t.Errorf("phase %q has count %d, want > 0", name, p.Count)
+		}
+		if p.Wall < 0 {
+			t.Errorf("phase %q has negative wall time %v", name, p.Wall)
+		}
+	}
+}
+
 // TestCancelMidContractionCleansUpParallel extends the cancellation
 // acceptance test over the worker pool: cancelling with N>1 workers must
 // drain every worker and leave no temp files behind.

@@ -367,10 +367,10 @@ func (s *dfsState) reverseOrder(inPath, outPath string) error {
 	if err != nil {
 		return err
 	}
-	total := r.Count()
-	if total < 0 {
+	total, err := r.Count()
+	if err != nil {
 		w.Close()
-		return errors.New("baseline: postorder file has no record index to replay backwards")
+		return err
 	}
 	perBlock := int64(s.cfg.BlockSize / 4)
 	if perBlock < 1 {
@@ -420,10 +420,10 @@ func newAdjacency(path string, cfg iomodel.Config) (*adjacency, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := r.Count()
-	if count < 0 {
+	count, err := r.Count()
+	if err != nil {
 		r.Close()
-		return nil, errors.New("baseline: adjacency file has no record index for binary search")
+		return nil, err
 	}
 	return &adjacency{r: r, count: count}, nil
 }
@@ -481,31 +481,17 @@ func nextNode(r *recio.Reader[record.NodeID]) (record.NodeID, bool, error) {
 	return n, true, nil
 }
 
-// maxNodeID returns the largest node id in a sorted node file.  Fixed files
-// and framed files with a frame-index footer answer with one seek to the last
-// record; a legacy footerless framed file is scanned sequentially.
+// maxNodeID returns the largest node id in a sorted node file with one seek
+// to the last record.
 func maxNodeID(nodePath string, cfg iomodel.Config) (record.NodeID, error) {
 	r, err := recio.NewReader(nodePath, record.NodeCodec{}, cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	total := r.Count()
-	if total < 0 {
-		var max record.NodeID
-		for {
-			n, err := r.Read()
-			if err == io.EOF {
-				return max, nil
-			}
-			if err != nil {
-				return 0, err
-			}
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0, nil
+	total, err := r.Count()
+	if err != nil || total == 0 {
+		return 0, err
 	}
 	if err := r.SeekTo(total - 1); err != nil {
 		return 0, err

@@ -42,13 +42,9 @@ type ReportEntry struct {
 	NumSCCs      int64  `json:"num_sccs"`
 	INF          bool   `json:"inf"`
 	Note         string `json:"note,omitempty"`
-	// CacheBytes/CacheHits/CacheMisses and Phases are omitted for runs
-	// without a block cache or profile, so reports written before they
-	// existed round-trip unchanged under the same schema.
-	CacheBytes  int64              `json:"cache_bytes,omitempty"`
-	CacheHits   int64              `json:"cache_hits,omitempty"`
-	CacheMisses int64              `json:"cache_misses,omitempty"`
-	Phases      []PhaseMeasurement `json:"phases,omitempty"`
+	// Phases is omitted for runs without a profile, so reports written
+	// before it existed round-trip unchanged under the same schema.
+	Phases []PhaseMeasurement `json:"phases,omitempty"`
 }
 
 // key identifies a measurement point; workers is part of the identity so a
@@ -66,9 +62,6 @@ func (e ReportEntry) key() string {
 	}
 	if e.Shards > 1 {
 		k += fmt.Sprintf("|n=%d", e.Shards)
-	}
-	if e.CacheBytes > 0 {
-		k += fmt.Sprintf("|cache=%d", e.CacheBytes)
 	}
 	return k
 }
@@ -101,9 +94,6 @@ func NewReport(experiment string, c Config, ms []Measurement) Report {
 			NumSCCs:      m.NumSCCs,
 			INF:          m.INF,
 			Note:         m.Note,
-			CacheBytes:   m.CacheBytes,
-			CacheHits:    m.CacheHits,
-			CacheMisses:  m.CacheMisses,
 			Phases:       m.Phases,
 		})
 	}
@@ -241,26 +231,6 @@ func equivalenceViolations(ms []Measurement, pointKey func(Measurement) string, 
 	}
 	sort.Strings(violations)
 	return violations
-}
-
-// VerifyCacheEquivalence checks the accounting invariant of the block cache
-// (WithBlockCache) across measurements that hold the same sweep cache-on and
-// cache-off: for every (experiment, x, series, workers, storage, codec,
-// shards) point, every cache setting must agree on the INF status, the
-// number of SCCs, the iteration count, and every accounted I/O and byte
-// count.  A violation means a cache hit was charged differently from the
-// physical read it replaced — the one thing the cache must never do.
-func VerifyCacheEquivalence(ms []Measurement) []string {
-	return equivalenceViolations(ms,
-		func(m Measurement) string {
-			return fmt.Sprintf("%s|%s|%s|w=%d|s=%s|c=%s|n=%d", m.Experiment, m.X, m.Series, m.Workers, m.Storage, m.Codec, m.shardCount())
-		},
-		func(m Measurement) string {
-			if m.CacheBytes > 0 {
-				return fmt.Sprintf("cache=%d", m.CacheBytes)
-			}
-			return "cache=off"
-		})
 }
 
 // VerifyStorageEquivalence checks the cross-backend guarantee of

@@ -78,16 +78,6 @@ type Measurement struct {
 	// sharded pre-pass preserves every SCC count but adds split/condense
 	// passes, so the I/O counts are not comparable across shard counts.
 	Shards int
-	// CacheBytes is the shared read-block cache budget of the run (0 = no
-	// cache).  Like Workers and Storage it never changes the accounted I/O
-	// counts — a cache hit is charged exactly like the read it replaced —
-	// only the wall-clock.
-	CacheBytes int64
-	// CacheHits and CacheMisses report how the block cache performed (both
-	// 0 when CacheBytes is 0).  They are diagnostics of the physical win,
-	// not part of the accounted I/O.
-	CacheHits   int64
-	CacheMisses int64
 	// Phases is the per-phase profile of the run (wall-clock, allocations,
 	// heap growth), in first-execution order.
 	Phases []PhaseMeasurement
@@ -176,12 +166,6 @@ type Config struct {
 	// (0 or 1 = unsharded).  Shard solves run concurrently, so the wall-clock
 	// drops with spare CPUs while every SCC count stays identical.
 	Shards int
-	// Cache is the shared read-block cache budget in bytes: 0 defers to the
-	// process default (EXTSCC_CACHE), a positive value is an explicit
-	// budget, and a negative value disables caching outright.  The measured
-	// I/O counts are identical at every setting — only the wall-clock and
-	// the CacheHits diagnostics change.
-	Cache int64
 }
 
 func (c Config) withDefaults() Config {
@@ -218,7 +202,7 @@ func (c Config) resolvedShards() int {
 
 // ioConfig builds the I/O-model configuration for one run.
 func (c Config) ioConfig(nodeBudget int64) iomodel.Config {
-	cfg := iomodel.Config{
+	return iomodel.Config{
 		BlockSize:  iomodel.DefaultBlockSize,
 		Memory:     iomodel.DefaultMemory,
 		NodeBudget: nodeBudget,
@@ -229,13 +213,6 @@ func (c Config) ioConfig(nodeBudget int64) iomodel.Config {
 		Storage:    c.Storage,
 		Stats:      &iomodel.Stats{},
 	}
-	switch {
-	case c.Cache > 0:
-		cfg.Cache = blockio.NewBlockCache(c.Cache)
-	case c.Cache < 0:
-		cfg.Cache = iomodel.NoBlockCache
-	}
-	return cfg
 }
 
 // Experiments lists the experiment identifiers in paper order.
@@ -413,11 +390,6 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		extscc.WithRetry(c.Retries),
 		extscc.WithShards(c.resolvedShards()),
 	}
-	// A negative Cache is "explicitly off", which WithBlockCache spells 0;
-	// a Config.Cache of 0 leaves the engine on the process default.
-	if c.Cache != 0 {
-		opts = append(opts, extscc.WithBlockCache(max(c.Cache, 0)))
-	}
 	ctx := context.Background()
 	if budgeted {
 		budget := c.DFSBudget
@@ -442,7 +414,7 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 	res, err := eng.Run(ctx, extscc.PreparedSource(g.EdgePath, g.NodePath, g.NumNodes, g.NumEdges))
 	switch {
 	case errors.Is(err, extscc.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded):
-		return Measurement{Experiment: experiment, Series: series, X: x, Workers: c.resolvedWorkers(), Storage: backend.Name(), Codec: c.ioConfig(0).CodecFamily(), Shards: c.resolvedShards(), CacheBytes: max(c.Cache, 0), INF: true, Note: "exceeded budget"}, nil
+		return Measurement{Experiment: experiment, Series: series, X: x, Workers: c.resolvedWorkers(), Storage: backend.Name(), Codec: c.ioConfig(0).CodecFamily(), Shards: c.resolvedShards(), INF: true, Note: "exceeded budget"}, nil
 	case err != nil:
 		return Measurement{}, err
 	}
@@ -455,9 +427,6 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		Storage:      res.Stats.Storage,
 		Codec:        res.Stats.Codec,
 		Shards:       c.resolvedShards(),
-		CacheBytes:   max(c.Cache, 0),
-		CacheHits:    res.Stats.CacheHits,
-		CacheMisses:  res.Stats.CacheMisses,
 		Phases:       phaseMeasurements(res.Stats.Phases),
 		Duration:     res.Stats.Duration,
 		TotalIOs:     res.Stats.TotalIOs,
@@ -492,9 +461,6 @@ func runExt(c Config, experiment, x string, g edgefile.Graph, nodeBudget int64, 
 		Storage:      cfg.Backend().Name(),
 		Codec:        cfg.CodecFamily(),
 		Shards:       1,
-		CacheBytes:   max(c.Cache, 0),
-		CacheHits:    cfg.Stats.CacheHits(),
-		CacheMisses:  cfg.Stats.CacheMisses(),
 		Phases:       phaseMeasurements(phases),
 		Duration:     res.Duration,
 		TotalIOs:     res.IO.TotalIOs(),
@@ -726,7 +692,7 @@ func emscc(c Config) ([]Measurement, error) {
 			MaxIterations:  16,
 		}, cfg)
 		if errors.Is(err, context.DeadlineExceeded) {
-			out = append(out, Measurement{Experiment: "emscc", Series: AlgoEM, X: x, Workers: cfg.WorkerCount(), Storage: cfg.Backend().Name(), Codec: cfg.CodecFamily(), CacheBytes: max(c.Cache, 0), INF: true, Note: "exceeded budget"})
+			out = append(out, Measurement{Experiment: "emscc", Series: AlgoEM, X: x, Workers: cfg.WorkerCount(), Storage: cfg.Backend().Name(), Codec: cfg.CodecFamily(), INF: true, Note: "exceeded budget"})
 			return nil
 		}
 		if err != nil {
@@ -739,7 +705,6 @@ func emscc(c Config) ([]Measurement, error) {
 			Workers:      cfg.WorkerCount(),
 			Storage:      cfg.Backend().Name(),
 			Codec:        cfg.CodecFamily(),
-			CacheBytes:   max(c.Cache, 0),
 			Duration:     res.Duration,
 			TotalIOs:     res.IO.TotalIOs(),
 			RandomIOs:    res.IO.RandomIOs(),
@@ -962,7 +927,7 @@ func FormatTable(ms []Measurement) string {
 // not execute; phase walls overlap under workers, so they need not sum to
 // duration_ms).
 func WriteCSV(w io.Writer, ms []Measurement) error {
-	header := "experiment,x,algorithm,workers,storage,codec,shards,cache_bytes,cache_hits,cache_misses,duration_ms,total_ios,random_ios,bytes_read,bytes_written,iterations,num_sccs,inf,note"
+	header := "experiment,x,algorithm,workers,storage,codec,shards,duration_ms,total_ios,random_ios,bytes_read,bytes_written,iterations,num_sccs,inf,note"
 	for _, p := range phaseColumns {
 		header += "," + p + "_ms"
 	}
@@ -970,8 +935,8 @@ func WriteCSV(w io.Writer, ms []Measurement) error {
 		return err
 	}
 	for _, m := range ms {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t,%q",
-			m.Experiment, m.X, m.Series, m.Workers, m.Storage, m.Codec, m.shardCount(), m.CacheBytes, m.CacheHits, m.CacheMisses,
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%q",
+			m.Experiment, m.X, m.Series, m.Workers, m.Storage, m.Codec, m.shardCount(),
 			m.Duration.Milliseconds(), m.TotalIOs, m.RandomIOs,
 			m.BytesRead, m.BytesWritten, m.Iterations, m.NumSCCs, m.INF, m.Note); err != nil {
 			return err

@@ -129,11 +129,6 @@ func NewWriter(path string, cfg iomodel.Config) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockio: create %s: %w", path, err)
 	}
-	// Creating truncates: any blocks cached for a previous file at this path
-	// are stale the moment the create succeeds.
-	if c := CacheFor(cfg); c != nil {
-		c.InvalidateFile(cfg.Backend(), path)
-	}
 	bs := cfg.BlockSize
 	if bs <= 0 {
 		bs = iomodel.DefaultBlockSize
@@ -292,23 +287,14 @@ type Reader struct {
 	size       int64
 	closed     bool
 	pf         *prefetcher
-
-	// Read-block cache (nil when caching is off).  A hit replaces the
-	// physical backend read but charges Stats identically; only blocks a
-	// physical read returned successfully are inserted.
-	cache   iomodel.BlockCache
-	backend storage.Backend
 }
 
-// pfBlock is one block fetched ahead of the consumer.  cached marks a block
-// served from the read-block cache; the hit is counted at delivery, next to
-// the I/O charge, so undelivered fetch-ahead never skews the diagnostics.
+// pfBlock is one block fetched ahead of the consumer.
 type pfBlock struct {
-	buf    []byte
-	n      int
-	off    int64
-	err    error
-	cached bool
+	buf []byte
+	n   int
+	off int64
+	err error
 }
 
 // prefetcher is the background block fetcher.  Two block buffers circulate
@@ -343,42 +329,10 @@ func NewReader(path string, cfg iomodel.Config) (*Reader, error) {
 		bs = iomodel.DefaultBlockSize
 	}
 	r := &Reader{f: f, buf: pool.GetSlice(bs), blockSize: bs, stats: cfg.Stats, ret: ret, size: size}
-	if c := CacheFor(cfg); c != nil {
-		r.cache = c
-		r.backend = cfg.Backend()
-	}
 	if cfg.WorkerCount() > 1 && r.size > int64(bs) {
 		r.startPrefetch(0)
 	}
 	return r, nil
-}
-
-// blockWant returns the byte count a physical read at off would return:
-// a full block, clipped by the end of the file.  Cache lookups ask for
-// exactly this much so a hit charges the same accounted bytes as the read
-// it replaces.
-func (r *Reader) blockWant(off int64) int {
-	want := r.size - off
-	if want > int64(r.blockSize) {
-		want = int64(r.blockSize)
-	}
-	return int(want)
-}
-
-// fetchBlock reads the block at off into buf (cache first, then the
-// backend), returning the byte count and whether the cache served it.  Only
-// a successful backend read is inserted into the cache.
-func (r *Reader) fetchBlock(buf []byte, off int64) (n int, cached bool, err error) {
-	if r.cache != nil {
-		if want := r.blockWant(off); want > 0 && r.cache.GetBlock(r.backend, r.f.Name(), off, buf[:want]) {
-			return want, true, nil
-		}
-	}
-	n, err = r.ret.readAt(r.f, buf[:r.blockSize], off)
-	if r.cache != nil && n > 0 && (err == nil || err == io.EOF) {
-		r.cache.PutBlock(r.backend, r.f.Name(), off, buf[:n])
-	}
-	return n, false, err
 }
 
 // startPrefetch launches the background fetcher at the given file offset.
@@ -401,7 +355,7 @@ func (r *Reader) startPrefetch(from int64) {
 			case <-pf.stop:
 				return
 			}
-			n, cached, err := r.fetchBlock(buf, off)
+			n, err := r.ret.readAt(r.f, buf[:r.blockSize], off)
 			if err == io.EOF && n > 0 {
 				err = nil // Size() bounds the loop; a short final block is not an error
 			}
@@ -409,7 +363,7 @@ func (r *Reader) startPrefetch(from int64) {
 				err = io.EOF
 			}
 			select {
-			case pf.blocks <- pfBlock{buf: buf, n: n, off: off, err: err, cached: cached}:
+			case pf.blocks <- pfBlock{buf: buf, n: n, off: off, err: err}:
 			case <-pf.stop:
 				return
 			}
@@ -478,13 +432,12 @@ func (r *Reader) fill() error {
 		r.buf = blk.buf
 		r.pf.free <- old
 		r.stats.CountRead(blk.n, random)
-		r.countCache(blk.cached)
 		r.r, r.n = 0, blk.n
 		r.fileOffset += int64(blk.n)
 		r.nextSeq = r.fileOffset
 		return nil
 	}
-	n, cached, err := r.fetchBlock(r.buf, r.fileOffset)
+	n, err := r.ret.readAt(r.f, r.buf[:r.blockSize], r.fileOffset)
 	if n == 0 {
 		if err == io.EOF || err == nil {
 			return io.EOF
@@ -492,33 +445,10 @@ func (r *Reader) fill() error {
 		return fmt.Errorf("blockio: read %s: %w", r.f.Name(), err)
 	}
 	r.stats.CountRead(n, random)
-	r.countCache(cached)
 	r.r, r.n = 0, n
 	r.fileOffset += int64(n)
 	r.nextSeq = r.fileOffset
 	return nil
-}
-
-// countCache charges the hit/miss diagnostic for one delivered block when a
-// cache is configured.
-func (r *Reader) countCache(cached bool) {
-	if r.cache == nil {
-		return
-	}
-	if cached {
-		r.stats.CountCacheHit()
-	} else {
-		r.stats.CountCacheMiss()
-	}
-}
-
-// EvictCache drops every cached block of the reader's file.  recio calls it
-// when a frame fails integrity verification: detected corruption must never
-// be served from the cache, whatever read populated it.
-func (r *Reader) EvictCache() {
-	if r.cache != nil {
-		r.cache.InvalidateFile(r.backend, r.f.Name())
-	}
 }
 
 // Read implements io.Reader over the block buffer.
@@ -595,9 +525,6 @@ func (r *Reader) Close() error {
 // Remove deletes the file at path from cfg's storage backend, ignoring
 // not-exist errors.  It is the cleanup helper used for intermediate files.
 func Remove(path string, cfg iomodel.Config) error {
-	if c := CacheFor(cfg); c != nil {
-		c.InvalidateFile(cfg.Backend(), path)
-	}
 	err := cfg.Backend().Remove(path)
 	if err != nil && !storage.IsNotExist(err) {
 		return err

@@ -6,14 +6,12 @@ import (
 	"hash/crc32"
 )
 
-// Frame-index footer.  A framed record file may end with a self-describing
-// footer indexing every frame, which upgrades the file from streaming-only to
-// seekable: record-indexed seeks become a binary search over the entries
-// (O(log F) instead of impossible), key probes use the per-frame min/max
-// keys, and the record count is read instead of scanned.  Files without a
-// footer — every framed file written before footers existed — keep the
-// streaming-only behaviour, and fixed-layout files never carry one (they are
-// frameless and seekable by offset arithmetic already).
+// Frame-index footer.  Every framed record file ends with a self-describing
+// footer indexing every frame, which makes the file seekable: record-indexed
+// seeks become a binary search over the entries (O(log F)), key probes use
+// the per-frame min/max keys, and the record count is read instead of
+// scanned.  Fixed-layout files never carry one (they are frameless and
+// seekable by offset arithmetic already).
 //
 // Version-1 footer layout (all integers little-endian):
 //
@@ -32,12 +30,12 @@ import (
 //	21+36F        4    footer length 29+36F (distance from footer start to EOF)
 //	25+36F        4    end magic 0xEC 0x5C 0xF0 0x0E
 //
-// A reader probes the last 24 bytes: no end magic means a legacy footerless
-// file, never an error; end magic with anything else malformed — bad length,
-// bad start magic, CRC mismatch, inconsistent entries — is typed corruption
+// A reader probes the last 24 bytes: no end magic means no footer, which
+// ReadFooter reports as such (package recio treats a framed file without one
+// as corrupt); end magic with anything else malformed — bad length, bad start
+// magic, CRC mismatch, inconsistent entries — is typed corruption
 // (ErrCorrupt), because acting on a damaged index would mis-seek into wrong
-// records.  The format is append-only versioned like the frame header: new
-// fields get a new version byte, and version-1 footers stay readable forever.
+// records.  The version byte lets a later layout be told apart.
 //
 // The streaming reader needs no footer to skip one: a footer indexes at least
 // one frame (empty files are written with no bytes at all), so it is at least
@@ -124,9 +122,9 @@ func AppendFooter(dst []byte, entries []FooterEntry) []byte {
 
 // ParseFooterTrailer inspects the last FooterTrailerSize bytes of a file and
 // reports whether a footer is present and, if so, its full encoded length.
-// A missing end magic is not an error — it is how every legacy footerless
-// file and every frameless fixed file looks.  An end magic with a length that
-// cannot hold a version-1 footer is corruption.
+// A missing end magic is not an error here — it is how every frameless fixed
+// file looks.  An end magic with a length that cannot hold a version-1
+// footer is corruption.
 func ParseFooterTrailer(tail []byte) (footerLen int, ok bool, detail string) {
 	if len(tail) != FooterTrailerSize {
 		return 0, false, ""

@@ -13,10 +13,10 @@ import (
 // codec are a sequence of frames, each carrying its own codec identifier, so
 // a reader needs no out-of-band configuration to decode a file — it sniffs
 // the first bytes and dispatches on the codec ID.  Files of the fixed codec
-// family carry no frames at all and remain byte-identical to the files this
-// repository wrote before codecs became pluggable.
+// family carry no frames at all: they are the plain concatenation of
+// fixed-size records.
 //
-// Version-2 frame layout (all integers little-endian):
+// Frame layout (all integers little-endian):
 //
 //	offset size field
 //	0      4    magic 0xEC 0x5C 0xC0 0xDE ("ExtSCC code")
@@ -27,12 +27,10 @@ import (
 //	14     4    CRC-32C (Castagnoli) over bytes [0,14) and the payload
 //	18     n    payload (codec-specific, see internal/record/doc.go)
 //
-// Version 1 is the same layout without the CRC field (14-byte header, no
-// integrity check); writers emit version 2 only, readers accept both, and the
-// change is append-only: every version-1 file any previous build wrote stays
-// readable.  The CRC covers the header fields and the payload, so a single
-// flipped bit anywhere in a frame — count, length, codec id or data — fails
-// verification instead of decoding into silently wrong records.
+// Version 2 is the only version written or read; any other version byte
+// fails ParseFrameHeader.  The CRC covers the header fields and the payload,
+// so a single flipped bit anywhere in a frame — count, length, codec id or
+// data — fails verification instead of decoding into silently wrong records.
 //
 // Frames are charged to the I/O model like any other bytes: the blockio
 // Writer/Reader beneath them still transfers whole blocks of cfg.BlockSize
@@ -41,26 +39,23 @@ import (
 //
 // Detection caveat: a frameless fixed-codec file whose first record happens
 // to begin with the four magic bytes (a node id of 0xDEC05CEC ≈ 3.74 billion)
-// could in principle be misdetected as framed.  ParseFrameHeader narrows the
-// window to near zero: the following bytes must also form a known version, a
-// registered codec id, and a sane count/length pair, and any of those checks
-// failing sends the reader down the fixed-layout fallback.  The pipeline's
-// own files never hit this — framed intermediates are always written with a
-// codec the reader then validates.
+// is sniffed as framed only if its first 18 bytes also parse as a whole
+// header: version 2, a registered codec id and a sane count/length pair.  A
+// fixed file shorter than a header, or whose head fails any of those checks,
+// is read as fixed.  One case remains: a fixed file whose first 18 bytes do
+// parse as a header.  It is never decoded: reading it fails with a typed
+// ErrCorrupt on the CRC (or earlier, when the claimed payload runs past the
+// end of the file), or with a codec error when the codec id names another
+// record type.  The pipeline's own files never hit this — framed
+// intermediates are always written with a codec the reader then validates.
 const (
-	// FrameVersion1 is the historical CRC-less frame format.
-	FrameVersion1 = 1
-	// FrameVersion2 adds the CRC-32C field.
-	FrameVersion2 = 2
-	// FrameVersion is the version new frames are written with.
-	FrameVersion = FrameVersion2
-	// FrameHeaderSizeV1 is the encoded size of a version-1 header.
-	FrameHeaderSizeV1 = 14
-	// FrameHeaderSize is the encoded size of a current-version header in
-	// bytes; no version's header is larger.
+	// FrameVersion is the frame-format version every frame is written with
+	// and the only one ParseFrameHeader accepts.
+	FrameVersion = 2
+	// FrameHeaderSize is the encoded size of a frame header in bytes.
 	FrameHeaderSize = 18
-	// crcOffset is where the version-2 CRC field lives; the CRC input is the
-	// header up to this offset plus the payload.
+	// crcOffset is where the CRC field lives; the CRC input is the header up
+	// to this offset plus the payload.
 	crcOffset = 14
 	// MaxFramePayload caps the payload length ParseFrameHeader accepts.  Real
 	// frames never exceed one block (the writer caps records per frame), so
@@ -108,38 +103,26 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 // FrameHeader describes one frame of a framed record file.
 type FrameHeader struct {
-	// Version is the frame-format version the header was parsed from (or is
-	// to be written as; PutFrameHeader always writes FrameVersion).
-	Version byte
 	// Codec is the record.CodecID of the payload encoding.
 	Codec byte
 	// Count is the number of records in the frame.
 	Count uint32
 	// Payload is the payload length in bytes.
 	Payload uint32
-	// CRC is the CRC-32C over the header prefix and the payload (version-2
-	// frames only; zero for version 1).
+	// CRC is the CRC-32C over the header prefix and the payload.
 	CRC uint32
 }
 
-// HeaderSize returns the encoded size of the header for its version.
-func (h FrameHeader) HeaderSize() int {
-	if h.Version == FrameVersion1 {
-		return FrameHeaderSizeV1
-	}
-	return FrameHeaderSize
-}
-
-// FrameCRC computes the version-2 integrity checksum: CRC-32C over the first
+// FrameCRC computes the frame's integrity checksum: CRC-32C over the first
 // crcOffset bytes of the encoded header followed by the payload.
 func FrameCRC(header, payload []byte) uint32 {
 	crc := crc32.Update(0, castagnoli, header[:crcOffset])
 	return crc32.Update(crc, castagnoli, payload)
 }
 
-// PutFrameHeader encodes a current-version header for payload into dst,
-// which must have FrameHeaderSize bytes, computing the CRC over the header
-// fields and the payload bytes.
+// PutFrameHeader encodes a header for payload into dst, which must have
+// FrameHeaderSize bytes, computing the CRC over the header fields and the
+// payload bytes.
 func PutFrameHeader(dst []byte, h FrameHeader, payload []byte) {
 	copy(dst[0:4], frameMagic[:])
 	dst[4] = FrameVersion
@@ -156,44 +139,27 @@ func HasFrameMagic(prefix []byte) bool {
 	return len(prefix) >= 4 && [4]byte(prefix[0:4]) == frameMagic
 }
 
-// FrameHeaderLen inspects a header prefix (magic plus version byte, 5 bytes)
-// and returns the full encoded header length of that version.  It is how a
-// streaming reader knows whether 4 more CRC bytes follow the common fields.
-func FrameHeaderLen(prefix []byte) (int, error) {
-	if len(prefix) < 5 {
-		return 0, fmt.Errorf("blockio: frame header prefix needs 5 bytes, have %d", len(prefix))
-	}
-	if !HasFrameMagic(prefix) {
-		return 0, fmt.Errorf("blockio: bad frame magic % x", prefix[0:4])
-	}
-	switch prefix[4] {
-	case FrameVersion1:
-		return FrameHeaderSizeV1, nil
-	case FrameVersion2:
-		return FrameHeaderSize, nil
-	}
-	return 0, fmt.Errorf("blockio: unsupported frame version %d (this build reads versions %d and %d)", prefix[4], FrameVersion1, FrameVersion2)
-}
-
-// ParseFrameHeader decodes and validates a frame header.  src must hold the
-// full header of its version (FrameHeaderLen bytes).  Beyond magic and
-// version, the codec id must be registered and the count/length pair sane —
-// a payload within MaxFramePayload and no more records than payload bytes —
-// so garbage following a magic-byte collision fails here, fast, instead of
-// driving a huge allocation downstream.
+// ParseFrameHeader decodes and validates a frame header.  src must hold
+// FrameHeaderSize bytes.  Beyond magic and version, the codec id must be
+// registered and the count/length pair sane — a payload within
+// MaxFramePayload and no more records than payload bytes — so garbage
+// following a magic-byte collision fails here, fast, instead of driving a
+// huge allocation downstream.
 func ParseFrameHeader(src []byte) (FrameHeader, error) {
-	n, err := FrameHeaderLen(src)
-	if err != nil {
-		return FrameHeader{}, err
+	if len(src) < FrameHeaderSize {
+		return FrameHeader{}, fmt.Errorf("blockio: frame header needs %d bytes, have %d", FrameHeaderSize, len(src))
 	}
-	if len(src) < n {
-		return FrameHeader{}, fmt.Errorf("blockio: version-%d frame header needs %d bytes, have %d", src[4], n, len(src))
+	if !HasFrameMagic(src) {
+		return FrameHeader{}, fmt.Errorf("blockio: bad frame magic % x", src[0:4])
+	}
+	if src[4] != FrameVersion {
+		return FrameHeader{}, fmt.Errorf("blockio: unsupported frame version %d (this build reads version %d)", src[4], FrameVersion)
 	}
 	h := FrameHeader{
-		Version: src[4],
 		Codec:   src[5],
 		Count:   binary.LittleEndian.Uint32(src[6:10]),
 		Payload: binary.LittleEndian.Uint32(src[10:14]),
+		CRC:     binary.LittleEndian.Uint32(src[14:18]),
 	}
 	if !record.KnownCodecID(record.CodecID(h.Codec)) {
 		return FrameHeader{}, fmt.Errorf("blockio: frame names unregistered codec id %d", h.Codec)
@@ -211,20 +177,13 @@ func ParseFrameHeader(src []byte) (FrameHeader, error) {
 	if sz := record.FixedSizeOfID(record.CodecID(h.Codec)); sz > 0 && uint64(h.Count)*uint64(sz) > MaxFramePayload {
 		return FrameHeader{}, fmt.Errorf("blockio: frame claims %d records of %d bytes, beyond the %d-byte frame cap", h.Count, sz, MaxFramePayload)
 	}
-	if h.Version == FrameVersion2 {
-		h.CRC = binary.LittleEndian.Uint32(src[14:18])
-	}
 	return h, nil
 }
 
-// VerifyFrame checks a version-2 frame's CRC against its header and payload
-// bytes (header holds the encoded header, payload the exact payload).  It
-// returns the mismatch detail for CorruptError, or "" when the frame is
-// intact or version 1 (which carries no checksum).
+// VerifyFrame checks a frame's CRC against its header and payload bytes
+// (header holds the encoded header, payload the exact payload).  It returns
+// the mismatch detail for CorruptError, or "" when the frame is intact.
 func VerifyFrame(h FrameHeader, header, payload []byte) string {
-	if h.Version != FrameVersion2 {
-		return ""
-	}
 	if got := FrameCRC(header, payload); got != h.CRC {
 		return fmt.Sprintf("CRC-32C mismatch: stored %08x, computed %08x", h.CRC, got)
 	}

@@ -15,14 +15,11 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 	if !HasFrameMagic(buf) {
 		t.Fatal("encoded header does not carry the frame magic")
 	}
-	if n, err := FrameHeaderLen(buf); err != nil || n != FrameHeaderSize {
-		t.Fatalf("FrameHeaderLen = %d, %v; want %d, nil", n, err, FrameHeaderSize)
-	}
 	got, err := ParseFrameHeader(buf)
 	if err != nil {
 		t.Fatalf("ParseFrameHeader: %v", err)
 	}
-	want := FrameHeader{Version: FrameVersion2, Codec: 4, Count: 7, Payload: uint32(len(payload)), CRC: FrameCRC(buf, payload)}
+	want := FrameHeader{Codec: 4, Count: 7, Payload: uint32(len(payload)), CRC: FrameCRC(buf, payload)}
 	if got != want {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
@@ -63,31 +60,6 @@ func TestVerifyFrameDetectsAnyFlippedBit(t *testing.T) {
 	}
 }
 
-func TestVersion1FramesStillParse(t *testing.T) {
-	// Hand-build a version-1 (CRC-less, 14-byte) header as historical files
-	// carry; readers must keep accepting it.
-	buf := make([]byte, FrameHeaderSizeV1)
-	copy(buf, []byte{0xEC, 0x5C, 0xC0, 0xDE})
-	buf[4] = FrameVersion1
-	buf[5] = 2
-	binary.LittleEndian.PutUint32(buf[6:10], 9)
-	binary.LittleEndian.PutUint32(buf[10:14], 99)
-	if n, err := FrameHeaderLen(buf); err != nil || n != FrameHeaderSizeV1 {
-		t.Fatalf("FrameHeaderLen = %d, %v; want %d, nil", n, err, FrameHeaderSizeV1)
-	}
-	h, err := ParseFrameHeader(buf)
-	if err != nil {
-		t.Fatalf("ParseFrameHeader: %v", err)
-	}
-	want := FrameHeader{Version: FrameVersion1, Codec: 2, Count: 9, Payload: 99}
-	if h != want {
-		t.Fatalf("got %+v, want %+v", h, want)
-	}
-	if detail := VerifyFrame(h, buf, make([]byte, 99)); detail != "" {
-		t.Fatalf("version-1 frame failed verification (it carries no CRC): %s", detail)
-	}
-}
-
 func TestParseFrameHeaderRejects(t *testing.T) {
 	payload := []byte{42}
 	buf := make([]byte, FrameHeaderSize)
@@ -106,11 +78,13 @@ func TestParseFrameHeaderRejects(t *testing.T) {
 		t.Fatal("HasFrameMagic accepted a corrupted magic")
 	}
 
-	future := append([]byte(nil), buf...)
-	future[4] = FrameVersion + 1
-	_, err := ParseFrameHeader(future)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version: got %v, want a version error", err)
+	// Version 1 (the CRC-less header) is rejected like a future version.
+	for _, v := range []byte{1, FrameVersion + 1} {
+		other := append([]byte(nil), buf...)
+		other[4] = v
+		if _, err := ParseFrameHeader(other); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: got %v, want a version error", v, err)
+		}
 	}
 
 	// Adversarial headers: an unregistered codec id and insane lengths must

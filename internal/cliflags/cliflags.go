@@ -11,7 +11,6 @@ import (
 	"path"
 
 	"extscc"
-	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
 	"extscc/internal/prof"
 	"extscc/internal/storage"
@@ -24,7 +23,6 @@ const (
 	codecHelp   = "record codec for intermediate files: varint (default; delta+varint frames, wins on sorted files), compress (LZ frames, wins on unsorted files), or fixed (frameless layout, no compression)"
 	retryHelp   = "retry transient storage failures up to this many times per operation (0 = fail fast)"
 	workersHelp = "worker count for the parallel sorter and overlapped I/O (0 = all CPUs, 1 = sequential)"
-	cacheHelp   = "shared read-block cache budget, e.g. 64m, 512k or 8388608 (\"\" = the EXTSCC_CACHE default, 0 = explicitly off); hits skip the storage backend without changing any accounted I/O counter"
 )
 
 // Storage registers the -storage flag.  The accepted grammar is
@@ -54,25 +52,6 @@ func Block() *int {
 // NodeBudget registers the -node-budget flag.
 func NodeBudget() *int64 {
 	return flag.Int64("node-budget", 0, "override the semi-external node capacity")
-}
-
-// CacheBlocks registers the -cache-blocks flag.  The accepted grammar is
-// EXTSCC_CACHE's (blockio.ParseCacheSize): a byte count with an optional
-// k/m/g binary suffix.
-func CacheBlocks() *string { return flag.String("cache-blocks", "", cacheHelp) }
-
-// CacheOptions resolves a -cache-blocks value to engine options: none for ""
-// (the process default, honouring EXTSCC_CACHE), an explicit off for "0",
-// and a WithBlockCache budget otherwise.
-func CacheOptions(spec string) ([]extscc.Option, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	n, err := blockio.ParseCacheSize(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-cache-blocks: %w", err)
-	}
-	return []extscc.Option{extscc.WithBlockCache(n)}, nil
 }
 
 // PrintPhases writes the per-phase profile table of a completed run (the

@@ -24,31 +24,6 @@ import (
 	"extscc/internal/storage"
 )
 
-// BlockCache is a read-block cache consulted by blockio above the storage
-// backend.  Entries are keyed by (backend, path, byte offset): the backend
-// value is part of the key so that distinct backend instances holding equal
-// paths (two in-memory stores in one test process, say) never share entries.
-// Implementations must be safe for concurrent use.
-//
-// The cache is invisible to the I/O accounting: blockio charges Stats for a
-// cached block exactly as it would for the physical read, so every equality
-// invariant over Stats holds with the cache on or off; only the separate
-// CacheHits/CacheMisses diagnostics (and the wall clock) change.
-type BlockCache interface {
-	// GetBlock copies the cached block at (backend, path, off) into dst and
-	// reports whether dst was filled completely.  A cached entry shorter
-	// than dst is a miss: the caller sized dst to what the physical read
-	// would return, and anything less must hit the backend.
-	GetBlock(backend storage.Backend, path string, off int64, dst []byte) bool
-	// PutBlock stores a copy of data as the block at (backend, path, off).
-	// Only successfully read blocks may be inserted: a failed or faulted
-	// read must never populate the cache.
-	PutBlock(backend storage.Backend, path string, off int64, data []byte)
-	// InvalidateFile drops every cached block of (backend, path); called
-	// when a file is created (truncated) or removed.
-	InvalidateFile(backend storage.Backend, path string)
-}
-
 // Default parameters for the scaled-down reproduction.  The paper uses
 // B = 256 KB and M between 200 MB and 600 MB; the reproduction defaults scale
 // both down so that multi-iteration contraction is exercised on graphs that
@@ -94,14 +69,15 @@ type Config struct {
 	// exactly (see package extsort).
 	Workers int
 	// Codec names the record-codec family every intermediate file of the run
-	// is written with ("" and record.FamilyFixed both select the historical
-	// fixed-size layout; record.FamilyVarint selects the delta+varint block
-	// layout).  Readers auto-detect the codec of each file from its frame
-	// header, so the setting only steers writers: mixing inputs written under
-	// a different family is always safe.  The codec changes the number of
-	// bytes — and therefore blocks — a file occupies, so unlike Storage and
-	// Workers it intentionally changes the accounted I/O counts; it never
-	// changes any computed labelling.
+	// is written with: record.FamilyFixed the frameless fixed-size layout,
+	// record.FamilyVarint delta+varint frames, record.FamilyCompress LZ
+	// frames, and "" the process default (see CodecFamily).  Readers
+	// auto-detect the codec of each file from its frame header, so the
+	// setting only steers writers: mixing inputs written under a different
+	// family is always safe.  The codec changes the number of bytes — and
+	// therefore blocks — a file occupies, so unlike Storage and Workers it
+	// intentionally changes the accounted I/O counts; it never changes any
+	// computed labelling.
 	Codec string
 	// Retries is the number of times a failed backend operation (open, create,
 	// block read, block write) is retried when the failure is transient
@@ -123,31 +99,11 @@ type Config struct {
 	// Stats receives the I/O counts of every operation performed under this
 	// configuration.  If nil, a private Stats is allocated by Validate.
 	Stats *Stats
-	// Cache is the read-block cache blockio consults above the storage
-	// backend.  nil selects the process default (no cache, unless the
-	// EXTSCC_CACHE environment variable configures one; see package
-	// blockio); NoBlockCache disables caching explicitly even when the
-	// environment configures a default.  The cache never changes accounted
-	// I/O or any computed result — it only replaces physical backend reads,
-	// reported through Stats.CacheHits/CacheMisses.
-	Cache BlockCache
 	// Prof receives per-phase wall-clock/allocation measurements of the run
 	// (staging, contraction, sort/merge, labelling, expansion).  nil
 	// disables the instrumentation.
 	Prof *prof.Profile
 }
-
-// noBlockCache is the explicit "caching off" sentinel; see NoBlockCache.
-type noBlockCache struct{}
-
-func (noBlockCache) GetBlock(storage.Backend, string, int64, []byte) bool { return false }
-func (noBlockCache) PutBlock(storage.Backend, string, int64, []byte)      {}
-func (noBlockCache) InvalidateFile(storage.Backend, string)               {}
-
-// NoBlockCache explicitly disables block caching for a Config, overriding
-// any EXTSCC_CACHE process default.  (A nil Cache field means "use the
-// process default" instead.)
-var NoBlockCache BlockCache = noBlockCache{}
 
 // DefaultConfig returns a Config with the scaled-down defaults and a fresh
 // Stats counter.
@@ -323,14 +279,6 @@ type Stats struct {
 	semiExternalRuns atomic.Int64
 	retries          atomic.Int64
 	corruptFrames    atomic.Int64
-
-	// Cache diagnostics live outside Snapshot on purpose: Snapshot equality
-	// is the accounted-I/O invariant every equivalence test gates on, and
-	// hit/miss splits may legitimately differ across worker counts (the
-	// prefetcher's fetch-ahead) or eviction timings while the accounted I/O
-	// stays identical.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 }
 
 // CountRead records the transfer of one block read of n bytes; random marks a
@@ -434,42 +382,6 @@ func (s *Stats) CountCorrupt() {
 		return
 	}
 	s.corruptFrames.Add(1)
-}
-
-// CountCacheHit records one block read served from the block cache instead
-// of the backend.  The read is still charged through CountRead — cache hits
-// are a physical-I/O diagnostic, not part of the accounted model cost.
-func (s *Stats) CountCacheHit() {
-	if s == nil {
-		return
-	}
-	s.cacheHits.Add(1)
-}
-
-// CountCacheMiss records one block read that consulted the block cache and
-// fell through to the backend.
-func (s *Stats) CountCacheMiss() {
-	if s == nil {
-		return
-	}
-	s.cacheMisses.Add(1)
-}
-
-// CacheHits returns the number of block reads served from the block cache.
-func (s *Stats) CacheHits() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.cacheHits.Load()
-}
-
-// CacheMisses returns the number of cache-consulting block reads that went
-// to the backend.
-func (s *Stats) CacheMisses() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.cacheMisses.Load()
 }
 
 // Snapshot is an immutable copy of the counters of a Stats.

@@ -1,6 +1,8 @@
 package recio
 
 import (
+	"encoding/hex"
+	"errors"
 	"io"
 	"path/filepath"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 // varintConfig is testConfig with the varint codec family selected.
@@ -70,8 +73,8 @@ func TestFramedRoundTrip(t *testing.T) {
 	if !r.Framed() {
 		t.Fatal("framed file not detected")
 	}
-	if r.Count() != int64(len(edges)) {
-		t.Fatalf("framed Count = %d, want %d (frame-index footer)", r.Count(), len(edges))
+	if n, err := r.Count(); err != nil || n != int64(len(edges)) {
+		t.Fatalf("framed Count = %d, %v; want %d (frame-index footer)", n, err, len(edges))
 	}
 	for i, want := range edges {
 		got, err := r.Read()
@@ -209,79 +212,63 @@ func TestFixedLayoutIsByteIdentical(t *testing.T) {
 	}
 }
 
-// stripFooter copies the framed file at path to a new file with its
-// frame-index footer cut off — the exact shape of a legacy framed file
-// written before footers existed.
-func stripFooter(t *testing.T, cfg iomodel.Config, path, legacy string) {
-	t.Helper()
-	f, err := cfg.Backend().Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := f.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	f.Close()
-	flen, ok, detail := blockio.ParseFooterTrailer(data[size-blockio.FooterTrailerSize:])
-	if !ok || detail != "" {
-		t.Fatalf("framed file carries no valid footer trailer (ok=%v, %q)", ok, detail)
-	}
-	lf, err := cfg.Backend().Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lf.Write(data[:size-int64(flen)]); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFooterlessFramedSeekFails pins the legacy behaviour: a framed file
-// without a frame-index footer still streams and counts by scan, but record
-// and key seeks fail — there is no index to seek through.
-func TestFooterlessFramedSeekFails(t *testing.T) {
+// TestFramedFileWithoutFooterFailsTyped pins that a framed file always ends
+// in its frame-index footer.  The 500-edge varint file (125 frames of 4
+// records under the 64-byte test block) is cut at the offset of its last
+// frame, which drops the footer and 4 records: a stream, a count and both
+// seeks must fail with ErrCorrupt instead of serving the 496 survivors.
+func TestFramedFileWithoutFooterFailsTyped(t *testing.T) {
 	cfg := varintConfig(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "framed.bin")
-	edges := makeEdges(50)
-	if err := WriteSlice(path, record.EdgeCodec{}, cfg, edges); err != nil {
+	if err := WriteSlice(path, record.EdgeCodec{}, cfg, makeEdges(500)); err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "legacy.bin")
-	stripFooter(t, cfg, path, legacy)
-
-	got, err := ReadAll(legacy, record.EdgeCodec{}, cfg)
+	data, err := storage.ReadFile(cfg.Backend(), path)
 	if err != nil {
-		t.Fatalf("legacy footerless file no longer streams: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) != len(edges) || got[17] != edges[17] {
-		t.Fatalf("legacy footerless file misread: %d records", len(got))
+	flen, ok, detail := blockio.ParseFooterTrailer(data[len(data)-blockio.FooterTrailerSize:])
+	if !ok || detail != "" {
+		t.Fatalf("framed file carries no valid footer trailer (ok=%v, %q)", ok, detail)
 	}
-	n, err := CountRecords(legacy, record.EdgeCodec{}, cfg)
-	if err != nil || n != int64(len(edges)) {
-		t.Fatalf("CountRecords on legacy file = %d, %v", n, err)
+	base := int64(len(data) - flen)
+	footer, detail := blockio.ParseFooter(data[base:], base)
+	if detail != "" {
+		t.Fatal(detail)
+	}
+	last := footer.Entries[len(footer.Entries)-1]
+	if len(footer.Entries) != 125 || last.Count != 4 {
+		t.Fatalf("file has %d frames, the last of %d records; want 125 of 4", len(footer.Entries), last.Count)
+	}
+	cut := filepath.Join(dir, "cut.bin")
+	f, err := cfg.Backend().Create(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data[:last.Offset]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	r, err := NewReader(legacy, record.EdgeCodec{}, cfg)
+	if got, err := ReadAll(cut, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("ReadAll of a footerless framed file = %d records, %v; want ErrCorrupt", len(got), err)
+	}
+	if _, err := CountRecords(cut, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("CountRecords of a footerless framed file: %v, want ErrCorrupt", err)
+	}
+	r, err := NewReader(cut, record.EdgeCodec{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Count() != -1 {
-		t.Fatalf("legacy footerless Count = %d, want -1", r.Count())
+	if err := r.SeekTo(10); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("SeekTo on a footerless framed file: %v, want ErrCorrupt", err)
 	}
-	if err := r.SeekTo(10); err == nil {
-		t.Fatal("SeekTo on a footerless framed file succeeded")
-	}
-	if _, err := r.SeekToKey(1); err == nil {
-		t.Fatal("SeekToKey on a footerless framed file succeeded")
+	if _, err := r.SeekToKey(1); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("SeekToKey on a footerless framed file: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -311,8 +298,10 @@ func TestFramedSeekMatchesFixed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fr.Count(), xr.Count(); got != want {
-			t.Fatalf("%s: Count = %d, fixed says %d", family, got, want)
+		got, ferr := fr.Count()
+		want, xerr := xr.Count()
+		if ferr != nil || xerr != nil || got != want {
+			t.Fatalf("%s: Count = %d (%v), fixed says %d (%v)", family, got, ferr, want, xerr)
 		}
 		probes := []int64{0, 499, 250, 251, 1, 498, 7, 7, 123, 0}
 		for _, idx := range probes {
@@ -398,7 +387,8 @@ func TestSeekToKeyBothLayouts(t *testing.T) {
 	}
 }
 
-// TestCountRecordsFramed counts a framed file by scanning its frame headers.
+// TestCountRecordsFramed reads a framed file's count off its frame-index
+// footer.
 func TestCountRecordsFramed(t *testing.T) {
 	cfg := varintConfig(t)
 	path := filepath.Join(t.TempDir(), "framed.bin")
@@ -446,8 +436,8 @@ func TestFramedWrongType(t *testing.T) {
 
 // TestFramedTruncatedPayload: cutting a framed file mid-payload surfaces a
 // clear error instead of silent record loss.  The cut reaches through the
-// frame-index footer into the last frame's payload — a cut inside the footer
-// alone only demotes the file to streaming-only.
+// frame-index footer into the last frame's payload; a cut at a frame
+// boundary is TestFramedFileWithoutFooterFailsTyped.
 func TestFramedTruncatedPayload(t *testing.T) {
 	cfg := varintConfig(t)
 	dir := t.TempDir()
@@ -489,47 +479,6 @@ func TestFramedTruncatedPayload(t *testing.T) {
 	}
 	if _, err := ReadAll(cut, record.EdgeCodec{}, cfg); err == nil {
 		t.Fatal("truncated framed file read without error")
-	}
-}
-
-// TestNewWriterFamilyOverride: an explicit fixed family wins over a varint
-// config — the escape hatch operators with random-access needs use.
-func TestNewWriterFamilyOverride(t *testing.T) {
-	cfg := varintConfig(t)
-	path := filepath.Join(t.TempDir(), "forced-fixed.bin")
-	w, err := NewWriterFamily(path, record.EdgeCodec{}, cfg, record.FamilyFixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Framed() {
-		t.Fatal("explicit fixed family produced a framed writer")
-	}
-	edges := makeEdges(20)
-	for _, e := range edges {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(path, record.EdgeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Framed() {
-		t.Fatal("forced-fixed file detected as framed")
-	}
-	if err := r.SeekTo(5); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != edges[5] {
-		t.Fatalf("SeekTo(5) read %+v, want %+v", got, edges[5])
 	}
 }
 
@@ -606,5 +555,33 @@ func TestFixedFileWithMagicCollision(t *testing.T) {
 	}
 	if len(got) != 4 || got[0] != 0xDEC05CEC || got[3] != 7 {
 		t.Fatalf("magic-colliding fixed file misread: %v", got)
+	}
+}
+
+// TestFixedFileWithV1FrameHead: the 16-byte fixed edge file
+// ec5cc0de 01010100 00000200 00000202 holds the edges (3737148652, 65793) and
+// (131072, 33685504), but its bytes also form a CRC-less version-1 frame of
+// one varint edge.  This build reads no version-1 frames and the file is
+// shorter than a frame header, so it must read as the two fixed edges.
+func TestFixedFileWithV1FrameHead(t *testing.T) {
+	cfg := fixedConfig(t)
+	path := filepath.Join(t.TempDir(), "v1head.bin")
+	edges := []record.Edge{{U: 3737148652, V: 65793}, {U: 131072, V: 33685504}}
+	if err := WriteSlice(path, record.EdgeCodec{}, cfg, edges); err != nil {
+		t.Fatal(err)
+	}
+	data, err := storage.ReadFile(cfg.Backend(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != "ec5cc0de010101000000020000000202" {
+		t.Fatalf("fixed file bytes = %s", got)
+	}
+	got, err := ReadAll(path, record.EdgeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != edges[0] || got[1] != edges[1] {
+		t.Fatalf("fixed file with a v1 frame head read as %v, want %v", got, edges)
 	}
 }

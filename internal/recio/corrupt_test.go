@@ -35,7 +35,7 @@ func readAllOrErr(path string, cfg iomodel.Config) ([]record.Edge, error) {
 }
 
 // TestCorruptionSmokeEveryPayloadByte is the integrity acceptance gate:
-// flipping ANY single byte of a version-2 frame's payload or CRC field must
+// flipping ANY single byte of a frame's payload or CRC field must
 // surface as ErrCorrupt on read — never as a clean read of different records.
 // The file lives on an in-memory backend so each flip patches a fresh copy.
 func TestCorruptionSmokeEveryPayloadByte(t *testing.T) {
@@ -79,10 +79,6 @@ func TestCorruptionSmokeEveryPayloadByte(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// The copy replaces the file behind blockio's back; drop any cached
-		// blocks so a configured block cache (the EXTSCC_CACHE race leg)
-		// cannot serve the previous copy.
-		blockio.InvalidateCache(path, cfg)
 	}
 
 	// The file ends with the frame-index footer; streaming reads never
@@ -123,9 +119,10 @@ func TestCorruptionSmokeEveryPayloadByte(t *testing.T) {
 	// (the frames are intact; most flips land here) or — when the flip hits
 	// the footer's start magic, which the streaming reader inspects to know
 	// where frames end — fails typed.  Never a clean read of different
-	// records.  The seek path must refuse to act on the damaged index in
-	// every case: typed corruption, or the footerless-seek error when the
-	// flip kills the end magic.  Never a silent mis-seek.
+	// records.  The seek path must refuse to act on the damaged index with
+	// typed corruption in every case, including a flip that kills the end
+	// magic: a framed file without its footer is corrupt.  Never a silent
+	// mis-seek.
 	for off := footerBase; off < int64(len(pristine)); off++ {
 		patched := append([]byte(nil), pristine...)
 		patched[off] ^= 1 << (off % 8)
@@ -141,9 +138,9 @@ func TestCorruptionSmokeEveryPayloadByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.SeekTo(3); err == nil {
+		if err := r.SeekTo(3); !errors.Is(err, blockio.ErrCorrupt) {
 			r.Close()
-			t.Fatalf("flipping footer byte %d left SeekTo working", off)
+			t.Fatalf("flipping footer byte %d: SeekTo returned %v, want ErrCorrupt", off, err)
 		}
 		r.Close()
 	}
@@ -229,69 +226,5 @@ func TestCorruptErrorNamesFrameAndOffset(t *testing.T) {
 	wantPrefix := fmt.Sprintf("%s: corrupt frame 1 at byte %d", path, frame1)
 	if got := ce.Error(); len(got) < len(wantPrefix) || got[:len(wantPrefix)] != wantPrefix {
 		t.Fatalf("error text %q does not start with %q", got, wantPrefix)
-	}
-}
-
-// TestVersion1FileStillReads pins backward compatibility end to end: a file
-// whose frames carry hand-built version-1 (CRC-less) headers reads back
-// exactly, so every framed file written before the version-2 format remains
-// readable.
-func TestVersion1FileStillReads(t *testing.T) {
-	mem := storage.NewMem()
-	cfg, err := iomodel.Config{
-		BlockSize: 256,
-		Memory:    1024,
-		Codec:     record.FamilyVarint,
-		Storage:   mem,
-		Stats:     &iomodel.Stats{},
-	}.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const path = "/mem/v1/file.bin"
-	edges := makeEdges(40)
-	if err := WriteSlice(path, record.EdgeCodec{}, cfg, edges); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := storage.ReadFile(mem, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Transcribe every version-2 frame into its version-1 form: same codec,
-	// count and payload, 14-byte header, no CRC.  The frame-index footer is
-	// dropped — version-1 files predate it.
-	var v1 []byte
-	for off := 0; off < len(v2); {
-		if blockio.HasFooterMagic(v2[off:]) {
-			break
-		}
-		h, err := blockio.ParseFrameHeader(v2[off:])
-		if err != nil {
-			t.Fatalf("frame at %d: %v", off, err)
-		}
-		head := make([]byte, blockio.FrameHeaderSizeV1)
-		copy(head, v2[off:off+blockio.FrameHeaderSizeV1])
-		head[4] = blockio.FrameVersion1
-		v1 = append(v1, head...)
-		payloadStart := off + h.HeaderSize()
-		v1 = append(v1, v2[payloadStart:payloadStart+int(h.Payload)]...)
-		off = payloadStart + int(h.Payload)
-	}
-	const v1path = "/mem/v1/legacy.bin"
-	f, err := mem.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(v1); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	got, err := readAllOrErr(v1path, cfg)
-	if err != nil {
-		t.Fatalf("version-1 file failed to read: %v", err)
-	}
-	if !reflect.DeepEqual(got, edges) {
-		t.Fatalf("version-1 file decoded %d records differently", len(got))
 	}
 }

@@ -14,8 +14,9 @@
 //     intermediates, LZ compression for unsorted ones.  Framed writers close
 //     the file with a frame-index footer (blockio.Footer), which makes the
 //     file seekable too: SeekTo binary-searches the index, SeekToKey range
-//     probes via per-frame min/max keys, and Count is O(1).  Footerless
-//     framed files (written before footers existed) stay streaming-only.
+//     probes via per-frame min/max keys, and Count is O(1).  A framed file
+//     without its footer is corrupt (blockio.ErrCorrupt), whether a seek, a
+//     count or a stream finds the footer missing.
 //
 // Readers never need to be told the layout: NewReader sniffs the frame magic
 // and dispatches on the frame's codec ID, so files written under different
@@ -57,22 +58,16 @@ type Writer[T any] struct {
 }
 
 // NewWriter creates (truncating) a record file at path, laid out by the codec
-// family of cfg (fixed when the family has no block codec for T).
+// family of cfg (fixed when the family has no block codec for T).  Every
+// layout it writes is seekable: fixed by byte arithmetic, framed through the
+// frame-index footer.
 func NewWriter[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*Writer[T], error) {
-	return NewWriterFamily(path, codec, cfg, cfg.CodecFamily())
-}
-
-// NewWriterFamily is NewWriter with an explicit codec family, overriding the
-// configuration.  Every layout this writer produces is seekable — fixed by
-// byte arithmetic, framed through the frame-index footer — so the override
-// exists for layout experiments and tests, not as a seekability workaround.
-func NewWriterFamily[T any](path string, codec record.Codec[T], cfg iomodel.Config, family string) (*Writer[T], error) {
 	bw, err := blockio.NewWriter(path, cfg)
 	if err != nil {
 		return nil, err
 	}
 	w := &Writer[T]{w: bw, codec: codec, stats: cfg.Stats}
-	if bc, ok := record.BlockCodecFor[T](family); ok {
+	if bc, ok := record.BlockCodecFor[T](cfg.CodecFamily()); ok {
 		bs := cfg.BlockSize
 		if bs <= 0 {
 			bs = iomodel.DefaultBlockSize
@@ -215,9 +210,9 @@ type Reader[T any] struct {
 	done        bool
 
 	// Frame-index footer, loaded lazily by the first SeekTo/SeekToKey/Count
-	// — sequential streaming never pays for it.  footer stays nil for legacy
-	// footerless files; footerErr caches a corrupt footer (corruption is
-	// deterministic, so retrying the parse cannot help).
+	// — sequential streaming never pays for it.  footerErr caches a missing
+	// or corrupt footer (corruption is deterministic, so retrying the parse
+	// cannot help).
 	footerLoaded bool
 	footer       *blockio.Footer
 	footerErr    error
@@ -240,29 +235,13 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 		br.Close()
 		return nil, err
 	}
-	if br.Size() >= blockio.FrameHeaderSizeV1 {
-		head := make([]byte, blockio.FrameHeaderSizeV1, blockio.FrameHeaderSize)
+	if br.Size() >= blockio.FrameHeaderSize {
+		head := make([]byte, blockio.FrameHeaderSize)
 		if err := br.ReadFull(head); err != nil {
 			return fail(fmt.Errorf("recio: read head of %s: %w", path, err))
 		}
 		if blockio.HasFrameMagic(head) {
-			// The header length depends on the version byte: version-2
-			// headers carry 4 CRC bytes after the common fields.
-			hl, herr := blockio.FrameHeaderLen(head)
-			if herr == nil && hl > len(head) {
-				if br.Size() >= int64(hl) {
-					head = head[:hl]
-					if err := br.ReadFull(head[blockio.FrameHeaderSizeV1:]); err != nil {
-						return fail(fmt.Errorf("recio: read head of %s: %w", path, err))
-					}
-				} else {
-					herr = fmt.Errorf("blockio: file shorter than its own %d-byte frame header", hl)
-				}
-			}
-			var h blockio.FrameHeader
-			if herr == nil {
-				h, herr = blockio.ParseFrameHeader(head)
-			}
+			h, herr := blockio.ParseFrameHeader(head)
 			if herr == nil {
 				// A well-formed header is a framed file; a codec ID that does
 				// not resolve for T means it holds a different record type
@@ -274,7 +253,7 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 				}
 				r.bc = bc
 				r.pending = &h
-				r.pendingHead = append([]byte(nil), head...)
+				r.pendingHead = head
 				return r, nil
 			}
 			// The magic matched but the header is malformed (bad version,
@@ -305,14 +284,13 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 }
 
 // Framed reports whether the file is framed (variable-length codec).  Framed
-// files with a frame-index footer seek and count like fixed ones; legacy
-// footerless framed files stream only (Count returns -1, SeekTo fails).
+// files seek and count like fixed ones, through their frame-index footer.
 func (r *Reader[T]) Framed() bool { return r.bc != nil }
 
-// loadFooter probes a framed file for its frame-index footer, once: two
-// random reads through a dedicated single-worker block reader, so the
-// streaming reader's position and prefetch pipeline stay untouched.  The
-// result — footer, footerless, or typed corruption — is cached.
+// loadFooter reads a framed file's frame-index footer, once: two random
+// reads through a dedicated single-worker block reader, so the streaming
+// reader's position and prefetch pipeline stay untouched.  The result —
+// footer or error — is cached; a missing footer is typed corruption.
 func (r *Reader[T]) loadFooter() error {
 	if r.footerLoaded {
 		return r.footerErr
@@ -327,33 +305,32 @@ func (r *Reader[T]) loadFooter() error {
 	}
 	defer fr.Close()
 	f, ok, err := blockio.ReadFooter(fr)
+	if err == nil && !ok {
+		err = &blockio.CorruptError{Path: r.Name(), Frame: -1, Offset: r.r.Size(), Detail: "framed file ends without its frame-index footer"}
+	}
 	if err != nil {
 		if errors.Is(err, blockio.ErrCorrupt) {
 			r.stats.CountCorrupt()
-			fr.EvictCache()
 			err = fmt.Errorf("recio: %w", err)
 		}
 		r.footerErr = err
 		return err
 	}
-	if ok {
-		r.footer = &f
-	}
+	r.footer = &f
 	return nil
 }
 
 // Count returns the total number of records in the file: size arithmetic for
 // the fixed layout, the frame-index footer (loaded on first use) for framed
-// files.  It returns -1 for a legacy footerless framed file, whose record
-// count is only known after a scan (see CountRecords).
-func (r *Reader[T]) Count() int64 {
+// files.
+func (r *Reader[T]) Count() (int64, error) {
 	if r.bc != nil {
-		if err := r.loadFooter(); err != nil || r.footer == nil {
-			return -1
+		if err := r.loadFooter(); err != nil {
+			return 0, err
 		}
-		return r.footer.TotalRecords
+		return r.footer.TotalRecords, nil
 	}
-	return r.r.Size() / int64(r.codec.Size())
+	return r.r.Size() / int64(r.codec.Size()), nil
 }
 
 // Name returns the file path.
@@ -380,19 +357,16 @@ func (r *Reader[T]) readFull(p []byte) error {
 
 // corrupt builds the typed corruption error for the frame currently being
 // read, naming the file, the frame index and the byte offset of its header.
-// It also evicts the file from the read-block cache: blocks of a frame that
-// failed verification must never be served from memory again.
 func (r *Reader[T]) corrupt(off int64, detail string) error {
 	r.stats.CountCorrupt()
-	r.r.EvictCache()
 	return fmt.Errorf("recio: %w", &blockio.CorruptError{Path: r.Name(), Frame: r.frameIdx, Offset: off, Detail: detail})
 }
 
 // nextFrame loads the next frame's records into the batch, verifying the
-// frame's integrity: the header must parse and — for version-2 frames — the
-// CRC-32C over header and payload must match.  Any mismatch, truncation or
-// decode failure surfaces as a blockio.CorruptError (errors.Is ErrCorrupt),
-// never as wrong records.
+// frame's integrity: the header must parse and the CRC-32C over header and
+// payload must match.  Any mismatch, truncation, decode failure or a file
+// that ends without its footer surfaces as a blockio.CorruptError
+// (errors.Is ErrCorrupt), never as wrong records.
 func (r *Reader[T]) nextFrame() error {
 	for {
 		if r.done {
@@ -405,10 +379,12 @@ func (r *Reader[T]) nextFrame() error {
 			h, r.pending = *r.pending, nil
 			head, r.pendingHead = r.pendingHead, nil
 		} else {
+			// A footer is longer than a frame header, so this read succeeds
+			// on an intact file whether a frame or the footer comes next.
 			var buf [blockio.FrameHeaderSize]byte
-			if err := r.readFull(buf[:blockio.FrameHeaderSizeV1]); err != nil {
+			if err := r.readFull(buf[:]); err != nil {
 				if err == io.EOF {
-					return io.EOF
+					return r.corrupt(start, "framed file ends without its frame-index footer")
 				}
 				if err == io.ErrUnexpectedEOF {
 					return r.corrupt(start, "truncated frame header")
@@ -421,16 +397,8 @@ func (r *Reader[T]) nextFrame() error {
 				r.done = true
 				return io.EOF
 			}
-			hl, err := blockio.FrameHeaderLen(buf[:])
-			if err != nil {
-				return r.corrupt(start, err.Error())
-			}
-			if hl > blockio.FrameHeaderSizeV1 {
-				if err := r.readFull(buf[blockio.FrameHeaderSizeV1:hl]); err != nil {
-					return r.corrupt(start, "truncated frame header")
-				}
-			}
-			head = buf[:hl]
+			head = buf[:]
+			var err error
 			h, err = blockio.ParseFrameHeader(head)
 			if err != nil {
 				return r.corrupt(start, err.Error())
@@ -541,7 +509,7 @@ func (r *Reader[T]) seekEnd() {
 // inside the already-decoded frame costs no I/O at all, which makes
 // converging binary-search probes over a framed file cheap.  The block fetch
 // after a seek is charged as a random I/O unless it happens to be
-// sequential.  Legacy footerless framed files cannot seek.
+// sequential.
 func (r *Reader[T]) SeekTo(recordIndex int64) error {
 	if r.bc == nil {
 		r.preOff = len(r.pre)
@@ -549,9 +517,6 @@ func (r *Reader[T]) SeekTo(recordIndex int64) error {
 	}
 	if err := r.loadFooter(); err != nil {
 		return err
-	}
-	if r.footer == nil {
-		return fmt.Errorf("recio: %s is a framed codec file without a frame-index footer; record seeks need a footer (rewrite the file) or the fixed layout", r.Name())
 	}
 	if len(r.batch) > 0 && recordIndex >= r.frameFirst && recordIndex < r.frameFirst+int64(len(r.batch)) {
 		r.bi = int(recordIndex - r.frameFirst)
@@ -576,11 +541,10 @@ func (r *Reader[T]) SeekTo(recordIndex int64) error {
 // meaningful on files sorted by their canonical order (which KeyOf is
 // monotone with): a binary search over record indexes on the fixed layout,
 // and a footer probe through the per-frame min/max keys — O(log F) plus one
-// frame decode — on a framed file.  Legacy footerless framed files cannot
-// seek.
+// frame decode — on a framed file.
 func (r *Reader[T]) SeekToKey(key uint64) (int64, error) {
 	if r.bc == nil {
-		lo, hi := int64(0), r.Count()
+		lo, hi := int64(0), r.r.Size()/int64(r.codec.Size())
 		for lo < hi {
 			mid := lo + (hi-lo)/2
 			if err := r.SeekTo(mid); err != nil {
@@ -600,9 +564,6 @@ func (r *Reader[T]) SeekToKey(key uint64) (int64, error) {
 	}
 	if err := r.loadFooter(); err != nil {
 		return 0, err
-	}
-	if r.footer == nil {
-		return 0, fmt.Errorf("recio: %s is a framed codec file without a frame-index footer; key seeks need a footer (rewrite the file) or the fixed layout", r.Name())
 	}
 	fi, ok := r.footer.FrameForKey(key)
 	if !ok {
@@ -766,7 +727,7 @@ func ReadAll[T any](path string, codec record.Codec[T], cfg iomodel.Config) ([]T
 	// drain has no business charging.
 	hint := int64(0)
 	if !r.Framed() {
-		hint = r.Count()
+		hint = r.r.Size() / int64(r.codec.Size())
 	}
 	recs := make([]T, 0, hint)
 	for {
@@ -782,37 +743,16 @@ func ReadAll[T any](path string, codec record.Codec[T], cfg iomodel.Config) ([]T
 	return recs, nil
 }
 
-// CountRecords returns the number of records in the file at path.  For a
-// fixed-layout file the count is size arithmetic on top of the open (which,
-// like every open, reads the head block to detect the layout), and for a
-// framed file with a frame-index footer it is read off the footer (two
-// random block reads).  Only legacy footerless framed files still scan the
-// frame headers — one sequential pass over the file's blocks — so operators
-// on the hot path carry counts from the writers that produced their files
-// instead of calling this.
+// CountRecords returns the number of records in the file at path: size
+// arithmetic for a fixed-layout file (on top of the open, which like every
+// open reads the head block to detect the layout), the frame-index footer for
+// a framed one (two random block reads).  Operators on the hot path carry
+// counts from the writers that produced their files instead of calling this.
 func CountRecords[T any](path string, codec record.Codec[T], cfg iomodel.Config) (int64, error) {
 	r, err := NewReader(path, codec, cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	if !r.Framed() {
-		return r.Count(), nil
-	}
-	if err := r.loadFooter(); err != nil {
-		return 0, err
-	}
-	if r.footer != nil {
-		return r.footer.TotalRecords, nil
-	}
-	var total int64
-	for {
-		if err := r.nextFrame(); err != nil {
-			if err == io.EOF {
-				return total, nil
-			}
-			return total, err
-		}
-		total += int64(len(r.batch))
-	}
+	return r.Count()
 }

@@ -51,8 +51,8 @@ func TestWriteReadEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Count() != 3 {
-		t.Fatalf("reader Count = %d", r.Count())
+	if n, err := r.Count(); err != nil || n != 3 {
+		t.Fatalf("reader Count = %d, %v", n, err)
 	}
 	for i, want := range edges {
 		got, err := r.Read()

@@ -107,37 +107,30 @@
 //
 // # Frame format version 2 (integrity)
 //
-// Writers emit frame-header version 2, which appends a CRC-32C (Castagnoli)
-// checksum of the first 14 header bytes plus the payload to the header (18
-// bytes total; see blockio.PutFrameHeader / blockio.VerifyFrame).  Readers
-// verify the checksum on every frame they decode and fail with
-// blockio.ErrCorrupt — naming the file, frame index and byte offset — on any
-// mismatch.  Version-1 (14-byte, CRC-less) frames written by earlier
-// revisions still parse and decode; only the CRC verification is skipped for
-// them.  Fixed-family files remain frameless and carry no checksum.
+// Every frame header is version 2: the common fields are followed by a
+// CRC-32C (Castagnoli) checksum of the first 14 header bytes plus the
+// payload (18 bytes total; see blockio.PutFrameHeader / blockio.VerifyFrame).
+// Readers accept no other version, verify the checksum on every frame they
+// decode and fail with blockio.ErrCorrupt — naming the file, frame index and
+// byte offset — on any mismatch.  Fixed-family files remain frameless and
+// carry no checksum.
 //
 // # Frame-index footers (seekable framed files)
 //
-// Framed files (varint and compress families) may end with a self-describing
+// Framed files (varint and compress families) end with a self-describing
 // footer indexing every frame — byte offset, first record index, record
-// count and min/max key per frame, CRC-protected — which upgrades them from
-// streaming-only to seekable: record seeks become a binary search over the
-// index and key probes use the per-frame key ranges.  The byte-level footer
-// layout and parsing rules live in package blockio (footer.go).
+// count and min/max key per frame, CRC-protected — which makes them
+// seekable: record seeks become a binary search over the index and key
+// probes use the per-frame key ranges.  A framed file without its footer is
+// corrupt.  The byte-level footer layout and parsing rules live in package
+// blockio (footer.go).
 //
-// # Pooling, caching and the accounting guarantee
+// # Pooling and the accounting guarantee
 //
 // The encode/decode hot paths stage their scratch space through the
-// size-classed buffer pool (package pool) and readers may sit behind the
-// shared read-block cache (package blockio).  Neither changes a single
-// on-disk byte: pooled buffers are scratch memory, and a cached block is the
-// verbatim block a physical read would have returned.  The same separation
-// holds in the cost model as for the mem ≡ os storage guarantee — the
-// accounted I/O counters describe the access pattern, not the hardware (or
-// memory) serving it — so a cache hit is charged exactly like the read it
-// replaced and every Stats counter is identical with the cache on or off.
-// Only the diagnostic Stats.CacheHits/CacheMisses pair reports the physical
-// reads saved.
+// size-classed buffer pool (package pool).  Pooled buffers are scratch
+// memory: they never change a single on-disk byte or any accounted I/O
+// counter.
 //
 // Future codecs extend the table above with a fresh CodecID; IDs are
 // append-only and never reused, so old files stay decodable.

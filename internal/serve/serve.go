@@ -62,11 +62,6 @@ type Options struct {
 	// TempDir is the parent for the run and serve directories ("" = the
 	// system temp directory).
 	TempDir string
-	// CacheBytes is the shared read-block cache budget used for the
-	// ingestion run and the DAG/index builds (see extscc.WithBlockCache):
-	// 0 defers to the process default (EXTSCC_CACHE), negative disables
-	// caching outright.
-	CacheBytes int64
 
 	// Addr is the HTTP listen address for Listen ("" = "127.0.0.1:0").
 	Addr string
@@ -173,13 +168,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		extscc.WithStorage(backend),
 		extscc.WithTempDir(tempDir),
 	}
-	// CacheBytes > 0 is an explicit budget, < 0 an explicit off; 0 leaves
-	// the engine on the process default (EXTSCC_CACHE), so no option at all.
-	if opts.CacheBytes > 0 {
-		engOpts = append(engOpts, extscc.WithBlockCache(opts.CacheBytes))
-	} else if opts.CacheBytes < 0 {
-		engOpts = append(engOpts, extscc.WithBlockCache(0))
-	}
 	if opts.Algorithm != "" {
 		engOpts = append(engOpts, extscc.WithAlgorithm(opts.Algorithm))
 	}
@@ -207,7 +195,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		return nil, err
 	}
 
-	buildCfg := iomodel.Config{
+	cfg, err := iomodel.Config{
 		BlockSize: opts.BlockSize,
 		Memory:    opts.Memory,
 		Workers:   opts.Workers,
@@ -217,14 +205,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		TempDir:   dir,
 		Stats:     &iomodel.Stats{},
 		Prof:      prof.New(),
-	}
-	switch {
-	case opts.CacheBytes > 0:
-		buildCfg.Cache = blockio.NewBlockCache(opts.CacheBytes)
-	case opts.CacheBytes < 0:
-		buildCfg.Cache = iomodel.NoBlockCache
-	}
-	cfg, err := buildCfg.Validate()
+	}.Validate()
 	if err != nil {
 		return fail(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"time"
 
-	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
 	"extscc/internal/prof"
 	"extscc/internal/recio"
@@ -56,16 +55,6 @@ type Stats struct {
 	// ErrCorrupt, so a successful Result always reports 0; the counter exists
 	// for post-mortem inspection by tools that snapshot mid-run.
 	CorruptFrames int64
-	// CacheHits and CacheMisses report the shared block cache (WithBlockCache
-	// or EXTSCC_CACHE): hits are block reads served from memory instead of the
-	// storage backend, misses are cache lookups that went to storage.  Both
-	// are zero when no cache is configured.  A cache hit is charged exactly
-	// like the read it replaced, so these counters are diagnostics of the
-	// physical win only — every accounted counter above is identical cache on
-	// or off.  Unlike those counters, hit/miss totals may vary with the worker
-	// count, because eviction and prefetch timing are scheduling-dependent.
-	CacheHits   int64
-	CacheMisses int64
 	// ContractionIterations is the number of contraction steps performed
 	// (0 for algorithms that do not contract).
 	ContractionIterations int
@@ -144,11 +133,9 @@ type Result struct {
 	streamErr error
 
 	// Random-access lookup state, built lazily by LabelOf/LookupLabels.
-	lookupOnce   sync.Once
-	lookupErr    error
-	labelScanned bool
-	labelCount   int64
-	labelTable   map[NodeID]uint32
+	lookupOnce sync.Once
+	lookupErr  error
+	labelCount int64
 }
 
 // Stream iterates the label assignment as (node, SCC label) pairs in node-id
@@ -184,13 +171,9 @@ func (r *Result) Stream() iter.Seq2[NodeID, uint32] {
 // iteration early.
 func (r *Result) Err() error { return r.streamErr }
 
-// initLookup inspects the label file once.  Fixed-layout files and framed
-// files with a frame-index footer expose their record count for binary search
-// — no per-node memory, whatever the codec.  Only a legacy footerless framed
-// file (written before footers existed) still has no record-index-to-byte
-// mapping; its whole labelling is scanned into an in-memory table costing
-// 12-16 bytes per node, the one regime where random access needs the file
-// rewritten to scale past RAM.
+// initLookup reads the label file's record count once — offset arithmetic
+// on the fixed layout, the frame-index footer on framed ones — so lookups
+// binary-search the file with no per-node memory, whatever the codec.
 func (r *Result) initLookup() error {
 	r.lookupOnce.Do(func() {
 		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
@@ -199,24 +182,7 @@ func (r *Result) initLookup() error {
 			return
 		}
 		defer rd.Close()
-		if n := rd.Count(); n >= 0 {
-			r.labelCount = n
-			return
-		}
-		r.labelScanned = true
-		table := make(map[NodeID]uint32)
-		for {
-			l, err := rd.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.lookupErr = err
-				return
-			}
-			table[l.Node] = l.SCC
-		}
-		r.labelTable = table
+		r.labelCount, r.lookupErr = rd.Count()
 	})
 	return r.lookupErr
 }
@@ -226,16 +192,10 @@ func (r *Result) initLookup() error {
 // O(log n) random block reads, no memory — on fixed files by offset
 // arithmetic and on framed files (varint, compress) through the frame-index
 // footer, which is what makes point queries over larger-than-RAM labellings
-// possible under every codec.  Only a legacy footerless framed file falls
-// back to scanning the labelling into an in-memory table on first call.
-// LabelOf is safe for concurrent use.
+// possible under every codec.  LabelOf is safe for concurrent use.
 func (r *Result) LabelOf(node NodeID) (scc uint32, ok bool, err error) {
 	if err := r.initLookup(); err != nil {
 		return 0, false, err
-	}
-	if r.labelScanned {
-		scc, ok = r.labelTable[node]
-		return scc, ok, nil
 	}
 	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
 	if err != nil {
@@ -252,21 +212,12 @@ func (r *Result) LabelOf(node NodeID) (scc uint32, ok bool, err error) {
 // where the previous one ended — so a wave of point lookups costs one
 // traversal of the touched blocks instead of an independent log-n probe per
 // node, on fixed and footer-indexed framed files alike.  This is the
-// primitive the serving subsystem's request coalescing is built on.  Legacy
-// footerless framed files answer from the same in-memory table as LabelOf.
+// primitive the serving subsystem's request coalescing is built on.
 func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
 	if err := r.initLookup(); err != nil {
 		return nil, err
 	}
 	out := make(map[NodeID]uint32, len(nodes))
-	if r.labelScanned {
-		for _, n := range nodes {
-			if scc, ok := r.labelTable[n]; ok {
-				out[n] = scc
-			}
-		}
-		return out, nil
-	}
 	sorted := make([]NodeID, len(nodes))
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -294,10 +245,11 @@ func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
 	return out, nil
 }
 
-// searchLabel binary-searches the node-sorted window [lo, hi) of a
-// fixed-layout label file for node, returning its label and the position of
-// the first record with Node >= node.
-func searchLabel(rd *recio.Reader[record.Label], lo, hi int64, node NodeID) (uint32, bool, int64, error) {
+// searchLabel binary-searches the node-sorted window [lo, end) of a label
+// file for node, returning its label and the position of the first record
+// with Node >= node.
+func searchLabel(rd *recio.Reader[record.Label], lo, end int64, node NodeID) (uint32, bool, int64, error) {
+	hi := end
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if err := rd.SeekTo(mid); err != nil {
@@ -313,7 +265,7 @@ func searchLabel(rd *recio.Reader[record.Label], lo, hi int64, node NodeID) (uin
 			hi = mid
 		}
 	}
-	if lo >= rd.Count() {
+	if lo >= end {
 		return 0, false, lo, nil
 	}
 	if err := rd.SeekTo(lo); err != nil {
@@ -359,11 +311,6 @@ func (r *Result) ExportLabels(path string) error {
 		return errors.New("extscc: result has no label file")
 	}
 	backend := r.cfg.Backend()
-	// The rename (or copy) below goes straight through the backend, not
-	// through blockio's writer, so drop any cached blocks held under either
-	// path before the bytes move.
-	blockio.InvalidateCache(r.LabelPath, r.cfg)
-	blockio.InvalidateCache(path, r.cfg)
 	if err := backend.Rename(r.LabelPath, path); err == nil {
 		r.LabelPath = path
 		return nil

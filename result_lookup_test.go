@@ -2,6 +2,7 @@ package extscc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,10 +32,9 @@ func lookupResult(t *testing.T, codec string, b Storage) *Result {
 }
 
 // TestLabelOfBothPaths pins LabelOf against LabelMap for every node plus a
-// batch of absent ids, on every codec family and both storage backends.  The
-// white-box assertion pins which path answered: every codec must serve point
-// lookups by seeking — fixed by offset arithmetic, framed families through
-// the frame-index footer — never by building the in-memory fallback table.
+// batch of absent ids, on every codec family and both storage backends:
+// fixed files seek by offset arithmetic, framed families through the
+// frame-index footer.
 func TestLabelOfBothPaths(t *testing.T) {
 	backends := []struct {
 		name string
@@ -65,12 +65,6 @@ func TestLabelOfBothPaths(t *testing.T) {
 					if _, ok, err := res.LabelOf(absent); err != nil || ok {
 						t.Fatalf("LabelOf(absent %d) = (_, %v, %v), want (_, false, nil)", absent, ok, err)
 					}
-				}
-				// Path pinning: every codec writes a seekable label file now
-				// (framed ones carry the frame-index footer), so none may have
-				// built the scan table.
-				if res.labelTable != nil {
-					t.Fatalf("%s lookup built the in-memory fallback table; expected footer-indexed seeks", codec)
 				}
 			})
 		}
@@ -158,10 +152,12 @@ func TestLabelOfConcurrent(t *testing.T) {
 	}
 }
 
-// stripLabelFooter rewrites res's framed label file without its frame-index
-// footer — the exact layout every framed file had before footers existed.
-func stripLabelFooter(t *testing.T, res *Result) {
-	t.Helper()
+// TestFooterlessLabelLookupFailsTyped pins that a framed label file cut
+// before its frame-index footer fails every lookup with ErrCorrupt instead of
+// answering: a framed file always ends in its footer.
+func TestFooterlessLabelLookupFailsTyped(t *testing.T) {
+	res := lookupResult(t, "varint", OSStorage())
+	defer res.Close()
 	backend := res.cfg.Backend()
 	data, err := storage.ReadFile(backend, res.LabelPath)
 	if err != nil {
@@ -181,53 +177,22 @@ func stripLabelFooter(t *testing.T, res *Result) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The rewrite bypasses blockio; evict any cached blocks of the old copy
-	// so a configured block cache cannot serve the stripped footer back.
-	blockio.InvalidateCache(res.LabelPath, res.cfg)
-}
-
-// TestLegacyFooterlessLookupFallsBack pins backward compatibility for the one
-// framed layout that cannot seek: with the footer surgically removed (as every
-// pre-footer framed file looks), LabelOf still answers correctly — via the
-// one-time scan into the in-memory table.
-func TestLegacyFooterlessLookupFallsBack(t *testing.T) {
-	res := lookupResult(t, "varint", OSStorage())
-	defer res.Close()
-	want, err := res.LabelMap()
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := res.LabelOf(17); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LabelOf on a footerless label file: %v, want ErrCorrupt", err)
 	}
-	stripLabelFooter(t, res)
-	for _, node := range []NodeID{0, 17, 399} {
-		got, ok, err := res.LabelOf(node)
-		if err != nil {
-			t.Fatalf("LabelOf(%d): %v", node, err)
-		}
-		wantSCC, wantOK := want[node]
-		if ok != wantOK || got != wantSCC {
-			t.Fatalf("LabelOf(%d) = (%d, %v), want (%d, %v)", node, got, ok, wantSCC, wantOK)
-		}
-	}
-	if _, ok, err := res.LabelOf(1 << 30); err != nil || ok {
-		t.Fatalf("LabelOf(absent) = (_, %v, %v), want (_, false, nil)", ok, err)
-	}
-	if res.labelTable == nil {
-		t.Fatal("footerless framed lookup answered without the scan table; only the table can serve it")
+	if _, err := res.LookupLabels([]NodeID{0, 17}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LookupLabels on a footerless label file: %v, want ErrCorrupt", err)
 	}
 }
 
 // TestFramedLookupAllocationBounded is the memory-cliff regression gate: point
 // lookups on a footer-indexed framed labelling must allocate a bounded amount
-// per call (reader buffers, one footer), never the per-node scan table whose
-// cost scales with the labelling.
+// per call (reader buffers, one footer), whatever the labelling's size.
 func TestFramedLookupAllocationBounded(t *testing.T) {
 	res := lookupResult(t, "compress", OSStorage())
 	defer res.Close()
 	if _, _, err := res.LabelOf(7); err != nil {
 		t.Fatal(err)
-	}
-	if res.labelTable != nil {
-		t.Fatal("footer-indexed lookup built the per-node scan table")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, _, err := res.LabelOf(123); err != nil {
