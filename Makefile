@@ -85,11 +85,14 @@ bench:
 		-json BENCH_codec.json -csv BENCH_codec.csv \
 		-baseline bench/baseline.json -tolerance 0.25
 
-# Steady-state allocation microbenchmarks: the per-frame encode/decode hot
-# path of every codec family must report 0 allocs/op (see -benchmem output;
-# TestFrameRoundTripAllocs enforces it in `make test` too).
+# Steady-state microbenchmarks, with -benchmem: the per-frame encode/decode
+# hot path of every codec family must report 0 allocs/op
+# (TestFrameRoundTripAllocs enforces it in `make test` too), and the in-place
+# radix sort of run formation reports its ns/op and 0 allocs/op on
+# contract-web's run shapes at M = 4 MiB.
 microbench:
 	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
+	$(GO) test ./internal/extsort -run '^$$' -bench BenchmarkSortSlice -benchmem -benchtime 10x
 
 # Refresh the committed baseline after an intentional I/O-count change;
 # commit the resulting bench/baseline.json.  The baseline is recorded under

@@ -242,13 +242,7 @@ func (ix *Index) spill(ctx context.Context, dir, prefix string, labels [][]int32
 		return "", err
 	}
 	out := blockio.TempFile(dir, prefix, cfg.Stats)
-	less := func(a, b record.Label) bool {
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.SCC < b.SCC
-	}
-	err = extsort.NewContext(ctx, record.LabelCodec{}, less, cfg).SortFile(raw, out)
+	err = extsort.NewContext(ctx, record.LabelCodec{}, record.LabelByNode, cfg).SortFile(raw, out)
 	blockio.Remove(raw, cfg)
 	if err != nil {
 		blockio.Remove(out, cfg)

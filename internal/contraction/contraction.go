@@ -404,7 +404,7 @@ func (c *contractor) buildCover(ed string) (string, int64, error) {
 	}
 
 	sorted := c.temp("cover-sorted")
-	sorter := extsort.NewContext[record.NodeID](c.ctx, record.NodeCodec{}, record.NodeLess, c.cfg)
+	sorter := extsort.NewContext[record.NodeID](c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg)
 	if err := sorter.SortFile(raw, sorted); err != nil {
 		return "", 0, err
 	}

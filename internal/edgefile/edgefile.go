@@ -84,7 +84,7 @@ func WriteGraph(dir string, edges []record.Edge, nodes []record.NodeID, cfg iomo
 		return Graph{}, err
 	}
 	defer blockio.Remove(tmp, cfg)
-	sorter := extsort.New[record.NodeID](record.NodeCodec{}, record.NodeLess, cfg)
+	sorter := extsort.New[record.NodeID](record.NodeCodec{}, record.NodeByID, cfg)
 	sortedTmp := blockio.TempFile(dir, "graph-nodes-sorted", cfg.Stats)
 	if err := sorter.SortFile(tmp, sortedTmp); err != nil {
 		return Graph{}, err
@@ -155,7 +155,7 @@ func GraphFromEdgeFile(edgePath, dir string, extraNodes []record.NodeID, cfg iom
 	defer blockio.Remove(endpoints, cfg)
 
 	sorted := blockio.TempFile(dir, "endpoints-sorted", cfg.Stats)
-	sorter := extsort.New[record.NodeID](record.NodeCodec{}, record.NodeLess, cfg)
+	sorter := extsort.New[record.NodeID](record.NodeCodec{}, record.NodeByID, cfg)
 	if err := sorter.SortFile(endpoints, sorted); err != nil {
 		return Graph{}, err
 	}
@@ -170,15 +170,15 @@ func GraphFromEdgeFile(edgePath, dir string, extraNodes []record.NodeID, cfg iom
 }
 
 // SortEdges sorts the edge file at in into a new file at out under the given
-// order (for example record.EdgeBySource or record.EdgeByTarget).
-func SortEdges(in, out string, less func(a, b record.Edge) bool, cfg iomodel.Config) error {
-	return SortEdgesContext(context.Background(), in, out, less, cfg)
+// order (record.EdgeBySource or record.EdgeByTarget).
+func SortEdges(in, out string, key func(record.Edge) record.Key, cfg iomodel.Config) error {
+	return SortEdgesContext(context.Background(), in, out, key, cfg)
 }
 
 // SortEdgesContext is SortEdges under a cancellation context: cancelling ctx
 // aborts the sort (including its worker pool) and removes its temporaries.
-func SortEdgesContext(ctx context.Context, in, out string, less func(a, b record.Edge) bool, cfg iomodel.Config) error {
-	return extsort.NewContext[record.Edge](ctx, record.EdgeCodec{}, less, cfg).SortFile(in, out)
+func SortEdgesContext(ctx context.Context, in, out string, key func(record.Edge) record.Key, cfg iomodel.Config) error {
+	return extsort.NewContext[record.Edge](ctx, record.EdgeCodec{}, key, cfg).SortFile(in, out)
 }
 
 // DedupeEdges copies the sorted edge file at in to out, dropping consecutive
@@ -889,12 +889,7 @@ func RepresentativeNodes(mappingPath, outPath string, cfg iomodel.Config) (int64
 func ComposeLabels(ctx context.Context, mappingPath, labelPath, outPath, dir string, cfg iomodel.Config) (int64, error) {
 	// Sort the mapping by representative so the resolve is a merge join.
 	byRep := blockio.TempFile(dir, "compose-by-rep", cfg.Stats)
-	repSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, func(a, b record.Label) bool {
-		if a.SCC != b.SCC {
-			return a.SCC < b.SCC
-		}
-		return a.Node < b.Node
-	}, cfg)
+	repSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, record.LabelBySCC, cfg)
 	if err := repSorter.SortFile(mappingPath, byRep); err != nil {
 		return 0, err
 	}

@@ -262,7 +262,7 @@ func TestMembershipFilterPartition(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			edges = append(edges, record.Edge{U: uint32(raw[i] % 32), V: uint32(raw[i+1] % 32)})
 		}
-		sort.Slice(edges, func(i, j int) bool { return record.EdgeByTarget(edges[i], edges[j]) })
+		sort.Slice(edges, func(i, j int) bool { return record.EdgeByTarget(edges[i]).Less(record.EdgeByTarget(edges[j])) })
 		nodeSet := map[record.NodeID]struct{}{}
 		for _, m := range members {
 			nodeSet[record.NodeID(m%32)] = struct{}{}

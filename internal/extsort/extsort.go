@@ -7,14 +7,19 @@
 // and the k-way merge fan-in is derived from M/B, so the number of merge
 // passes matches Theta(log_{M/B}(m/B)).
 //
-// With cfg.Workers > 1 the sorter parallelises the CPU-bound work without
-// changing the accounted I/O: run boundaries are identical at every worker
-// count (each run still holds runCapacity() records of the input, in input
-// order), each run is sorted by concurrently sorting contiguous chunks and
-// stably merging them while writing (so the output file is byte-for-byte the
-// file the sequential sorter writes), the next batch is read while the
-// current one is sorted and written, and independent run groups of a merge
-// pass are merged concurrently.  Every Stats counter therefore matches the
+// A sort order is a key function: each record maps to a record.Key, compared
+// Hi first.  Run formation sorts each memory load in place with an MSD radix
+// sort on the key's bytes, and the k-way merge compares the cached keys of
+// the run heads.  The radix sort is not stable, but on every file the engine
+// sorts a record's key determines the record (see the orders of package
+// record), so the sorted output depends on the input's records alone.
+//
+// With cfg.Workers > 1 the sorter overlaps work without changing the
+// accounted I/O: run boundaries are identical at every worker count (each run
+// still holds runCapacity() records of the input, in input order), the next
+// batch is read while the current one is sorted and written, and independent
+// run groups of a merge pass are merged concurrently.  The output file is
+// byte-for-byte the sequential sorter's and every Stats counter matches the
 // sequential run exactly; only the wall-clock changes.
 package extsort
 
@@ -23,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"extscc/internal/blockio"
@@ -36,28 +40,29 @@ import (
 // cancellation checks.
 const checkEvery = 8192
 
-// Sorter sorts record files of type T under a fixed comparator.
+// Sorter sorts record files of type T by a fixed key function.
 type Sorter[T any] struct {
 	codec record.Codec[T]
-	less  func(a, b T) bool
+	key   func(T) record.Key
 	cfg   iomodel.Config
 	ctx   context.Context
 }
 
-// New returns a Sorter for records of type T ordered by less, operating under
-// the memory budget, block size and worker count of cfg.
-func New[T any](codec record.Codec[T], less func(a, b T) bool, cfg iomodel.Config) *Sorter[T] {
-	return NewContext(context.Background(), codec, less, cfg)
+// New returns a Sorter for records of type T ordered by key (one of the
+// orders of package record), operating under the memory budget, block size
+// and worker count of cfg.
+func New[T any](codec record.Codec[T], key func(T) record.Key, cfg iomodel.Config) *Sorter[T] {
+	return NewContext(context.Background(), codec, key, cfg)
 }
 
 // NewContext is New with a cancellation context: cancelling ctx aborts a
 // running sort between batches, merge groups and record chunks; every worker
 // drains and every temporary file the sort created is removed.
-func NewContext[T any](ctx context.Context, codec record.Codec[T], less func(a, b T) bool, cfg iomodel.Config) *Sorter[T] {
+func NewContext[T any](ctx context.Context, codec record.Codec[T], key func(T) record.Key, cfg iomodel.Config) *Sorter[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Sorter[T]{codec: codec, less: less, cfg: cfg, ctx: ctx}
+	return &Sorter[T]{codec: codec, key: key, cfg: cfg, ctx: ctx}
 }
 
 func (s *Sorter[T]) ctxErr() error { return s.ctx.Err() }
@@ -122,11 +127,10 @@ func (s *Sorter[T]) SortStream(in recio.Iterator[T], outPath string) error {
 	return nil
 }
 
-// SortSlice sorts recs in memory using the Sorter's comparator.  It exists so
-// callers have a single definition of each sort order; no I/O is charged.
-func (s *Sorter[T]) SortSlice(recs []T) {
-	sort.SliceStable(recs, func(i, j int) bool { return s.less(recs[i], recs[j]) })
-}
+// SortSlice sorts recs in memory by the Sorter's key with an in-place radix
+// sort; no I/O is charged.  The sort is not stable: records with equal keys
+// may land in any order.
+func (s *Sorter[T]) SortSlice(recs []T) { radixSort(recs, s.key) }
 
 // formRuns splits the input stream into sorted runs, each at most
 // runCapacity() records, and writes every run to a temporary file.  The run
@@ -147,13 +151,10 @@ func (s *Sorter[T]) formRuns(in recio.Iterator[T]) ([]string, error) {
 		if len(buf) == 0 {
 			return nil
 		}
-		s.SortSlice(buf)
-		path := blockio.TempFile(s.cfg.TempDir, "extsort-run", s.cfg.Stats)
-		if err := recio.WriteSlice(path, s.codec, s.cfg, buf); err != nil {
-			blockio.Remove(path, s.cfg)
+		path, err := s.writeRun(buf)
+		if err != nil {
 			return err
 		}
-		s.cfg.Stats.CountSortRun(int64(len(buf)))
 		runs = append(runs, path)
 		buf = buf[:0]
 		return nil
@@ -260,89 +261,19 @@ read:
 	return runs, writeErr
 }
 
-// writeRun sorts one batch and writes it as a run file.  The batch is split
-// into one contiguous chunk per worker; the chunks are stable-sorted
-// concurrently and then merged — stably, ties resolved towards the earlier
-// chunk — straight into the run writer.  A stable merge of stably sorted
-// contiguous chunks reproduces exactly the stable sort of the whole batch,
-// so the run file is byte-identical to the sequential sorter's.
+// writeRun sorts one batch and writes it as a run file.
 func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 	if err := s.ctxErr(); err != nil {
 		return "", err
 	}
-	chunks := s.sortChunks(buf)
+	s.SortSlice(buf)
 	path := blockio.TempFile(s.cfg.TempDir, "extsort-run", s.cfg.Stats)
-	w, err := recio.NewWriter(path, s.codec, s.cfg)
-	if err != nil {
-		return "", err
-	}
-	idx := make([]int, len(chunks))
-	written := 0
-	for {
-		best := -1
-		for ci := range chunks {
-			if idx[ci] >= len(chunks[ci]) {
-				continue
-			}
-			if best == -1 || s.less(chunks[ci][idx[ci]], chunks[best][idx[best]]) {
-				best = ci
-			}
-		}
-		if best == -1 {
-			break
-		}
-		if written++; written%checkEvery == 0 {
-			if err := s.ctxErr(); err != nil {
-				w.Close()
-				blockio.Remove(path, s.cfg)
-				return "", err
-			}
-		}
-		if err := w.Write(chunks[best][idx[best]]); err != nil {
-			w.Close()
-			blockio.Remove(path, s.cfg)
-			return "", err
-		}
-		idx[best]++
-	}
-	if err := w.Close(); err != nil {
+	if err := recio.WriteSlice(path, s.codec, s.cfg, buf); err != nil {
 		blockio.Remove(path, s.cfg)
 		return "", err
 	}
 	s.cfg.Stats.CountSortRun(int64(len(buf)))
 	return path, nil
-}
-
-// sortChunks splits buf into up to workers() contiguous chunks and
-// stable-sorts them concurrently.
-func (s *Sorter[T]) sortChunks(buf []T) [][]T {
-	w := s.workers()
-	if w > len(buf) {
-		w = len(buf)
-	}
-	if w <= 1 {
-		s.SortSlice(buf)
-		return [][]T{buf}
-	}
-	chunks := make([][]T, 0, w)
-	per := (len(buf) + w - 1) / w
-	for start := 0; start < len(buf); start += per {
-		end := start + per
-		if end > len(buf) {
-			end = len(buf)
-		}
-		chunks = append(chunks, buf[start:end])
-	}
-	var wg sync.WaitGroup
-	for _, c := range chunks {
-		wg.Add(1)
-		go func(c []T) {
-			defer wg.Done()
-			s.SortSlice(c)
-		}(c)
-	}
-	wg.Wait()
-	return chunks
 }
 
 // mergeRuns repeatedly merges groups of at most SortFanIn() runs until a
@@ -478,19 +409,20 @@ func (s *Sorter[T]) mergePass(current, next []string, fanIn int) error {
 	return firstErr
 }
 
-// mergeItem is one heap entry of the k-way merge.
+// mergeItem is one heap entry of the k-way merge: a run's head record with
+// its cached key.
 type mergeItem[T any] struct {
+	key record.Key
 	rec T
 	src int
 }
 
 type mergeHeap[T any] struct {
 	items []mergeItem[T]
-	less  func(a, b T) bool
 }
 
 func (h *mergeHeap[T]) Len() int           { return len(h.items) }
-func (h *mergeHeap[T]) Less(i, j int) bool { return h.less(h.items[i].rec, h.items[j].rec) }
+func (h *mergeHeap[T]) Less(i, j int) bool { return h.items[i].key.Less(h.items[j].key) }
 func (h *mergeHeap[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *mergeHeap[T]) Push(x any)         { h.items = append(h.items, x.(mergeItem[T])) }
 func (h *mergeHeap[T]) Pop() any {
@@ -513,7 +445,7 @@ func (s *Sorter[T]) mergeGroup(group []string, target string) error {
 			}
 		}
 	}()
-	h := &mergeHeap[T]{less: s.less}
+	h := &mergeHeap[T]{}
 	for i, path := range group {
 		r, err := recio.NewReader(path, s.codec, s.cfg)
 		if err != nil {
@@ -527,7 +459,7 @@ func (s *Sorter[T]) mergeGroup(group []string, target string) error {
 		if err != nil {
 			return err
 		}
-		h.items = append(h.items, mergeItem[T]{rec: rec, src: i})
+		h.items = append(h.items, mergeItem[T]{key: s.key(rec), rec: rec, src: i})
 	}
 	heap.Init(h)
 	w, err := recio.NewWriter(target, s.codec, s.cfg)
@@ -556,7 +488,7 @@ func (s *Sorter[T]) mergeGroup(group []string, target string) error {
 			w.Close()
 			return err
 		}
-		h.fix(mergeItem[T]{rec: rec, src: top.src})
+		h.fix(mergeItem[T]{key: s.key(rec), rec: rec, src: top.src})
 	}
 	return w.Close()
 }
@@ -578,15 +510,15 @@ func removeAll(paths []string, cfg iomodel.Config) {
 	}
 }
 
-// Sorted reports whether the record file at path is sorted under less.  It is
-// a verification helper used by tests and cmd/sccverify.
-func Sorted[T any](path string, codec record.Codec[T], less func(a, b T) bool, cfg iomodel.Config) (bool, error) {
+// Sorted reports whether the record file at path is sorted by key.  It is a
+// verification helper for tests.
+func Sorted[T any](path string, codec record.Codec[T], key func(T) record.Key, cfg iomodel.Config) (bool, error) {
 	r, err := recio.NewReader(path, codec, cfg)
 	if err != nil {
 		return false, err
 	}
 	defer r.Close()
-	var prev T
+	var prev record.Key
 	first := true
 	for {
 		rec, err := r.Read()
@@ -596,38 +528,11 @@ func Sorted[T any](path string, codec record.Codec[T], less func(a, b T) bool, c
 		if err != nil {
 			return false, err
 		}
-		if !first && less(rec, prev) {
+		k := key(rec)
+		if !first && k.Less(prev) {
 			return false, nil
 		}
-		prev = rec
+		prev = k
 		first = false
 	}
-}
-
-// SortFileInPlace sorts the record file at path, replacing its contents.
-func SortFileInPlace[T any](path string, codec record.Codec[T], less func(a, b T) bool, cfg iomodel.Config) error {
-	tmp := blockio.TempFile(cfg.TempDir, "extsort-inplace", cfg.Stats)
-	s := New(codec, less, cfg)
-	if err := s.SortFile(path, tmp); err != nil {
-		blockio.Remove(tmp, cfg)
-		return err
-	}
-	if err := replaceFile(tmp, path, cfg); err != nil {
-		blockio.Remove(tmp, cfg)
-		return err
-	}
-	return nil
-}
-
-// replaceFile moves src over dst on cfg's storage backend.  A plain rename is
-// free of I/O in the model (metadata only), matching how the paper treats
-// renaming intermediate files.
-func replaceFile(src, dst string, cfg iomodel.Config) error {
-	if err := blockio.Remove(dst, cfg); err != nil {
-		return err
-	}
-	if err := cfg.Backend().Rename(src, dst); err != nil {
-		return fmt.Errorf("extsort: rename %s -> %s: %w", src, dst, err)
-	}
-	return nil
 }

@@ -2,12 +2,13 @@ package extsort
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,8 +57,10 @@ func sortAndVerify(t *testing.T, cfg iomodel.Config, edges []record.Edge) {
 	if len(got) != len(edges) {
 		t.Fatalf("output has %d records, want %d", len(got), len(edges))
 	}
-	want := append([]record.Edge(nil), edges...)
-	sort.SliceStable(want, func(i, j int) bool { return record.EdgeBySource(want[i], want[j]) })
+	want := slices.Clone(edges)
+	slices.SortFunc(want, func(a, b record.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
@@ -165,7 +168,7 @@ func TestSortStreamFromSlice(t *testing.T) {
 	cfg := testConfig(t, 512)
 	out := filepath.Join(t.TempDir(), "out.bin")
 	nodes := []record.NodeID{9, 3, 7, 1, 3, 2}
-	s := New[record.NodeID](record.NodeCodec{}, record.NodeLess, cfg)
+	s := New[record.NodeID](record.NodeCodec{}, record.NodeByID, cfg)
 	if err := s.SortStream(recio.NewSliceIterator(nodes), out); err != nil {
 		t.Fatal(err)
 	}
@@ -181,34 +184,13 @@ func TestSortStreamFromSlice(t *testing.T) {
 	}
 }
 
-func TestSortFileInPlace(t *testing.T) {
-	cfg := testConfig(t, 512)
-	path := filepath.Join(t.TempDir(), "inplace.bin")
-	if err := recio.WriteSlice(path, record.NodeCodec{}, cfg, []record.NodeID{5, 1, 4, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := SortFileInPlace(path, record.NodeCodec{}, record.NodeLess, cfg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := recio.ReadAll(path, record.NodeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []record.NodeID{1, 2, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSortedDetectsUnsorted(t *testing.T) {
 	cfg := testConfig(t, 512)
 	path := filepath.Join(t.TempDir(), "unsorted.bin")
 	if err := recio.WriteSlice(path, record.NodeCodec{}, cfg, []record.NodeID{2, 1}); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Sorted(path, record.NodeCodec{}, record.NodeLess, cfg)
+	ok, err := Sorted(path, record.NodeCodec{}, record.NodeByID, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +237,7 @@ func TestSortIsPermutationProperty(t *testing.T) {
 		}
 		// Order check.
 		for j := 1; j < len(got); j++ {
-			if record.EdgeBySource(got[j], got[j-1]) {
+			if record.EdgeBySource(got[j]).Less(record.EdgeBySource(got[j-1])) {
 				return false
 			}
 		}

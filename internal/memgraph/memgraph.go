@@ -318,7 +318,14 @@ func (g *Graph) CondensationEdges(res SCCResult) []record.Edge {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return record.EdgeBySource(out[i], out[j]) })
+	// Field by field rather than by record.EdgeBySource's key: memgraph is
+	// the in-memory oracle the external operators are checked against.
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].U != out[j].U {
+			return out[i].U < out[j].U
+		}
+		return out[i].V < out[j].V
+	})
 	return out
 }
 

@@ -14,9 +14,10 @@
 package prof
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -144,9 +145,8 @@ func Format(phases []PhaseStats) string {
 	if len(phases) == 0 {
 		return "(no phases recorded)\n"
 	}
-	sorted := make([]PhaseStats, len(phases))
-	copy(sorted, phases)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Wall > sorted[j].Wall })
+	sorted := slices.Clone(phases)
+	slices.SortStableFunc(sorted, func(a, b PhaseStats) int { return cmp.Compare(b.Wall, a.Wall) })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %14s %14s %14s\n", "phase", "count", "wall", "allocs", "heap-delta")
 	for _, ph := range sorted {

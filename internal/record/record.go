@@ -61,22 +61,14 @@ func (EdgeCodec) Decode(src []byte) Edge {
 }
 
 // EdgeBySource orders edges by (U, V): the E_out order of the paper, grouping
-// the out-going edges of every node.
-func EdgeBySource(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
-}
+// the out-going edges of every node.  The key covers both fields, so it
+// determines the edge.
+func EdgeBySource(e Edge) Key { return Key{Lo: uint64(e.U)<<32 | uint64(e.V)} }
 
 // EdgeByTarget orders edges by (V, U): the E_in order of the paper, grouping
-// the incoming edges of every node.
-func EdgeByTarget(a, b Edge) bool {
-	if a.V != b.V {
-		return a.V < b.V
-	}
-	return a.U < b.U
-}
+// the incoming edges of every node.  The key covers both fields, so it
+// determines the edge.
+func EdgeByTarget(e Edge) Key { return Key{Lo: uint64(e.V)<<32 | uint64(e.U)} }
 
 // ---------------------------------------------------------------------------
 // Node list
@@ -94,8 +86,8 @@ func (NodeCodec) Encode(n NodeID, dst []byte) { binary.LittleEndian.PutUint32(ds
 // Decode reads a node id from src.
 func (NodeCodec) Decode(src []byte) NodeID { return binary.LittleEndian.Uint32(src[0:4]) }
 
-// NodeLess orders node identifiers ascending.
-func NodeLess(a, b NodeID) bool { return a < b }
+// NodeByID orders node identifiers ascending.  The key is the id itself.
+func NodeByID(n NodeID) Key { return Key{Lo: uint64(n)} }
 
 // ---------------------------------------------------------------------------
 // Degree table (V_d of Algorithm 3)
@@ -147,9 +139,6 @@ func (NodeDegreeCodec) Decode(src []byte) NodeDegree {
 		DegOut: binary.LittleEndian.Uint32(src[8:12]),
 	}
 }
-
-// NodeDegreeByNode orders degree rows by node id.
-func NodeDegreeByNode(a, b NodeDegree) bool { return a.Node < b.Node }
 
 // ---------------------------------------------------------------------------
 // The ">" operator (Definition 5.1 and Definition 7.1)
@@ -239,21 +228,11 @@ func (EdgeAugCodec) Decode(src []byte) EdgeAug {
 	}
 }
 
-// EdgeAugBySource orders augmented edges by (U, V).
-func EdgeAugBySource(a, b EdgeAug) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
-}
-
-// EdgeAugByTarget orders augmented edges by (V, U).
-func EdgeAugByTarget(a, b EdgeAug) bool {
-	if a.V != b.V {
-		return a.V < b.V
-	}
-	return a.U < b.U
-}
+// EdgeAugByTarget orders augmented edges by (V, U).  The key leaves out the
+// endpoint keys, so it determines the record only where (V, U) is unique.
+// That holds for E_d, the one EdgeAug file the engine sorts: it is joined
+// from the deduplicated E_out.
+func EdgeAugByTarget(e EdgeAug) Key { return Key{Lo: uint64(e.V)<<32 | uint64(e.U)} }
 
 // ---------------------------------------------------------------------------
 // SCC label file
@@ -285,16 +264,15 @@ func (LabelCodec) Decode(src []byte) Label {
 	}
 }
 
-// LabelByNode orders labels by node id.
-func LabelByNode(a, b Label) bool { return a.Node < b.Node }
+// LabelByNode orders labels by (node, SCC).  A labelling has one label per
+// node, so this is its node order; where a file holds several labels per
+// node (hop-label files, EM-SCC's relabel file) they follow in SCC order.
+// The key covers both fields, so it determines the label.
+func LabelByNode(l Label) Key { return Key{Lo: uint64(l.Node)<<32 | uint64(l.SCC)} }
 
-// LabelBySCC orders labels by (SCC, node).
-func LabelBySCC(a, b Label) bool {
-	if a.SCC != b.SCC {
-		return a.SCC < b.SCC
-	}
-	return a.Node < b.Node
-}
+// LabelBySCC orders labels by (SCC, node).  The key covers both fields, so it
+// determines the label.
+func LabelBySCC(l Label) Key { return Key{Lo: uint64(l.SCC)<<32 | uint64(l.Node)} }
 
 // ---------------------------------------------------------------------------
 // SCC-annotated edges (E'_in / E'_out of Algorithm 5)
@@ -331,24 +309,11 @@ func (EdgeSCCCodec) Decode(src []byte) EdgeSCC {
 	}
 }
 
-// EdgeSCCBySource orders SCC-annotated edges by (U, V).
-func EdgeSCCBySource(a, b EdgeSCC) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
-}
-
 // EdgeSCCByTargetSCC orders SCC-annotated edges by (V, SCC, U): the order
 // line 13 of Algorithm 5 produces, grouping all annotated neighbours of each
 // removed node with their SCC identifiers in ascending order so that the
-// in/out SCC-set intersection is a linear merge.
-func EdgeSCCByTargetSCC(a, b EdgeSCC) bool {
-	if a.V != b.V {
-		return a.V < b.V
-	}
-	if a.SCC != b.SCC {
-		return a.SCC < b.SCC
-	}
-	return a.U < b.U
+// in/out SCC-set intersection is a linear merge.  The key covers all three
+// fields, so it determines the record.
+func EdgeSCCByTargetSCC(e EdgeSCC) Key {
+	return Key{Hi: uint64(e.V), Lo: uint64(e.SCC)<<32 | uint64(e.U)}
 }

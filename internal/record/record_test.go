@@ -38,7 +38,7 @@ func TestEdgeStringAndReverse(t *testing.T) {
 func TestEdgeOrders(t *testing.T) {
 	edges := []Edge{{3, 1}, {1, 2}, {1, 1}, {2, 1}, {3, 0}}
 	bySource := append([]Edge(nil), edges...)
-	sort.Slice(bySource, func(i, j int) bool { return EdgeBySource(bySource[i], bySource[j]) })
+	sort.Slice(bySource, func(i, j int) bool { return less(EdgeBySource, bySource[i], bySource[j]) })
 	want := []Edge{{1, 1}, {1, 2}, {2, 1}, {3, 0}, {3, 1}}
 	for i := range want {
 		if bySource[i] != want[i] {
@@ -46,7 +46,7 @@ func TestEdgeOrders(t *testing.T) {
 		}
 	}
 	byTarget := append([]Edge(nil), edges...)
-	sort.Slice(byTarget, func(i, j int) bool { return EdgeByTarget(byTarget[i], byTarget[j]) })
+	sort.Slice(byTarget, func(i, j int) bool { return less(EdgeByTarget, byTarget[i], byTarget[j]) })
 	wantT := []Edge{{3, 0}, {1, 1}, {2, 1}, {3, 1}, {1, 2}}
 	for i := range wantT {
 		if byTarget[i] != wantT[i] {
@@ -68,8 +68,8 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !NodeLess(1, 2) || NodeLess(2, 1) || NodeLess(2, 2) {
-		t.Fatal("NodeLess broken")
+	if !less(NodeByID, 1, 2) || less(NodeByID, 2, 1) || less(NodeByID, 2, 2) {
+		t.Fatal("NodeByID broken")
 	}
 }
 
@@ -109,9 +109,6 @@ func TestNodeDegreeDerived(t *testing.T) {
 	big := NodeDegree{DegIn: 1 << 31, DegOut: 1 << 31}
 	if big.Prod() != uint64(1)<<62 {
 		t.Fatalf("Prod overflowed: %d", big.Prod())
-	}
-	if !NodeDegreeByNode(NodeDegree{Node: 1}, NodeDegree{Node: 2}) {
-		t.Fatal("NodeDegreeByNode broken")
 	}
 }
 
@@ -215,10 +212,7 @@ func TestEdgeAugOrders(t *testing.T) {
 	a := EdgeAug{U: 1, V: 5}
 	b := EdgeAug{U: 1, V: 6}
 	c := EdgeAug{U: 2, V: 1}
-	if !EdgeAugBySource(a, b) || !EdgeAugBySource(b, c) || EdgeAugBySource(c, a) {
-		t.Fatal("EdgeAugBySource broken")
-	}
-	if !EdgeAugByTarget(c, a) || !EdgeAugByTarget(a, b) || EdgeAugByTarget(b, c) {
+	if !less(EdgeAugByTarget, c, a) || !less(EdgeAugByTarget, a, b) || less(EdgeAugByTarget, b, c) {
 		t.Fatal("EdgeAugByTarget broken")
 	}
 }
@@ -239,13 +233,13 @@ func TestLabelCodecRoundTrip(t *testing.T) {
 }
 
 func TestLabelOrders(t *testing.T) {
-	if !LabelByNode(Label{Node: 1, SCC: 9}, Label{Node: 2, SCC: 0}) {
+	if !less(LabelByNode, Label{Node: 1, SCC: 9}, Label{Node: 2, SCC: 0}) {
 		t.Fatal("LabelByNode broken")
 	}
-	if !LabelBySCC(Label{Node: 9, SCC: 1}, Label{Node: 0, SCC: 2}) {
+	if !less(LabelBySCC, Label{Node: 9, SCC: 1}, Label{Node: 0, SCC: 2}) {
 		t.Fatal("LabelBySCC should order by SCC first")
 	}
-	if !LabelBySCC(Label{Node: 1, SCC: 2}, Label{Node: 3, SCC: 2}) {
+	if !less(LabelBySCC, Label{Node: 1, SCC: 2}, Label{Node: 3, SCC: 2}) {
 		t.Fatal("LabelBySCC should break ties by node")
 	}
 }
@@ -266,20 +260,14 @@ func TestEdgeSCCCodecRoundTrip(t *testing.T) {
 }
 
 func TestEdgeSCCOrders(t *testing.T) {
-	if !EdgeSCCBySource(EdgeSCC{U: 1, V: 9}, EdgeSCC{U: 2, V: 0}) {
-		t.Fatal("EdgeSCCBySource broken")
-	}
-	if !EdgeSCCBySource(EdgeSCC{U: 1, V: 3}, EdgeSCC{U: 1, V: 9}) {
-		t.Fatal("EdgeSCCBySource tie-break broken")
-	}
 	// Order of line 13: (target, SCC, source).
-	if !EdgeSCCByTargetSCC(EdgeSCC{U: 9, V: 1, SCC: 5}, EdgeSCC{U: 0, V: 2, SCC: 0}) {
+	if !less(EdgeSCCByTargetSCC, EdgeSCC{U: 9, V: 1, SCC: 5}, EdgeSCC{U: 0, V: 2, SCC: 0}) {
 		t.Fatal("target should dominate")
 	}
-	if !EdgeSCCByTargetSCC(EdgeSCC{U: 9, V: 2, SCC: 1}, EdgeSCC{U: 0, V: 2, SCC: 5}) {
+	if !less(EdgeSCCByTargetSCC, EdgeSCC{U: 9, V: 2, SCC: 1}, EdgeSCC{U: 0, V: 2, SCC: 5}) {
 		t.Fatal("SCC should be the second key")
 	}
-	if !EdgeSCCByTargetSCC(EdgeSCC{U: 1, V: 2, SCC: 5}, EdgeSCC{U: 3, V: 2, SCC: 5}) {
+	if !less(EdgeSCCByTargetSCC, EdgeSCC{U: 1, V: 2, SCC: 5}, EdgeSCC{U: 3, V: 2, SCC: 5}) {
 		t.Fatal("source should be the last key")
 	}
 }
