@@ -87,9 +87,11 @@ bench:
 
 # Steady-state microbenchmarks, with -benchmem: the per-frame encode/decode
 # hot path of every codec family must report 0 allocs/op
-# (TestFrameRoundTripAllocs enforces it in `make test` too), and the in-place
-# radix sort of run formation reports its ns/op and 0 allocs/op on
-# contract-web's run shapes at M = 4 MiB.
+# (TestFrameRoundTripAllocs enforces it in `make test` too), as must the
+# varint encode-only and decode-only legs on contract-web's two hot frames
+# at B = 64 KiB (web-Edge: 6,551 edges by source; web-EdgeAug: 1,310
+# augmented edges by target); and the in-place radix sort of run formation
+# reports its ns/op and 0 allocs/op on contract-web's run shapes at M = 4 MiB.
 microbench:
 	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
 	$(GO) test ./internal/extsort -run '^$$' -bench BenchmarkSortSlice -benchmem -benchtime 10x

@@ -346,6 +346,7 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	cfg := e.base
 	cfg.Stats = &iomodel.Stats{}
 	cfg.Prof = prof.New()
@@ -403,7 +404,6 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 		graph:      g,
 		cfg:        cfg,
 	}
-	start := time.Now()
 	before := cfg.Stats.Snapshot()
 	var ares AlgoResult
 	// The pre-pass needs at least one node per shard; smaller inputs just run

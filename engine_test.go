@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"extscc"
 	"extscc/internal/graphgen"
@@ -422,6 +423,39 @@ func TestRunReportsPhases(t *testing.T) {
 		if p.Wall < 0 {
 			t.Errorf("phase %q has negative wall time %v", name, p.Wall)
 		}
+	}
+}
+
+// slowSource delays Open before delegating to its wrapped Source.
+type slowSource struct {
+	extscc.Source
+	delay time.Duration
+}
+
+func (s slowSource) Open(ctx context.Context, env extscc.SourceEnv) (extscc.GraphFiles, error) {
+	time.Sleep(s.delay)
+	return s.Source.Open(ctx, env)
+}
+
+// TestDurationCoversStaging checks Stats.Duration is the wall time of the
+// whole Run: a Source that spends 50ms staging must show in it.
+func TestDurationCoversStaging(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	eng, err := extscc.New(
+		extscc.WithStorage(extscc.MemStorage()),
+		extscc.WithTempDir(t.TempDir()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := slowSource{Source: extscc.SliceSource(graphgen.Random(50, 120, 3)), delay: delay}
+	res, err := eng.Run(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Stats.Duration < delay {
+		t.Fatalf("Stats.Duration = %v, want at least the %v staging took", res.Stats.Duration, delay)
 	}
 }
 

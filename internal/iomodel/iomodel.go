@@ -274,7 +274,6 @@ type Stats struct {
 	sortRuns         atomic.Int64
 	mergePasses      atomic.Int64
 	recordsSorted    atomic.Int64
-	recordsScanned   atomic.Int64
 	inMemorySolves   atomic.Int64
 	semiExternalRuns atomic.Int64
 	retries          atomic.Int64
@@ -343,15 +342,6 @@ func (s *Stats) CountMergePass() {
 	s.mergePasses.Add(1)
 }
 
-// CountScanRecords records sequentially scanned records (model-level
-// bookkeeping used by tests and reports; the block counts are authoritative).
-func (s *Stats) CountScanRecords(n int64) {
-	if s == nil {
-		return
-	}
-	s.recordsScanned.Add(n)
-}
-
 // CountInMemorySolve records that a sub-problem was solved fully in memory.
 func (s *Stats) CountInMemorySolve() {
 	if s == nil {
@@ -397,7 +387,6 @@ type Snapshot struct {
 	SortRuns         int64
 	MergePasses      int64
 	RecordsSorted    int64
-	RecordsScanned   int64
 	InMemorySolves   int64
 	SemiExternalRuns int64
 	Retries          int64
@@ -421,7 +410,6 @@ func (s *Stats) Snapshot() Snapshot {
 		SortRuns:         s.sortRuns.Load(),
 		MergePasses:      s.mergePasses.Load(),
 		RecordsSorted:    s.recordsSorted.Load(),
-		RecordsScanned:   s.recordsScanned.Load(),
 		InMemorySolves:   s.inMemorySolves.Load(),
 		SemiExternalRuns: s.semiExternalRuns.Load(),
 		Retries:          s.retries.Load(),
@@ -468,7 +456,6 @@ func (sn Snapshot) Sub(other Snapshot) Snapshot {
 		SortRuns:         sn.SortRuns - other.SortRuns,
 		MergePasses:      sn.MergePasses - other.MergePasses,
 		RecordsSorted:    sn.RecordsSorted - other.RecordsSorted,
-		RecordsScanned:   sn.RecordsScanned - other.RecordsScanned,
 		InMemorySolves:   sn.InMemorySolves - other.InMemorySolves,
 		SemiExternalRuns: sn.SemiExternalRuns - other.SemiExternalRuns,
 		Retries:          sn.Retries - other.Retries,
@@ -490,7 +477,6 @@ func (sn Snapshot) Add(other Snapshot) Snapshot {
 		SortRuns:         sn.SortRuns + other.SortRuns,
 		MergePasses:      sn.MergePasses + other.MergePasses,
 		RecordsSorted:    sn.RecordsSorted + other.RecordsSorted,
-		RecordsScanned:   sn.RecordsScanned + other.RecordsScanned,
 		InMemorySolves:   sn.InMemorySolves + other.InMemorySolves,
 		SemiExternalRuns: sn.SemiExternalRuns + other.SemiExternalRuns,
 		Retries:          sn.Retries + other.Retries,

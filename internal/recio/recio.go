@@ -455,7 +455,6 @@ func (r *Reader[T]) Read() (T, error) {
 		}
 		rec := r.batch[r.bi]
 		r.bi++
-		r.stats.CountScanRecords(1)
 		return rec, nil
 	}
 	if err := r.readFull(r.buf); err != nil {
@@ -464,7 +463,6 @@ func (r *Reader[T]) Read() (T, error) {
 		}
 		return zero, err
 	}
-	r.stats.CountScanRecords(1)
 	return r.codec.Decode(r.buf), nil
 }
 

@@ -1,6 +1,10 @@
 package record
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,10 +28,82 @@ func frameRoundTrip(c BlockCodec[Edge], recs []Edge, enc []byte, dec []Edge) ([]
 	return enc, dec, err
 }
 
+// webEdges builds n edges over contract-web's 20,000 node ids, sorted by
+// source as E_out files are: consecutive sources with heavy-tailed (Pareto,
+// α = 2, mean 12) out-degrees and uniformly random targets.
+func webEdges(rng *rand.Rand, n int) []Edge {
+	const ids = 20000
+	recs := make([]Edge, 0, n)
+	for u := rng.Intn(ids); len(recs) < n; u = (u + 1) % ids {
+		deg := int(6 / math.Sqrt(1-rng.Float64()))
+		for k := 0; k < deg && len(recs) < n; k++ {
+			recs = append(recs, Edge{U: NodeID(u), V: NodeID(rng.Intn(ids))})
+		}
+	}
+	slices.SortFunc(recs, func(a, b Edge) int { return cmp.Compare(EdgeBySource(a).Lo, EdgeBySource(b).Lo) })
+	return recs
+}
+
+// webEdgeAugs builds n augmented edges sorted by target, as the contraction
+// joins read them: webEdges reversed, so in-degrees are heavy-tailed, and
+// small degree keys derived from each node id.
+func webEdgeAugs(rng *rand.Rand, n int) []EdgeAug {
+	key := func(n NodeID) NodeKey {
+		in, out := uint64(n%13), uint64(n%29)
+		return NodeKey{Deg: in + out, Prod: in * out}
+	}
+	recs := make([]EdgeAug, n)
+	for i, e := range webEdges(rng, n) {
+		recs[i] = EdgeAug{U: e.V, V: e.U, KeyU: key(e.V), KeyV: key(e.U)}
+	}
+	slices.SortFunc(recs, func(a, b EdgeAug) int { return cmp.Compare(EdgeAugByTarget(a).Lo, EdgeAugByTarget(b).Lo) })
+	return recs
+}
+
+// frameRecords is the number of records a recio writer packs into one frame
+// of a 64 KiB block: the block less the 18-byte frame header, divided by the
+// codec's worst-case record size.
+func frameRecords(maxRecordSize int) int { return (64<<10 - 18) / maxRecordSize }
+
+// encodeSink keeps benchmarkCodecFrame's encoded payload live.
+var encodeSink []byte
+
+// benchmarkCodecFrame times AppendBlock and DecodeBlock separately on one
+// frame of recs, each into a reused buffer.
+func benchmarkCodecFrame[T comparable](b *testing.B, bc BlockCodec[T], recs []T) {
+	rawBytes := int64(len(recs) * FixedSizeOfID(bc.ID()))
+	payload := bc.AppendBlock(nil, recs)
+	b.Run("encode", func(b *testing.B) {
+		enc := make([]byte, 0, len(payload))
+		b.ReportAllocs()
+		b.SetBytes(rawBytes)
+		for i := 0; i < b.N; i++ {
+			enc = bc.AppendBlock(enc[:0], recs)
+		}
+		encodeSink = enc
+	})
+	b.Run("decode", func(b *testing.B) {
+		dec := make([]T, 0, len(recs))
+		var err error
+		b.ReportAllocs()
+		b.SetBytes(rawBytes)
+		for i := 0; i < b.N; i++ {
+			if dec, err = bc.DecodeBlock(payload, len(recs), dec[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !slices.Equal(dec, recs) {
+			b.Fatal("decode corrupted records")
+		}
+	})
+}
+
 // BenchmarkFrameRoundTrip measures one encode+decode of a 4096-record frame
-// per codec family.  Run with -benchmem: the allocs/op column must read 0 at
-// steady state — the frame hot path works entirely out of reused and pooled
-// buffers (see internal/pool).
+// per codec family, then encode and decode alone on contract-web's two hot
+// varint frames at B = 64 KiB: a full Edge frame sorted by source and a full
+// EdgeAug frame sorted by target.  Run with -benchmem: the allocs/op column
+// must read 0 at steady state — the frame hot path works entirely out of
+// reused and pooled buffers (see internal/pool).
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	recs := benchEdges(4096)
 	rawBytes := int64(len(recs) * EdgeCodec{}.Size())
@@ -75,6 +151,16 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 				}
 			}
 		}
+	})
+
+	rng := rand.New(rand.NewSource(1))
+	b.Run("web-Edge", func(b *testing.B) {
+		bc := VarintEdgeCodec{}
+		benchmarkCodecFrame[Edge](b, bc, webEdges(rng, frameRecords(bc.MaxRecordSize())))
+	})
+	b.Run("web-EdgeAug", func(b *testing.B) {
+		bc := VarintEdgeAugCodec{}
+		benchmarkCodecFrame[EdgeAug](b, bc, webEdgeAugs(rng, frameRecords(bc.MaxRecordSize())))
 	})
 }
 

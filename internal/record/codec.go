@@ -188,31 +188,50 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// appendUvarint appends binary.AppendUvarint's bytes for x, writing the one-
+// and two-byte forms, nearly every field of a sorted frame, inline.
+func appendUvarint(dst []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(dst, byte(x))
+	}
+	if x < 0x4000 {
+		return append(dst, byte(x)|0x80, byte(x>>7))
+	}
+	return binary.AppendUvarint(dst, x)
+}
+
 // appendDelta32 appends zz(cur-prev) for a uint32 field.
 func appendDelta32(dst []byte, cur, prev uint32) []byte {
-	return binary.AppendUvarint(dst, zigzag(int64(cur)-int64(prev)))
+	return appendUvarint(dst, zigzag(int64(cur)-int64(prev)))
 }
 
-// errShortPayload is returned when a frame payload ends inside a record.
+// errShortPayload reports a truncated or overlong varint field.
 var errShortPayload = fmt.Errorf("record: truncated varint payload")
 
-// readUvarint reads one uvarint from payload at off.
-func readUvarint(payload []byte, off int) (uint64, int, error) {
-	u, n := binary.Uvarint(payload[off:])
-	if n <= 0 {
-		return 0, off, errShortPayload
+// uvarint decodes the uvarint at p[off:], accepting exactly what
+// binary.Uvarint accepts, and returns it with the offset past it.  A truncated
+// or overlong varint returns an offset past len(p), as does every later call
+// given one, so a decoder tests off > len(p) once per record.  Keep it
+// inlinable: that is where its speed comes from.
+func uvarint(p []byte, off int) (uint64, int) {
+	var x uint64
+	for s := uint(0); off < len(p); s += 7 {
+		b := p[off]
+		off++
+		if s == 63 && b > 1 {
+			break
+		}
+		if b < 0x80 {
+			return x | uint64(b)<<s, off
+		}
+		x |= uint64(b&0x7f) << s
 	}
-	return u, off + n, nil
+	return 0, len(p) + 1
 }
 
-// readDelta32 reads zz(cur-prev) for a uint32 field and reapplies prev.
-func readDelta32(payload []byte, off int, prev uint32) (uint32, int, error) {
-	u, off, err := readUvarint(payload, off)
-	if err != nil {
-		return 0, off, err
-	}
-	return uint32(int64(prev) + unzigzag(u)), off, nil
-}
+// undelta32 reapplies prev to a decoded zz(cur-prev) of a uint32 field; the
+// sum wraps modulo 2^32.
+func undelta32(prev uint32, u uint64) uint32 { return uint32(int64(prev) + unzigzag(u)) }
 
 // checkConsumed verifies the decoder used the payload exactly.
 func checkConsumed(off, size int, id CodecID) error {
@@ -249,15 +268,15 @@ func (VarintEdgeCodec) AppendBlock(dst []byte, recs []Edge) []byte {
 // DecodeBlock implements BlockCodec.
 func (c VarintEdgeCodec) DecodeBlock(payload []byte, count int, dst []Edge) ([]Edge, error) {
 	var pu, pv NodeID
+	var u, v uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
-		if pu, off, err = readDelta32(payload, off, pu); err != nil {
-			return dst, err
+		u, off = uvarint(payload, off)
+		v, off = uvarint(payload, off)
+		if off > len(payload) {
+			return dst, errShortPayload
 		}
-		if pv, off, err = readDelta32(payload, off, pv); err != nil {
-			return dst, err
-		}
+		pu, pv = undelta32(pu, u), undelta32(pv, v)
 		dst = append(dst, Edge{U: pu, V: pv})
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
@@ -285,12 +304,13 @@ func (VarintNodeCodec) AppendBlock(dst []byte, recs []NodeID) []byte {
 // DecodeBlock implements BlockCodec.
 func (c VarintNodeCodec) DecodeBlock(payload []byte, count int, dst []NodeID) ([]NodeID, error) {
 	var prev NodeID
+	var u uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
-		if prev, off, err = readDelta32(payload, off, prev); err != nil {
-			return dst, err
+		if u, off = uvarint(payload, off); off > len(payload) {
+			return dst, errShortPayload
 		}
+		prev = undelta32(prev, u)
 		dst = append(dst, prev)
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
@@ -310,8 +330,8 @@ func (VarintNodeDegreeCodec) AppendBlock(dst []byte, recs []NodeDegree) []byte {
 	var prev NodeID
 	for _, d := range recs {
 		dst = appendDelta32(dst, d.Node, prev)
-		dst = binary.AppendUvarint(dst, uint64(d.DegIn))
-		dst = binary.AppendUvarint(dst, uint64(d.DegOut))
+		dst = appendUvarint(dst, uint64(d.DegIn))
+		dst = appendUvarint(dst, uint64(d.DegOut))
 		prev = d.Node
 	}
 	return dst
@@ -320,19 +340,16 @@ func (VarintNodeDegreeCodec) AppendBlock(dst []byte, recs []NodeDegree) []byte {
 // DecodeBlock implements BlockCodec.
 func (c VarintNodeDegreeCodec) DecodeBlock(payload []byte, count int, dst []NodeDegree) ([]NodeDegree, error) {
 	var prev NodeID
+	var u, din, dout uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
-		var din, dout uint64
-		if prev, off, err = readDelta32(payload, off, prev); err != nil {
-			return dst, err
+		u, off = uvarint(payload, off)
+		din, off = uvarint(payload, off)
+		dout, off = uvarint(payload, off)
+		if off > len(payload) {
+			return dst, errShortPayload
 		}
-		if din, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
-		if dout, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
+		prev = undelta32(prev, u)
 		dst = append(dst, NodeDegree{Node: prev, DegIn: uint32(din), DegOut: uint32(dout)})
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
@@ -355,10 +372,10 @@ func (VarintEdgeAugCodec) AppendBlock(dst []byte, recs []EdgeAug) []byte {
 	for _, e := range recs {
 		dst = appendDelta32(dst, e.U, pu)
 		dst = appendDelta32(dst, e.V, pv)
-		dst = binary.AppendUvarint(dst, e.KeyU.Deg)
-		dst = binary.AppendUvarint(dst, e.KeyU.Prod)
-		dst = binary.AppendUvarint(dst, e.KeyV.Deg)
-		dst = binary.AppendUvarint(dst, e.KeyV.Prod)
+		dst = appendUvarint(dst, e.KeyU.Deg)
+		dst = appendUvarint(dst, e.KeyU.Prod)
+		dst = appendUvarint(dst, e.KeyV.Deg)
+		dst = appendUvarint(dst, e.KeyV.Prod)
 		pu, pv = e.U, e.V
 	}
 	return dst
@@ -367,29 +384,21 @@ func (VarintEdgeAugCodec) AppendBlock(dst []byte, recs []EdgeAug) []byte {
 // DecodeBlock implements BlockCodec.
 func (c VarintEdgeAugCodec) DecodeBlock(payload []byte, count int, dst []EdgeAug) ([]EdgeAug, error) {
 	var pu, pv NodeID
+	var u, v uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
 		var rec EdgeAug
-		if pu, off, err = readDelta32(payload, off, pu); err != nil {
-			return dst, err
+		u, off = uvarint(payload, off)
+		v, off = uvarint(payload, off)
+		rec.KeyU.Deg, off = uvarint(payload, off)
+		rec.KeyU.Prod, off = uvarint(payload, off)
+		rec.KeyV.Deg, off = uvarint(payload, off)
+		rec.KeyV.Prod, off = uvarint(payload, off)
+		if off > len(payload) {
+			return dst, errShortPayload
 		}
-		if pv, off, err = readDelta32(payload, off, pv); err != nil {
-			return dst, err
-		}
+		pu, pv = undelta32(pu, u), undelta32(pv, v)
 		rec.U, rec.V = pu, pv
-		if rec.KeyU.Deg, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
-		if rec.KeyU.Prod, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
-		if rec.KeyV.Deg, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
-		if rec.KeyV.Prod, off, err = readUvarint(payload, off); err != nil {
-			return dst, err
-		}
 		dst = append(dst, rec)
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
@@ -420,15 +429,15 @@ func (VarintLabelCodec) AppendBlock(dst []byte, recs []Label) []byte {
 func (c VarintLabelCodec) DecodeBlock(payload []byte, count int, dst []Label) ([]Label, error) {
 	var pn NodeID
 	var ps SCCID
+	var n, sc uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
-		if pn, off, err = readDelta32(payload, off, pn); err != nil {
-			return dst, err
+		n, off = uvarint(payload, off)
+		sc, off = uvarint(payload, off)
+		if off > len(payload) {
+			return dst, errShortPayload
 		}
-		if ps, off, err = readDelta32(payload, off, ps); err != nil {
-			return dst, err
-		}
+		pn, ps = undelta32(pn, n), undelta32(ps, sc)
 		dst = append(dst, Label{Node: pn, SCC: ps})
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
@@ -460,18 +469,16 @@ func (VarintEdgeSCCCodec) AppendBlock(dst []byte, recs []EdgeSCC) []byte {
 func (c VarintEdgeSCCCodec) DecodeBlock(payload []byte, count int, dst []EdgeSCC) ([]EdgeSCC, error) {
 	var pu, pv NodeID
 	var ps SCCID
+	var u, v, sc uint64
 	off := 0
-	var err error
 	for i := 0; i < count; i++ {
-		if pu, off, err = readDelta32(payload, off, pu); err != nil {
-			return dst, err
+		u, off = uvarint(payload, off)
+		v, off = uvarint(payload, off)
+		sc, off = uvarint(payload, off)
+		if off > len(payload) {
+			return dst, errShortPayload
 		}
-		if pv, off, err = readDelta32(payload, off, pv); err != nil {
-			return dst, err
-		}
-		if ps, off, err = readDelta32(payload, off, ps); err != nil {
-			return dst, err
-		}
+		pu, pv, ps = undelta32(pu, u), undelta32(pv, v), undelta32(ps, sc)
 		dst = append(dst, EdgeSCC{U: pu, V: pv, SCC: ps})
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())

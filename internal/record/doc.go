@@ -53,6 +53,12 @@
 //	CodecVarintLabel      (5): zz(Node-prevNode) zz(SCC-prevSCC)
 //	CodecVarintEdgeSCC    (6): zz(U-prevU) zz(V-prevV) zz(SCC-prevSCC)
 //
+// Fields are encoding/binary uvarints, decoded under this contract: a field
+// is at most 10 bytes (the tenth 0 or 1); every field reads as a full 64-bit
+// uvarint, so uint32 deltas wrap modulo 2^32 and NodeDegree degrees truncate
+// to uint32; the records consume the payload exactly.  Package recio reports
+// any violation as blockio.ErrCorrupt.
+//
 // # Compress layouts (family "compress")
 //
 // One compress codec exists per record type, sharing a single payload format

@@ -72,7 +72,7 @@ type Stats struct {
 	// Wall-clock overlaps under WithWorkers (phases run concurrently inside
 	// the sort, for example), so phase walls can sum to more than Duration.
 	Phases []PhaseStat
-	// Duration is the wall-clock time of the computation.
+	// Duration is the wall-clock time of the whole Run, staging included.
 	Duration time.Duration
 }
 
