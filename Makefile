@@ -90,11 +90,15 @@ bench:
 # (TestFrameRoundTripAllocs enforces it in `make test` too), as must the
 # varint encode-only and decode-only legs on contract-web's two hot frames
 # at B = 64 KiB (web-Edge: 6,551 edges by source; web-EdgeAug: 1,310
-# augmented edges by target); and the in-place radix sort of run formation
-# reports its ns/op and 0 allocs/op on contract-web's run shapes at M = 4 MiB.
+# augmented edges by target); the in-place radix sort of run formation
+# reports its ns/op and 0 allocs/op on contract-web's run shapes at M = 4 MiB;
+# and an LRU miss of the serving path — a 2-id Result.LookupLabels batch over
+# serve-large's ~100k-label varint labelling — reports its ns/op, B/op and
+# allocs/op.
 microbench:
 	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
 	$(GO) test ./internal/extsort -run '^$$' -bench BenchmarkSortSlice -benchmem -benchtime 10x
+	$(GO) test . -run '^$$' -bench BenchmarkLookupLabels -benchmem -benchtime 2000x
 
 # Refresh the committed baseline after an intentional I/O-count change;
 # commit the resulting bench/baseline.json.  The baseline is recorded under

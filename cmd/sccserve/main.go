@@ -53,7 +53,6 @@ func main() {
 	codecName := cliflags.Codec()
 	retry := cliflags.Retry()
 	addr := flag.String("addr", "127.0.0.1:0", "HTTP listen address")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent lookups into one sweep")
 	batchMax := flag.Int("batch-max", 256, "max point lookups per sweep")
 	cacheSize := flag.Int("cache", 4096, "hot-label LRU capacity (negative disables)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes runtime internals; enable only on trusted listeners)")
@@ -101,7 +100,6 @@ func main() {
 		Storage:      backend,
 		TempDir:      *tempDir,
 		Addr:         *addr,
-		BatchWindow:  *batchWindow,
 		MaxBatch:     *batchMax,
 		CacheSize:    *cacheSize,
 		DrainTimeout: *drain,

@@ -11,14 +11,17 @@
 // I/O-accounted exactly like the SCC computation itself and reported by the
 // /stats endpoint.
 //
-// The serving path is built for concurrency: point lookups are coalesced by
-// a dispatcher into sorted sweeps over the label file (one forward pass of
-// monotone binary searches per wave, instead of an independent probe per
-// request) and fronted by an LRU of hot node labels.  Reachability queries
-// reduce to two label lookups plus an in-memory intersection of 2-hop label
-// sets.  Shutdown is graceful: in-flight queries drain, then every artifact
-// — the engine run directory and the serve directory holding the DAG and
-// index — is removed from the backend.
+// The serving path is built for concurrency: point lookups are fronted by an
+// LRU of hot node labels, and the misses are coalesced group-commit style —
+// the requests that queue while one sweep of the label file runs form the
+// next, with no timer in front of a lone request.  Each looked-up node costs
+// one key probe through the label file that the Result keeps open from the
+// first lookup until Close: a frame-index footer search plus at most one
+// frame decode.  Reachability queries reduce to two label lookups plus an
+// in-memory intersection of 2-hop label sets.  Shutdown is graceful:
+// in-flight queries drain, then every artifact — the engine run directory
+// and the serve directory holding the DAG and index — is removed from the
+// backend.
 package serve
 
 import (
@@ -65,10 +68,9 @@ type Options struct {
 
 	// Addr is the HTTP listen address for Listen ("" = "127.0.0.1:0").
 	Addr string
-	// BatchWindow is how long the lookup dispatcher waits to coalesce
-	// concurrent point lookups into one sorted sweep (0 = 2ms).
-	BatchWindow time.Duration
-	// MaxBatch caps the nodes resolved by a single sweep (0 = 256).
+	// MaxBatch caps the nodes resolved by a single sweep of the label file
+	// (0 = 256).  A sweep starts as soon as the previous one ends and takes
+	// the lookups queued meanwhile, so a lone lookup never waits.
 	MaxBatch int
 	// CacheSize is the capacity of the hot-label LRU (0 = 4096; negative
 	// disables the cache).
@@ -80,13 +82,6 @@ type Options struct {
 	// /debug/pprof/ on the query mux.  Off by default: the endpoints expose
 	// runtime internals and should only be reachable on trusted listeners.
 	EnablePprof bool
-}
-
-func (o Options) batchWindow() time.Duration {
-	if o.BatchWindow <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.BatchWindow
 }
 
 func (o Options) maxBatch() int {
@@ -232,7 +227,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	s.buildPhases = cfg.Prof.Snapshot()
 
 	s.cache = newLRU(opts.cacheSize())
-	s.store = newLabelStore(res, opts.batchWindow(), opts.maxBatch())
+	s.store = newLabelStore(res.LookupLabels, opts.maxBatch())
 	s.mux = s.routes()
 	s.started = time.Now()
 	return s, nil
@@ -295,9 +290,9 @@ func (s *Server) Serve(ctx context.Context) error {
 }
 
 // Close releases everything the server materialised: the lookup dispatcher
-// stops, the engine run directory (labels, staged graph) and the serve
-// directory (DAG, hop labels) are removed from the backend.  Close is
-// idempotent.
+// stops, the label file its lookups hold open is closed, and the engine run
+// directory (labels, staged graph) and the serve directory (DAG, hop labels)
+// are removed from the backend.  Close is idempotent.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -66,11 +67,10 @@ func newTestServer(t *testing.T, b extscc.Storage, codec string, edges []record.
 		tempDir = t.TempDir()
 	}
 	s, err := New(context.Background(), Options{
-		Source:      extscc.SliceSource(edges),
-		Storage:     b,
-		Codec:       codec,
-		TempDir:     tempDir,
-		BatchWindow: 500 * time.Microsecond,
+		Source:  extscc.SliceSource(edges),
+		Storage: b,
+		Codec:   codec,
+		TempDir: tempDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 // TestServerConcurrentOracle hammers a server with mixed membership,
 // same-component and reachability queries from many goroutines and checks
 // every answer against the single-threaded oracle, on both storage backends
-// and with the seekable fixed codec (so the batched binary-search sweep path
-// is exercised, not just the in-memory table).
+// and under both lookup paths: a binary search over record offsets (fixed)
+// and a frame-index footer probe (varint).
 func TestServerConcurrentOracle(t *testing.T) {
 	for _, codec := range []string{"fixed", "varint"} {
 		t.Run(codec, func(t *testing.T) {
@@ -192,43 +192,92 @@ func TestServerConcurrentOracle(t *testing.T) {
 	}
 }
 
-// TestServerBatchingCoalesces pins that concurrent waves actually coalesce:
-// with a generous window, many simultaneous lookups must resolve in far
-// fewer sweeps than queries.
+// TestServerBatchingCoalesces pins natural batching: the requests that queue
+// while one sweep runs are answered by the next single sweep, or by as few
+// sweeps as the batch cap allows, with no timer.  A stub lookup holds the
+// first sweep until every request is queued, so the outcome does not depend
+// on scheduling; a dispatcher that sweeps one request at a time would report
+// a sweep per request.
 func TestServerBatchingCoalesces(t *testing.T) {
-	edges := graphgen.Random(200, 500, 5)
-	s, err := New(context.Background(), Options{
-		Source:      extscc.SliceSource(edges),
-		Storage:     storage.OS(),
-		Codec:       "fixed",
-		TempDir:     t.TempDir(),
-		BatchWindow: 20 * time.Millisecond,
-		CacheSize:   -1, // no cache: every query must reach the dispatcher
-	})
-	if err != nil {
+	for _, tc := range []struct {
+		maxBatch, queued int
+		want             []int
+	}{
+		{256, 32, []int{1, 32}},
+		{8, 20, []int{1, 8, 8, 4}},
+	} {
+		if got := sweepSizes(t, tc.maxBatch, tc.queued); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("maxBatch %d, %d queued: sweep sizes %v, want %v", tc.maxBatch, tc.queued, got, tc.want)
+		}
+	}
+}
+
+// sweepSizes holds a labelStore's first sweep until queued more one-node
+// lookups wait behind it, releases it, checks every answer, and returns the
+// node count of each sweep.
+func sweepSizes(t *testing.T, maxBatch, queued int) []int {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var sizes []int // written by the dispatcher only, read after close
+	s := newLabelStore(func(nodes []extscc.NodeID) (map[extscc.NodeID]uint32, error) {
+		sizes = append(sizes, len(nodes))
+		if len(sizes) == 1 {
+			close(entered)
+			<-release
+		}
+		out := make(map[extscc.NodeID]uint32, len(nodes))
+		for _, n := range nodes {
+			if n%2 == 0 { // odd ids are absent
+				out[n] = uint32(n) + 7
+			}
+		}
+		return out, nil
+	}, maxBatch)
+
+	var wg sync.WaitGroup
+	errc := make(chan error, queued+1)
+	ask := func(n extscc.NodeID) {
+		defer wg.Done()
+		got, err := s.lookup([]extscc.NodeID{n})
+		if err != nil {
+			errc <- err
+			return
+		}
+		scc, ok := got[n]
+		if ok != (n%2 == 0) || (ok && scc != uint32(n)+7) || len(got) > 1 {
+			errc <- fmt.Errorf("lookup(%d) = %v", n, got)
+		}
+	}
+	wg.Add(1)
+	go ask(1000)
+	<-entered
+	for i := 0; i < queued; i++ {
+		wg.Add(1)
+		go ask(extscc.NodeID(i))
+	}
+	for {
+		s.mu.Lock()
+		n := len(s.queue)
+		s.mu.Unlock()
+		if n == queued {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			getJSON(t, ts.Client(), fmt.Sprintf("%s/scc/%d", ts.URL, i%200), nil)
-		}(i)
+	s.close()
+	if _, err := s.lookup([]extscc.NodeID{1}); err != errClosed {
+		t.Fatalf("lookup after close: %v, want errClosed", err)
 	}
-	wg.Wait()
-	batches, batched := s.store.stats()
-	if batched < n {
-		t.Fatalf("dispatcher resolved %d lookups, want >= %d", batched, n)
+	if batches, batched := s.stats(); batches != int64(len(sizes)) || batched != int64(queued+1) {
+		t.Fatalf("stats report %d sweeps of %d lookups, want %d of %d", batches, batched, len(sizes), queued+1)
 	}
-	if batches >= batched {
-		t.Fatalf("no coalescing: %d sweeps for %d lookups", batches, batched)
-	}
+	return sizes
 }
 
 // TestServerCacheServesRepeats pins the LRU: repeating one query must be

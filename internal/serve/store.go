@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"extscc"
 )
@@ -14,22 +13,22 @@ import (
 var errClosed = errors.New("serve: server is shutting down")
 
 // labelStore coalesces concurrent point lookups into batched sweeps over the
-// label file.  A single dispatcher goroutine gathers the requests that
-// arrive within a short window (or until the batch cap) and resolves their
-// union with one Result.LookupLabels call — on a fixed-codec label file that
-// is a single forward pass of monotone binary searches, so a wave of
-// concurrent queries costs one traversal of the touched blocks instead of an
-// independent O(log n) probe per request.  On framed (varint) label files
-// the engine answers from its in-memory table and batching only trims
-// synchronisation overhead.
+// label file, group-commit style: lookups join a queue, and a single
+// dispatcher goroutine takes everything queued (up to the batch cap) and
+// resolves its union with one Result.LookupLabels call.  There is no timer:
+// an idle dispatcher answers a lone request at once, and under load the
+// requests that queue while one sweep runs form the next.  Each node of a
+// sweep costs one key probe of the label file through the Result's held
+// reader — a footer search plus at most one frame decode.
 type labelStore struct {
-	res      *extscc.Result
-	window   time.Duration
-	maxBatch int
+	lookupLabels func([]extscc.NodeID) (map[extscc.NodeID]uint32, error)
+	maxBatch     int
 
-	reqs chan *lookupReq
-	done chan struct{}
-	wg   sync.WaitGroup
+	mu     sync.Mutex
+	queue  []*lookupReq // requests waiting for a sweep, oldest first
+	closed bool
+	wake   chan struct{} // holds a token while the dispatcher has news to look at
+	wg     sync.WaitGroup
 
 	batches int64 // sweeps performed
 	batched int64 // point lookups resolved by those sweeps
@@ -42,64 +41,64 @@ type lookupReq struct {
 	ready chan struct{}
 }
 
-func newLabelStore(res *extscc.Result, window time.Duration, maxBatch int) *labelStore {
-	s := &labelStore{
-		res:      res,
-		window:   window,
-		maxBatch: maxBatch,
-		reqs:     make(chan *lookupReq),
-		done:     make(chan struct{}),
-	}
+func newLabelStore(lookupLabels func([]extscc.NodeID) (map[extscc.NodeID]uint32, error), maxBatch int) *labelStore {
+	s := &labelStore{lookupLabels: lookupLabels, maxBatch: maxBatch, wake: make(chan struct{}, 1)}
 	s.wg.Add(1)
 	go s.dispatch()
 	return s
 }
 
-// lookup resolves the labels of nodes, blocking until the dispatcher's next
-// sweep completes.  The returned map has an entry per node present in the
-// labelling.
+// lookup resolves the labels of nodes, blocking until the sweep that takes
+// the request completes.  The returned map has an entry per node present in
+// the labelling.
 func (s *labelStore) lookup(nodes []extscc.NodeID) (map[extscc.NodeID]uint32, error) {
 	req := &lookupReq{nodes: nodes, ready: make(chan struct{})}
-	select {
-	case s.reqs <- req:
-	case <-s.done:
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil, errClosed
 	}
+	s.queue = append(s.queue, req)
+	s.mu.Unlock()
+	s.notify()
 	<-req.ready
 	return req.out, req.err
 }
 
-// dispatch is the batching loop: block for the first request, then keep
-// absorbing requests until the window elapses or the batch cap is reached,
-// then resolve the union in one sweep and fan the answers back out.
+// notify wakes the dispatcher, unless a wake-up is already pending.
+func (s *labelStore) notify() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// dispatch is the batching loop: on each wake-up, sweep the queue from its
+// oldest request, at most maxBatch nodes a sweep (a single larger request
+// still goes whole), until it is empty.  It returns once close has been
+// called and the queue is empty.
 func (s *labelStore) dispatch() {
 	defer s.wg.Done()
-	for {
-		var batch []*lookupReq
-		select {
-		case req := <-s.reqs:
-			batch = append(batch, req)
-		case <-s.done:
-			return
-		}
-		size := len(batch[0].nodes)
-		timer := time.NewTimer(s.window)
-	gather:
-		for size < s.maxBatch {
-			select {
-			case req := <-s.reqs:
-				batch = append(batch, req)
-				size += len(req.nodes)
-			case <-timer.C:
-				break gather
-			case <-s.done:
-				timer.Stop()
-				s.flush(batch)
-				return
+	for range s.wake {
+		for {
+			s.mu.Lock()
+			n, size := 0, 0
+			for n < len(s.queue) && size < s.maxBatch {
+				size += len(s.queue[n].nodes)
+				n++
 			}
+			batch := s.queue[:n]
+			s.queue = append([]*lookupReq(nil), s.queue[n:]...)
+			closed := s.closed
+			s.mu.Unlock()
+			if n == 0 {
+				if closed {
+					return
+				}
+				break
+			}
+			s.flush(batch)
 		}
-		timer.Stop()
-		s.flush(batch)
 	}
 }
 
@@ -109,7 +108,7 @@ func (s *labelStore) flush(batch []*lookupReq) {
 	for _, req := range batch {
 		union = append(union, req.nodes...)
 	}
-	resolved, err := s.res.LookupLabels(union)
+	resolved, err := s.lookupLabels(union)
 	atomic.AddInt64(&s.batches, 1)
 	atomic.AddInt64(&s.batched, int64(len(union)))
 	for _, req := range batch {
@@ -128,10 +127,13 @@ func (s *labelStore) flush(batch []*lookupReq) {
 	}
 }
 
-// close stops the dispatcher; pending requests are answered (the dispatcher
-// flushes its in-hand batch) and later lookups fail with errClosed.
+// close stops the dispatcher once the queued requests are answered; later
+// lookups fail with errClosed.
 func (s *labelStore) close() {
-	close(s.done)
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.notify()
 	s.wg.Wait()
 }
 

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sort"
+	"slices"
 	"sync"
-
 	"time"
 
 	"extscc/internal/iomodel"
@@ -132,10 +131,12 @@ type Result struct {
 	cfg       iomodel.Config
 	streamErr error
 
-	// Random-access lookup state, built lazily by LabelOf/LookupLabels.
-	lookupOnce sync.Once
-	lookupErr  error
-	labelCount int64
+	// labels is the label-file reader LookupLabels keeps open from the first
+	// lookup until Close; labelMu serialises the lookups, ExportLabels and
+	// Close.
+	labelMu sync.Mutex
+	labels  *recio.Reader[record.Label]
+	closed  bool
 }
 
 // Stream iterates the label assignment as (node, SCC label) pairs in node-id
@@ -171,114 +172,82 @@ func (r *Result) Stream() iter.Seq2[NodeID, uint32] {
 // iteration early.
 func (r *Result) Err() error { return r.streamErr }
 
-// initLookup reads the label file's record count once — offset arithmetic
-// on the fixed layout, the frame-index footer on framed ones — so lookups
-// binary-search the file with no per-node memory, whatever the codec.
-func (r *Result) initLookup() error {
-	r.lookupOnce.Do(func() {
-		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
-		if err != nil {
-			r.lookupErr = err
-			return
-		}
-		defer rd.Close()
-		r.labelCount, r.lookupErr = rd.Count()
-	})
-	return r.lookupErr
-}
-
 // LabelOf returns the SCC label of a single node, or ok=false for a node the
-// run never saw.  The lookup binary-searches the node-sorted file directly —
-// O(log n) random block reads, no memory — on fixed files by offset
-// arithmetic and on framed files (varint, compress) through the frame-index
-// footer, which is what makes point queries over larger-than-RAM labellings
-// possible under every codec.  LabelOf is safe for concurrent use.
+// run never saw.  It is LookupLabels of a one-node batch.
 func (r *Result) LabelOf(node NodeID) (scc uint32, ok bool, err error) {
-	if err := r.initLookup(); err != nil {
-		return 0, false, err
-	}
-	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
-	if err != nil {
-		return 0, false, err
-	}
-	defer rd.Close()
-	scc, ok, _, err = searchLabel(rd, 0, r.labelCount, node)
+	m, err := r.LookupLabels([]NodeID{node})
+	scc, ok = m[node]
 	return scc, ok, err
 }
 
-// LookupLabels resolves a batch of nodes in one pass, returning a map holding
-// an entry for every node that has a label.  The batch is sorted and answered
-// by a single forward sweep of monotone binary searches — each search starts
-// where the previous one ended — so a wave of point lookups costs one
-// traversal of the touched blocks instead of an independent log-n probe per
-// node, on fixed and footer-indexed framed files alike.  This is the
-// primitive the serving subsystem's request coalescing is built on.
+// LookupLabels resolves a batch of nodes, returning a map holding an entry
+// for every node that has a label.  Each distinct node costs one key probe
+// of the node-sorted file: on framed files (varint, compress) a binary search
+// over the frame-index footer's per-frame key ranges plus at most one frame
+// decode, and nothing at all when the frame is already decoded; on fixed
+// files a binary search over record offsets.  So point queries over
+// larger-than-RAM labellings need no per-node memory under any codec.
+//
+// The first lookup opens the label file and the Result keeps it open until
+// Close; ExportLabels closes it, and the next lookup reopens it at the new
+// path.  Any read error drops the handle, so the next call starts afresh,
+// and lookups after Close fail.  LabelOf and LookupLabels are safe for
+// concurrent use.
 func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
-	if err := r.initLookup(); err != nil {
-		return nil, err
-	}
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
 	out := make(map[NodeID]uint32, len(nodes))
-	sorted := make([]NodeID, len(nodes))
-	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
-	if err != nil {
-		return nil, err
+	r.labelMu.Lock()
+	defer r.labelMu.Unlock()
+	if r.closed {
+		return nil, errors.New("extscc: label lookup on a closed Result")
 	}
-	defer rd.Close()
-	lo := int64(0)
 	for i, n := range sorted {
 		if i > 0 && n == sorted[i-1] {
 			continue
 		}
-		scc, ok, pos, err := searchLabel(rd, lo, r.labelCount, n)
+		l, err := r.probeLabel(n)
+		if err == io.EOF {
+			break // n, and every node after it, sorts past the last label
+		}
 		if err != nil {
+			r.releaseLabels()
 			return nil, err
 		}
-		if ok {
-			out[n] = scc
-			lo = pos + 1
-		} else {
-			lo = pos
+		if l.Node == n {
+			out[n] = l.SCC
 		}
 	}
 	return out, nil
 }
 
-// searchLabel binary-searches the node-sorted window [lo, end) of a label
-// file for node, returning its label and the position of the first record
-// with Node >= node.
-func searchLabel(rd *recio.Reader[record.Label], lo, end int64, node NodeID) (uint32, bool, int64, error) {
-	hi := end
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if err := rd.SeekTo(mid); err != nil {
-			return 0, false, 0, err
-		}
-		l, err := rd.Read()
+// probeLabel returns the first label at or after node in the label file,
+// opening the held reader if needed.  The caller holds labelMu.
+func (r *Result) probeLabel(node NodeID) (record.Label, error) {
+	if r.labels == nil {
+		// A seeking reader gains nothing from prefetch, so it reads
+		// synchronously.
+		cfg := r.cfg
+		cfg.Workers = 1
+		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, cfg)
 		if err != nil {
-			return 0, false, 0, err
+			return record.Label{}, err
 		}
-		if l.Node < node {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+		r.labels = rd
 	}
-	if lo >= end {
-		return 0, false, lo, nil
+	if _, err := r.labels.SeekToKey(uint64(node) << 32); err != nil {
+		return record.Label{}, err
 	}
-	if err := rd.SeekTo(lo); err != nil {
-		return 0, false, 0, err
+	return r.labels.Read()
+}
+
+// releaseLabels closes and drops the held label reader.  The caller holds
+// labelMu.
+func (r *Result) releaseLabels() {
+	if r.labels != nil {
+		r.labels.Close()
+		r.labels = nil
 	}
-	l, err := rd.Read()
-	if err != nil {
-		return 0, false, 0, err
-	}
-	if l.Node != node {
-		return 0, false, lo, nil
-	}
-	return l.SCC, true, lo, nil
 }
 
 // Labels loads the full label assignment into memory.  Use it only when the
@@ -303,13 +272,18 @@ func (r *Result) LabelMap() (map[NodeID]uint32, error) {
 // ExportLabels moves the label file out of the run directory to path — on
 // the run's storage backend — so it survives Close.  It renames when the
 // backend can and falls back to a streamed copy (removing the original)
-// otherwise.  On success LabelPath points at the exported file.  To move a
-// label file from a MemStorage run onto disk, export it and copy the bytes
-// out through the backend (cmd/sccrun -storage=mem -out does exactly that).
+// otherwise.  It first closes the label file the lookups hold open; the next
+// lookup reopens it at its new path.  On success LabelPath points at the
+// exported file.  To move a label file from a MemStorage run onto disk,
+// export it and copy the bytes out through the backend (cmd/sccrun
+// -storage=mem -out does exactly that).
 func (r *Result) ExportLabels(path string) error {
 	if r == nil || r.LabelPath == "" {
 		return errors.New("extscc: result has no label file")
 	}
+	r.labelMu.Lock()
+	defer r.labelMu.Unlock()
+	r.releaseLabels()
 	backend := r.cfg.Backend()
 	if err := backend.Rename(r.LabelPath, path); err == nil {
 		r.LabelPath = path
@@ -325,11 +299,19 @@ func (r *Result) ExportLabels(path string) error {
 	return nil
 }
 
-// Close removes the result's run directory (including LabelPath, unless it
-// was exported) from the run's storage backend.  It is idempotent and safe
-// on a nil receiver.
+// Close closes the label file the lookups hold open, after which lookups
+// fail, and removes the result's run directory (including LabelPath, unless
+// it was exported) from the run's storage backend.  It is idempotent and
+// safe on a nil receiver.
 func (r *Result) Close() error {
-	if r == nil || r.runDir == "" {
+	if r == nil {
+		return nil
+	}
+	r.labelMu.Lock()
+	defer r.labelMu.Unlock()
+	r.releaseLabels()
+	r.closed = true
+	if r.runDir == "" {
 		return nil
 	}
 	dir := r.runDir
