@@ -102,6 +102,9 @@ type AlgoResult struct {
 	// Iterations is the number of contraction iterations, for algorithms
 	// that contract (0 otherwise).
 	Iterations int
+	// SemiExternalScans is the number of edge scans the semi-external base
+	// case made, for algorithms that run it (0 otherwise).
+	SemiExternalScans int
 }
 
 // Progress reports one completed contraction iteration of a running
@@ -224,9 +227,10 @@ func (a coreAlgorithm) Run(ctx context.Context, t *Task) (AlgoResult, error) {
 		return AlgoResult{}, err
 	}
 	return AlgoResult{
-		LabelPath:  res.LabelPath,
-		NumSCCs:    res.NumSCCs,
-		Iterations: len(res.Iterations),
+		LabelPath:         res.LabelPath,
+		NumSCCs:           res.NumSCCs,
+		Iterations:        len(res.Iterations),
+		SemiExternalScans: res.SemiExternal.EdgeScans,
 	}, nil
 }
 
@@ -282,5 +286,5 @@ func (semiAlgorithm) Run(ctx context.Context, t *Task) (AlgoResult, error) {
 	if err != nil {
 		return AlgoResult{}, err
 	}
-	return AlgoResult{LabelPath: res.LabelPath, NumSCCs: res.NumSCCs}, nil
+	return AlgoResult{LabelPath: res.LabelPath, NumSCCs: res.NumSCCs, SemiExternalScans: res.EdgeScans}, nil
 }

@@ -108,9 +108,9 @@ func main() {
 	if res.Stats.ContractionIterations > 0 {
 		fmt.Printf("contraction iterations: %d\n", res.Stats.ContractionIterations)
 	}
-	fmt.Printf("SCCs: %d\ntime: %s (%d workers, %s storage, %s codec)\nI/Os: %d (random %d)\nbytes: read %d, written %d (compression %.2fx)\n",
+	fmt.Printf("SCCs: %d\ntime: %s (%d workers, %s storage, %s codec)\nI/Os: %d (random %d, semi-external scans %d)\nbytes: read %d, written %d (compression %.2fx)\n",
 		res.NumSCCs, res.Stats.Duration.Round(time.Millisecond), res.Stats.Workers, res.Stats.Storage, res.Stats.Codec,
-		res.Stats.TotalIOs, res.Stats.RandomIOs, res.Stats.BytesRead, res.Stats.BytesWritten, res.Stats.CompressionRatio)
+		res.Stats.TotalIOs, res.Stats.RandomIOs, res.Stats.SemiExternalScans, res.Stats.BytesRead, res.Stats.BytesWritten, res.Stats.CompressionRatio)
 	if res.Stats.Retries > 0 {
 		fmt.Printf("retries: %d transient storage failures recovered\n", res.Stats.Retries)
 	}

@@ -438,6 +438,7 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 			FilesCreated:          delta.FilesCreated,
 			CompressionRatio:      delta.CompressionRatio(),
 			ContractionIterations: ares.Iterations,
+			SemiExternalScans:     ares.SemiExternalScans,
 			// Retries and corruption are reported for the whole run —
 			// staging included — unlike the algorithm-only I/O delta above:
 			// a recovered fault is a recovered fault wherever it struck.

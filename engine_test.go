@@ -132,6 +132,44 @@ func TestEngineRegistryAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestStatsReportSemiExternalScans: the algorithms that end in the
+// semi-external base case report its edge scans, one at least per solve,
+// summed over the shard solves and the remainder under WithShards; the
+// others report none.
+func TestStatsReportSemiExternalScans(t *testing.T) {
+	edges := graphgen.Random(60, 180, 4)
+	for _, tc := range []struct {
+		algo     string
+		shards   int
+		minScans int
+	}{
+		{"ext-scc", 1, 1},
+		{"ext-scc-op", 1, 1},
+		{"semi-scc", 1, 1},
+		{"dfs-scc", 1, 0},
+		{"ext-scc-op", 2, 3},
+	} {
+		eng, err := extscc.New(
+			extscc.WithAlgorithm(tc.algo),
+			extscc.WithNodeBudget(12),
+			extscc.WithShards(tc.shards),
+			extscc.WithTempDir(t.TempDir()),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background(), extscc.SliceSource(edges))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.algo, err)
+		}
+		got := res.Stats.SemiExternalScans
+		res.Close()
+		if got < tc.minScans || (tc.minScans == 0 && got != 0) {
+			t.Fatalf("%s with %d shards: SemiExternalScans = %d, want at least %d (exactly 0 when 0)", tc.algo, tc.shards, got, tc.minScans)
+		}
+	}
+}
+
 // TestCancelMidContractionCleansUp is the acceptance test for context
 // cancellation: cancelling from the progress callback stops ext-scc-op
 // within one contraction iteration, surfaces context.Canceled, and leaves no

@@ -4,10 +4,12 @@
 // corresponding workload, and reports wall-clock time and the number of block
 // I/Os — the two quantities the paper plots.
 //
-// The workloads are scaled down from the paper's 25M–200M-node graphs (see
-// DESIGN.md); the harness preserves the relative shape of every figure: which
-// algorithm wins, by roughly what factor, and how the cost moves along the
-// swept parameter.  Runs that exceed their budget are reported as INF, like
+// The workloads are scaled down from the paper's 25M–200M-node graphs: the
+// synthetic datasets of Table I with their sizes divided by Config.Scale, and
+// a generated web-like graph (graphgen.WebGraphParams) in place of the
+// WEBSPAM-UK2007 crawl.  The harness preserves the relative shape of every
+// figure: which algorithm wins, by roughly what factor, and how the cost
+// moves along the swept parameter.  Runs that exceed their budget are reported as INF, like
 // the paper's 24-hour cap.
 package bench
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"extscc/internal/record"
 )
@@ -37,16 +38,16 @@ import (
 // bytes, so a file that compresses to fewer blocks genuinely costs fewer
 // accounted I/Os.
 //
-// Detection caveat: a frameless fixed-codec file whose first record happens
-// to begin with the four magic bytes (a node id of 0xDEC05CEC ≈ 3.74 billion)
-// is sniffed as framed only if its first 18 bytes also parse as a whole
-// header: version 2, a registered codec id and a sane count/length pair.  A
-// fixed file shorter than a header, or whose head fails any of those checks,
-// is read as fixed.  One case remains: a fixed file whose first 18 bytes do
-// parse as a header.  It is never decoded: reading it fails with a typed
-// ErrCorrupt on the CRC (or earlier, when the claimed payload runs past the
-// end of the file), or with a codec error when the codec id names another
-// record type.  The pipeline's own files never hit this — framed
+// Detection caveat: readers take a file for framed when its first four
+// bytes equal the magic or lie one bit from it, so that a single flipped bit
+// in a framed file's first header fails typed instead of turning the file
+// into fixed-layout records.  From then on the file is held to the framed
+// rules: a head that does not parse as a whole header, names a codec for
+// another record type, or fails its CRC is ErrCorrupt.  So a frameless
+// fixed-codec file whose first record begins with bytes within one bit of
+// the magic (a first node id within one bit of 0xDEC05CEC ≈ 3.74 billion)
+// fails typed and cannot be read; heads two or more bits from the magic are
+// read as fixed.  The pipeline's own files never hit this: framed
 // intermediates are always written with a codec the reader then validates.
 const (
 	// FrameVersion is the frame-format version every frame is written with
@@ -133,10 +134,20 @@ func PutFrameHeader(dst []byte, h FrameHeader, payload []byte) {
 }
 
 // HasFrameMagic reports whether prefix (at least 4 bytes) starts with the
-// frame magic, i.e. whether the file is framed rather than a raw fixed-codec
-// record file.
+// frame magic.
 func HasFrameMagic(prefix []byte) bool {
 	return len(prefix) >= 4 && [4]byte(prefix[0:4]) == frameMagic
+}
+
+// NearFrameMagic reports whether prefix (at least 4 bytes) starts with the
+// frame magic or with bytes one bit from it: the test that decides whether a
+// file is framed rather than a raw fixed-codec record file (see the
+// detection caveat above).
+func NearFrameMagic(prefix []byte) bool {
+	if len(prefix) < 4 {
+		return false
+	}
+	return bits.OnesCount32(binary.LittleEndian.Uint32(prefix)^binary.LittleEndian.Uint32(frameMagic[:])) <= 1
 }
 
 // ParseFrameHeader decodes and validates a frame header.  src must hold

@@ -42,8 +42,9 @@ type Options struct {
 	Type2DictSize int
 	// MaxIterations bounds the contraction loop (0 = DefaultMaxIterations).
 	MaxIterations int
-	// ForceStreamingSemi forces the semi-external solver to stream edges even
-	// when the final contracted graph would fit in memory.
+	// ForceStreamingSemi keeps the semi-external solver from solving the final
+	// contracted graph in one batch even when its edges would fit in memory
+	// (semiscc.Options.ForceStreaming).
 	ForceStreamingSemi bool
 	// KeepTemp retains the run directory (intermediate graphs and label
 	// files) instead of deleting everything except the final label file.

@@ -38,6 +38,9 @@ type ShardStats struct {
 	NumSCCs int64
 	// Iterations is the number of contraction iterations the solve ran.
 	Iterations int
+	// SemiExternalScans is the number of edge scans of the solve's base
+	// case.
+	SemiExternalScans int
 }
 
 // ShardResult is the output of ContractShards.
@@ -137,11 +140,12 @@ func ContractShards(ctx context.Context, g edgefile.Graph, dir string, shards in
 	for i, res := range results {
 		labelPaths[i] = res.LabelPath
 		out.Shards[i] = ShardStats{
-			Index:      i,
-			NumNodes:   split.Shards[i].NumNodes,
-			NumEdges:   split.Shards[i].NumEdges,
-			NumSCCs:    res.NumSCCs,
-			Iterations: len(res.Iterations),
+			Index:             i,
+			NumNodes:          split.Shards[i].NumNodes,
+			NumEdges:          split.Shards[i].NumEdges,
+			NumSCCs:           res.NumSCCs,
+			Iterations:        len(res.Iterations),
+			SemiExternalScans: res.SemiExternal.EdgeScans,
 		}
 	}
 

@@ -246,10 +246,11 @@ func (p SyntheticParams) AllNodes() []record.NodeID {
 // ---------------------------------------------------------------------------
 
 // WebGraphParams describes the web-graph-like workload used in place of
-// WEBSPAM-UK2007 (see DESIGN.md, substitutions).  Out-degrees follow a
-// heavy-tailed distribution, targets mix host-local links with global
-// popularity-biased links, and a giant strongly connected core is planted the
-// way real web crawls exhibit one.
+// WEBSPAM-UK2007, the paper's real web crawl, which the repository does not
+// ship: a generated graph with a crawl's shape stands in for it.  Out-degrees
+// follow a heavy-tailed distribution, targets mix host-local links with
+// global popularity-biased links, and a giant strongly connected core is
+// planted the way real web crawls exhibit one.
 type WebGraphParams struct {
 	// NumNodes is |V|.
 	NumNodes int

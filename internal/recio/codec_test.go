@@ -539,9 +539,9 @@ func TestFixedSeekAfterSniff(t *testing.T) {
 }
 
 // TestFixedFileWithMagicCollision: a raw fixed node file whose first record
-// is exactly the frame-magic bytes (node id 0xDEC05CEC) must still open —
-// the header fails validation (wrong version byte) and the reader falls back
-// to the fixed layout.
+// is exactly the frame-magic bytes (node id 0xDEC05CEC) but which is shorter
+// than a frame header can only be fixed, and must still open.  A longer one
+// fails typed (TestFixedFileNearMagicFailsTyped).
 func TestFixedFileWithMagicCollision(t *testing.T) {
 	cfg := fixedConfig(t)
 	path := filepath.Join(t.TempDir(), "collide.bin")

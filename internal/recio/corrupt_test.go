@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -226,5 +227,190 @@ func TestCorruptErrorNamesFrameAndOffset(t *testing.T) {
 	wantPrefix := fmt.Sprintf("%s: corrupt frame 1 at byte %d", path, frame1)
 	if got := ce.Error(); len(got) < len(wantPrefix) || got[:len(wantPrefix)] != wantPrefix {
 		t.Fatalf("error text %q does not start with %q", got, wantPrefix)
+	}
+}
+
+// putFile replaces the file at path on b with data.
+func putFile(t *testing.T, b storage.Backend, path string, data []byte) {
+	t.Helper()
+	f, err := b.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// headFlipCase is one framed file of TestCorruptFrameHeadBitFlips: write
+// stores its records at path, read reads them back under the same codec.
+type headFlipCase struct {
+	name  string
+	write func(path string, cfg iomodel.Config) error
+	read  func(path string, cfg iomodel.Config) error
+}
+
+func newHeadFlipCase[T any](name string, codec record.Codec[T], recs []T) headFlipCase {
+	return headFlipCase{
+		name:  name,
+		write: func(path string, cfg iomodel.Config) error { return WriteSlice(path, codec, cfg, recs) },
+		read: func(path string, cfg iomodel.Config) error {
+			_, err := ReadAll(path, codec, cfg)
+			return err
+		},
+	}
+}
+
+// TestCorruptFrameHeadBitFlips: flipping any one of the 144 bits of a framed
+// file's first header must fail the read with ErrCorrupt, for every framed
+// family and record type.  A flip in the magic must not turn the file into
+// fixed-layout records, and a flip that makes the header name another record
+// type's codec is corruption too, not a codec error.
+func TestCorruptFrameHeadBitFlips(t *testing.T) {
+	nodes := make([]record.NodeID, 81)
+	edges := make([]record.Edge, 81)
+	labels := make([]record.Label, 81)
+	for i := range nodes {
+		nodes[i] = record.NodeID(3 * i)
+		edges[i] = record.Edge{U: uint32(i / 3), V: uint32(i * 7 % 50)}
+		labels[i] = record.Label{Node: uint32(2 * i), SCC: uint32(i / 5 * 10)}
+	}
+	cases := []headFlipCase{
+		newHeadFlipCase("node", record.NodeCodec{}, nodes),
+		newHeadFlipCase("edge", record.EdgeCodec{}, edges),
+		newHeadFlipCase("label", record.LabelCodec{}, labels),
+	}
+	for _, family := range []string{record.FamilyVarint, record.FamilyCompress} {
+		for _, tc := range cases {
+			t.Run(family+"/"+tc.name, func(t *testing.T) {
+				mem := storage.NewMem()
+				cfg, err := iomodel.Config{BlockSize: 4096, Memory: 16384, Codec: family, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				const path = "/mem/headflip/file.bin"
+				if err := tc.write(path, cfg); err != nil {
+					t.Fatal(err)
+				}
+				pristine, err := storage.ReadFile(mem, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !blockio.HasFrameMagic(pristine) {
+					t.Fatalf("%s file is not framed", family)
+				}
+				if err := tc.read(path, cfg); err != nil {
+					t.Fatalf("pristine file does not read back: %v", err)
+				}
+				for bit := 0; bit < 8*blockio.FrameHeaderSize; bit++ {
+					patched := append([]byte(nil), pristine...)
+					patched[bit/8] ^= 1 << (bit % 8)
+					putFile(t, mem, path, patched)
+					err := tc.read(path, cfg)
+					if !errors.Is(err, blockio.ErrCorrupt) {
+						t.Fatalf("flipping bit %d of byte %d of the %d-byte file: got %v, want ErrCorrupt", bit%8, bit/8, len(pristine), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFixedFileNearMagicFailsTyped pins the other side of the sniff: a fixed
+// file of at least a header's length whose first id lies within one bit of
+// the frame magic fails typed and is never decoded, while a first id two bits
+// from it still reads as fixed.
+func TestFixedFileNearMagicFailsTyped(t *testing.T) {
+	cfg := fixedConfig(t)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		first   record.NodeID
+		corrupt bool
+	}{
+		{0xDEC05CEC, true},
+		{0xDEC05CEC ^ 1<<9, true},
+		{0xDEC05CEC ^ 1<<9 ^ 1<<30, false},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("near-%08x.bin", tc.first))
+		nodes := []record.NodeID{tc.first, 5, 6, 7, 8, 9}
+		if err := WriteSlice(path, record.NodeCodec{}, cfg, nodes); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(path, record.NodeCodec{}, cfg)
+		if tc.corrupt {
+			if !errors.Is(err, blockio.ErrCorrupt) {
+				t.Fatalf("first id %08x: got %v (%d records), want ErrCorrupt", tc.first, err, len(got))
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, nodes) {
+			t.Fatalf("first id %08x: read %v (%v), want %v", tc.first, got, err, nodes)
+		}
+	}
+}
+
+// TestFooterReadFaultRetried: a transient fault on a framed reader's footer
+// read fails that one call with ErrInjected but is not cached, so the
+// repeated Count or SeekToKey loads the footer and answers correctly.
+func TestFooterReadFaultRetried(t *testing.T) {
+	mem := storage.NewMem()
+	base, err := iomodel.Config{BlockSize: 256, Memory: 4096, Workers: 1, Codec: record.FamilyVarint, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "/mem/footer/labels.bin"
+	labels := make([]record.Label, 500)
+	for i := range labels {
+		labels[i] = record.Label{Node: uint32(2 * i), SCC: uint32(i % 17)}
+	}
+	if err := WriteSlice(path, record.LabelCodec{}, base, labels); err != nil {
+		t.Fatal(err)
+	}
+	// open returns a reader whose next backend read, the first of its footer
+	// load, faults once.
+	open := func() *Reader[record.Label] {
+		t.Helper()
+		count := storage.NewFaultPlan()
+		cfg := base
+		cfg.Storage = storage.NewFault(mem, count)
+		r, err := NewReader(path, record.LabelCodec{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		plan := storage.NewFaultPlan(&storage.FaultRule{
+			Op: storage.OpRead, N: count.OpCount(storage.OpRead) + 1, Count: 1, Mode: storage.ModeTransient,
+		})
+		cfg.Storage = storage.NewFault(mem, plan)
+		if r, err = NewReader(path, record.LabelCodec{}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	r := open()
+	if _, err := r.Count(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("first Count: got %v, want ErrInjected", err)
+	}
+	if n, err := r.Count(); err != nil || n != int64(len(labels)) {
+		t.Fatalf("repeated Count = %d, %v; want %d", n, err, len(labels))
+	}
+	r.Close()
+
+	r = open()
+	defer r.Close()
+	const node = 2 * 321
+	if _, err := r.SeekToKey(uint64(node) << 32); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("first SeekToKey: got %v, want ErrInjected", err)
+	}
+	idx, err := r.SeekToKey(uint64(node) << 32)
+	if err != nil || idx != 321 {
+		t.Fatalf("repeated SeekToKey = %d, %v; want 321", idx, err)
+	}
+	if l, err := r.Read(); err != nil || l != labels[321] {
+		t.Fatalf("read after the repeated SeekToKey: %v, %v; want %v", l, err, labels[321])
 	}
 }

@@ -20,7 +20,9 @@
 //
 // Readers never need to be told the layout: NewReader sniffs the frame magic
 // and dispatches on the frame's codec ID, so files written under different
-// codec families mix freely within one run.
+// codec families mix freely within one run.  A head within one bit of the
+// magic counts as framed, so a flipped bit there fails typed (see the
+// detection caveat in package blockio).
 package recio
 
 import (
@@ -212,19 +214,20 @@ type Reader[T any] struct {
 	// Frame-index footer, loaded lazily by the first SeekTo/SeekToKey/Count
 	// — sequential streaming never pays for it.  footerErr caches a missing
 	// or corrupt footer (corruption is deterministic, so retrying the parse
-	// cannot help).
-	footerLoaded bool
-	footer       *blockio.Footer
-	footerErr    error
+	// cannot help); any other failure is retried by the next call.
+	footer    *blockio.Footer
+	footerErr error
 }
 
 // NewReader opens a record file for sequential reading, sniffing its layout
-// from the first bytes: files starting with a valid frame header are decoded
-// by the block codec the header names, anything else is read as raw
-// fixed-size records.  The sniff reads the file's head block at open time —
-// one sequential block I/O that a sequential consumer would have paid on its
-// first Read anyway; only open-then-seek access patterns pay it extra, the
-// price of self-describing files.
+// from the first bytes: files whose first four bytes lie within one bit of
+// the frame magic are framed and decoded by the block codec the header names
+// (a header that does not parse, or names a codec for another record type,
+// is ErrCorrupt), anything else is read as raw fixed-size records.  The
+// sniff reads the file's head block at open time — one sequential block I/O
+// that a sequential consumer would have paid on its first Read anyway; only
+// open-then-seek access patterns pay it extra, the price of self-describing
+// files.
 func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*Reader[T], error) {
 	br, err := blockio.NewReader(path, cfg)
 	if err != nil {
@@ -240,31 +243,24 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 		if err := br.ReadFull(head); err != nil {
 			return fail(fmt.Errorf("recio: read head of %s: %w", path, err))
 		}
-		if blockio.HasFrameMagic(head) {
-			h, herr := blockio.ParseFrameHeader(head)
-			if herr == nil {
-				// A well-formed header is a framed file; a codec ID that does
-				// not resolve for T means it holds a different record type
-				// (or a codec this build does not know), which is always an
-				// error — never a reason to reinterpret the bytes as fixed.
-				bc, err := record.BlockCodecForID[T](record.CodecID(h.Codec))
-				if err != nil {
-					return fail(fmt.Errorf("recio: %s: %w", path, err))
-				}
-				r.bc = bc
-				r.pending = &h
-				r.pendingHead = head
-				return r, nil
+		// A head within one bit of the frame magic is a framed file's first
+		// header, damaged or not: from here on a flaw is corruption, never
+		// a reason to reinterpret the bytes as fixed records.
+		if blockio.NearFrameMagic(head) {
+			h, err := blockio.ParseFrameHeader(head)
+			if err != nil {
+				return fail(r.corrupt(0, err.Error()))
 			}
-			// The magic matched but the header is malformed (bad version,
-			// unregistered codec id, insane lengths): the signature of a
-			// fixed file whose first node id happens to be the magic bytes.
-			// Fall back to the fixed layout when its size arithmetic works
-			// out; otherwise surface the header error (the file is a framed
-			// format this build cannot read, or corrupt).
-			if br.Size()%int64(codec.Size()) != 0 {
-				return fail(fmt.Errorf("recio: %s: %w", path, herr))
+			// A codec ID that does not resolve for T holds another record
+			// type (or a codec this build does not know).
+			bc, err := record.BlockCodecForID[T](record.CodecID(h.Codec))
+			if err != nil {
+				return fail(r.corrupt(0, err.Error()))
 			}
+			r.bc = bc
+			r.pending = &h
+			r.pendingHead = head
+			return r, nil
 		}
 		r.pre = head
 	} else if br.Size() > 0 {
@@ -287,20 +283,20 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 // files seek and count like fixed ones, through their frame-index footer.
 func (r *Reader[T]) Framed() bool { return r.bc != nil }
 
-// loadFooter reads a framed file's frame-index footer, once: two random
-// reads through a dedicated single-worker block reader, so the streaming
-// reader's position and prefetch pipeline stay untouched.  The result —
-// footer or error — is cached; a missing footer is typed corruption.
+// loadFooter reads a framed file's frame-index footer: two random reads
+// through a dedicated single-worker block reader, so the streaming reader's
+// position and prefetch pipeline stay untouched.  A loaded footer and a
+// corrupt one (a missing footer is typed corruption) are cached; any other
+// error, a transient read fault say, is returned uncached, so the next call
+// retries.
 func (r *Reader[T]) loadFooter() error {
-	if r.footerLoaded {
+	if r.footer != nil || r.footerErr != nil {
 		return r.footerErr
 	}
-	r.footerLoaded = true
 	cfg := r.cfg
 	cfg.Workers = 1
 	fr, err := blockio.NewReader(r.Name(), cfg)
 	if err != nil {
-		r.footerErr = err
 		return err
 	}
 	defer fr.Close()
@@ -311,9 +307,9 @@ func (r *Reader[T]) loadFooter() error {
 	if err != nil {
 		if errors.Is(err, blockio.ErrCorrupt) {
 			r.stats.CountCorrupt()
-			err = fmt.Errorf("recio: %w", err)
+			r.footerErr = fmt.Errorf("recio: %w", err)
+			return r.footerErr
 		}
-		r.footerErr = err
 		return err
 	}
 	r.footer = &f

@@ -57,6 +57,11 @@ type Stats struct {
 	// ContractionIterations is the number of contraction steps performed
 	// (0 for algorithms that do not contract).
 	ContractionIterations int
+	// SemiExternalScans is the number of sequential edge-file scans the
+	// semi-external base case made (ext-scc, ext-scc-op and semi-scc; 0 for
+	// the other algorithms).  With WithShards it also counts the scans of
+	// the shard pre-pass, whose solves run Ext-SCC whatever the algorithm.
+	SemiExternalScans int
 	// Workers is the worker count the run executed with (see WithWorkers).
 	// It never affects the I/O counters above, only Duration.
 	Workers int

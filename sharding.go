@@ -21,9 +21,10 @@ func runSharded(ctx context.Context, algo Algorithm, t *Task, k int) (AlgoResult
 	if err != nil {
 		return AlgoResult{}, err
 	}
-	shardIters := 0
+	shardIters, shardScans := 0, 0
 	for _, s := range sres.Shards {
 		shardIters += s.Iterations
+		shardScans += s.SemiExternalScans
 	}
 
 	// Finish the condensed remainder with the configured algorithm.  The
@@ -60,8 +61,9 @@ func runSharded(ctx context.Context, algo Algorithm, t *Task, k int) (AlgoResult
 		return AlgoResult{}, err
 	}
 	return AlgoResult{
-		LabelPath:  out,
-		NumSCCs:    ares.NumSCCs,
-		Iterations: shardIters + ares.Iterations,
+		LabelPath:         out,
+		NumSCCs:           ares.NumSCCs,
+		Iterations:        shardIters + ares.Iterations,
+		SemiExternalScans: shardScans + ares.SemiExternalScans,
 	}, nil
 }
