@@ -25,14 +25,11 @@ perfbench-test:
 
 # Mirrors the `race` job: the WithWorkers pools, the in-memory storage
 # backend, and the sharded multi-volume backend under the race detector,
-# once per storage spec, plus a leg with the compress codec as the process
-# default (EXTSCC_CODEC) so the LZ encode/decode paths run under the
-# detector too.
+# once per storage spec.
 race:
 	EXTSCC_STORAGE=os $(GO) test -race -short ./...
 	EXTSCC_STORAGE=mem $(GO) test -race -short ./...
 	EXTSCC_STORAGE=shard=mem,mem $(GO) test -race -short ./...
-	EXTSCC_STORAGE=mem EXTSCC_CODEC=compress $(GO) test -race -short ./...
 
 # Mirrors the `lint` job.  staticcheck and govulncheck are skipped when not
 # installed so the target works offline; CI always runs them.
@@ -52,10 +49,9 @@ lint:
 		echo "govulncheck not installed; skipped (CI runs it; go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Mirrors the fuzz smoke of the `test` job: every codec fuzzer (fixed,
-# varint and compress record codecs, the raw LZ round trip, the
-# garbage-decode robustness fuzzers) and every frame/footer parser fuzzer
-# runs for FUZZTIME.  `go test -fuzz` takes one target at a time, hence the
+# Mirrors the fuzz smoke of the `test` job: every codec fuzzer (fixed and
+# varint record codecs, the varint garbage-decode robustness fuzzer) and
+# every frame/footer parser fuzzer runs for FUZZTIME.  `go test -fuzz` takes one target at a time, hence the
 # loop.
 fuzz:
 	@set -e; for pkg in ./internal/record ./internal/blockio; do \
@@ -69,12 +65,10 @@ fuzz:
 # identical SCCs and I/O counts enforced; the shard gate (1 vs 2 vs 4
 # compute shards on per-shard in-memory volumes, identical SCC counts, the
 # per-shard-count rows and speedup recorded in BENCH_quick.{json,csv}); the
-# storage-equivalence gate (mem ≡ os); then the codec gate (all three
-# families — fixed, varint, compress — must agree on SCC results; varint
-# must cut pipeline bytes by >= 30% and lower block I/Os; on the shuffled
-# codecw workload, where varint stays under 10%, compress must cut bytes by
-# >= 20%), with the three-codec sweep also gated against the committed
-# baseline.  Every CSV row carries the per-phase *_ms columns.
+# storage-equivalence gate (mem ≡ os); then the codec gate (fixed and
+# varint must agree on SCC results; varint must cut pipeline bytes by >= 30%
+# and lower block I/Os), with both codec sweeps also gated against the
+# committed baseline.  Every CSV row carries the per-phase *_ms columns.
 bench:
 	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-workers -workers 0 \
 		-json BENCH_workers.json -csv BENCH_workers.csv
@@ -85,17 +79,18 @@ bench:
 		-json BENCH_codec.json -csv BENCH_codec.csv \
 		-baseline bench/baseline.json -tolerance 0.25
 
-# Steady-state microbenchmarks, with -benchmem: the per-frame encode/decode
-# hot path of every codec family must report 0 allocs/op
-# (TestFrameRoundTripAllocs enforces it in `make test` too), as must the
-# varint encode-only and decode-only legs on contract-web's two hot frames
-# at B = 64 KiB (web-Edge: 6,551 edges by source; web-EdgeAug: 1,310
-# augmented edges by target); the in-place radix sort of run formation
-# reports its ns/op and 0 allocs/op on contract-web's run shapes at M = 4 MiB;
-# an LRU miss of the serving path — a 2-id Result.LookupLabels batch over
-# serve-large's ~100k-label varint labelling — reports its ns/op, B/op and
-# allocs/op; and the semi-external base case on serve-large's graph (B = 64
-# KiB, M = 4 MiB) reports its ns/op, edge scans and I/Os per solve.
+# Steady-state microbenchmarks, with -benchmem: the per-frame varint
+# encode/decode hot path must report 0 allocs/op, since it appends into
+# reused caller buffers (TestFrameRoundTripAllocs enforces it in `make test`
+# too), as must the varint encode-only and decode-only legs on
+# contract-web's two hot frames at B = 64 KiB (web-Edge: 6,551 edges by
+# source; web-EdgeAug: 1,310 augmented edges by target); the in-place radix
+# sort of run formation reports its ns/op and 0 allocs/op on contract-web's
+# run shapes at M = 4 MiB; an LRU miss of the serving path — a 2-id
+# Result.LookupLabels batch over serve-large's ~100k-label varint labelling
+# — reports its ns/op, B/op and allocs/op; and the semi-external base case
+# on serve-large's graph (B = 64 KiB, M = 4 MiB) reports its ns/op, edge
+# scans and I/Os per solve.
 microbench:
 	$(GO) test ./internal/record -run '^$$' -bench BenchmarkFrameRoundTrip -benchmem -benchtime 200x
 	$(GO) test ./internal/extsort -run '^$$' -bench BenchmarkSortSlice -benchmem -benchtime 10x
@@ -104,8 +99,8 @@ microbench:
 
 # Refresh the committed baseline after an intentional I/O-count change;
 # commit the resulting bench/baseline.json.  The baseline is recorded under
-# -compare-codec so it holds all three codec families' sweeps plus the
-# codecw workload rows — the same shape the gating run produces.
+# -compare-codec so it holds both codec families' sweeps — the same shape
+# the gating run produces.
 bench-baseline:
 	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec -workers 1 \
 		-json bench/baseline.json
@@ -118,15 +113,14 @@ bench-baseline:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Mirrors the `faultsweep` job: the systematic fault-injection sweep (both
-# storage backends x all three codecs, sampled fault positions), the
-# corruption smoke (every flipped payload byte of a v2 frame must surface as
+# Mirrors the `faultsweep` job: the systematic fault-injection sweep (every
+# storage backend x both codecs, sampled fault positions), the corruption
+# smoke (every flipped payload byte of a v2 frame must surface as
 # ErrCorrupt), and end-to-end CLI runs under an EXTSCC_FAULT plan — a torn
 # write plus a transient read must be absorbed by -retry on both backends
-# and under both framed codecs (the torn flavor on the os leg pins the
-# truncate-and-rewrite recovery against real seek-offset semantics), and a
-# corrupting plan must fail the run with a typed corruption message, never a
-# wrong answer.
+# (the torn flavor on the os leg pins the truncate-and-rewrite recovery
+# against real seek-offset semantics), and a corrupting plan must fail the
+# run with a typed corruption message, never a wrong answer.
 faultsweep:
 	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
@@ -135,12 +129,7 @@ faultsweep:
 		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3
 	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=40,mode=transient,path=extscc-engine-' \
 		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint
-	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=40,mode=transient,path=extscc-engine-' \
-		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec compress
 	@echo "expecting the corrupting run below to fail with a corruption error:"
 	! EXTSCC_FAULT='op=read,n=1,count=0,mode=corrupt,path=extscc-engine-' \
 		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint
-	@echo "expecting the corrupting run below to fail with a corruption error:"
-	! EXTSCC_FAULT='op=read,n=1,count=0,mode=corrupt,path=extscc-engine-' \
-		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec compress
 	rm -f FAULT_graph.edges

@@ -17,16 +17,13 @@
 // storage backends: it runs the experiment on the OS backend and on the
 // in-memory backend and fails unless both agree on every SCC count and
 // every accounted I/O count (the mem ≡ os equivalence guarantee).
-// -compare-codec runs the experiment under the fixed, varint and compress
-// record codecs and fails unless all three produce identical SCC results AND
-// each compressing family pays for itself in the I/O model: varint must cut
-// the pipeline bytes written by at least 30% while lowering the block I/O
-// count, compress must cut them too, and on the shuffled-edge write workload
-// that rides along (experiment "codecw") compress must cut bytes by at least
-// 20% on a stream where varint's delta encoding stays under 10% — the regime
-// the LZ family exists for.  -json writes all measurements as a JSON report;
-// -baseline gates the sequential OS-backend measurements against a committed
-// report and exits non-zero on a regression beyond -tolerance.
+// -compare-codec runs the experiment under the fixed and varint record
+// codecs and fails unless both produce identical SCC results AND varint pays
+// for itself in the I/O model: it must cut the pipeline bytes written by at
+// least 30% while lowering the block I/O count.  -json writes all
+// measurements as a JSON report; -baseline gates the sequential OS-backend
+// measurements against a committed report and exits non-zero on a
+// regression beyond -tolerance.
 package main
 
 import (
@@ -59,7 +56,7 @@ func main() {
 	retry := cliflags.Retry()
 	shards := flag.Int("shards", 0, "compute-shard count for the sharded contraction pre-pass (0 = unsharded)")
 	compareShards := flag.Bool("compare-shards", false, "run at 1, 2 and 4 compute shards, each striped over that many in-memory volumes, verify identical SCC counts, and report the wall-clock speedup")
-	compareCodec := flag.Bool("compare-codec", false, "run with the fixed, varint and compress codecs, verify identical SCCs, and report the byte and block-I/O reductions (fails unless varint cuts pipeline bytes by >= 30% with fewer block I/Os, compress cuts pipeline bytes, and on the shuffled write workload compress cuts >= 20% where varint stays under 10%)")
+	compareCodec := flag.Bool("compare-codec", false, "run with the fixed and varint codecs, verify identical SCCs, and report the byte and block-I/O reductions (fails unless varint cuts pipeline bytes by >= 30% with fewer block I/Os)")
 	jsonPath := flag.String("json", "", "write measurements as a JSON report to this file")
 	baselinePath := flag.String("baseline", "", "gate the workers=1 measurements against this committed JSON report")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional I/O regression against -baseline")
@@ -182,21 +179,10 @@ func main() {
 				osTotal.Round(time.Millisecond), memTotal.Round(time.Millisecond), speedup)
 		}
 	} else if *compareCodec {
-		for _, family := range []string{"fixed", "varint", "compress"} {
+		for _, family := range []string{"fixed", "varint"} {
 			got, err := runOnce(resolvedWorkers, backend, family, *shards)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if *experiment != "all" && *experiment != "codecw" {
-				// The codec write workload (sorted vs shuffled edge stream)
-				// rides along with every codec sweep, so the report always
-				// holds the point where the LZ family is the only one that
-				// wins; see bench.codecWorkload.
-				cw, err := bench.Run("codecw", bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: resolvedWorkers, Storage: backend, Codec: family, Retries: *retry})
-				if err != nil {
-					log.Fatal(err)
-				}
-				got = append(got, cw...)
 			}
 			ms = append(ms, got...)
 		}
@@ -207,61 +193,19 @@ func main() {
 			gateFailures = append(gateFailures,
 				fmt.Sprintf("codec families disagree on %d measurement(s)", len(violations)))
 		}
-		// The gates live on two disjoint slices of the sweep: the pipeline
-		// measurements (the SCC experiment itself, mostly sorted intermediate
-		// files — varint's home turf) and the shuffled point of the codec
-		// write workload, where only the LZ family has anything to work with.
-		var pipeline, shuffledPoint []bench.Measurement
-		for _, m := range ms {
-			switch {
-			case m.Experiment != "codecw":
-				pipeline = append(pipeline, m)
-			case m.X == "shuffled":
-				shuffledPoint = append(shuffledPoint, m)
-			}
-		}
-		if len(pipeline) > 0 {
-			s := bench.CompareCodecs(pipeline, "fixed", "varint")
-			if s.Points == 0 {
-				gateFailures = append(gateFailures, "codec comparison: no pipeline point completed under both fixed and varint")
-			} else {
-				fmt.Printf("codec comparison (varint) over %d point(s): bytes written %d -> %d (%.1f%% reduction), block I/Os %d -> %d (%.1f%% reduction)\n",
-					s.Points, s.BaseBytes, s.OtherBytes, s.BytesReduction()*100, s.BaseIOs, s.OtherIOs, s.IOReduction()*100)
-				if s.BytesReduction() < 0.30 {
-					gateFailures = append(gateFailures,
-						fmt.Sprintf("varint codec reduced pipeline bytes written by only %.1f%% (gate: >= 30%%)", s.BytesReduction()*100))
-				}
-				if s.OtherIOs >= s.BaseIOs {
-					gateFailures = append(gateFailures,
-						fmt.Sprintf("varint codec did not lower pipeline block I/Os (fixed %d, varint %d)", s.BaseIOs, s.OtherIOs))
-				}
-			}
-			c := bench.CompareCodecs(pipeline, "fixed", "compress")
-			if c.Points == 0 {
-				gateFailures = append(gateFailures, "codec comparison: no pipeline point completed under both fixed and compress")
-			} else {
-				fmt.Printf("codec comparison (compress) over %d point(s): bytes written %d -> %d (%.1f%% reduction), block I/Os %d -> %d (%.1f%% reduction)\n",
-					c.Points, c.BaseBytes, c.OtherBytes, c.BytesReduction()*100, c.BaseIOs, c.OtherIOs, c.IOReduction()*100)
-				if c.BytesReduction() <= 0 {
-					gateFailures = append(gateFailures,
-						fmt.Sprintf("compress codec did not reduce pipeline bytes written (%.1f%%)", c.BytesReduction()*100))
-				}
-			}
-		}
-		sv := bench.CompareCodecs(shuffledPoint, "fixed", "varint")
-		sc := bench.CompareCodecs(shuffledPoint, "fixed", "compress")
-		if sc.Points == 0 || sv.Points == 0 {
-			gateFailures = append(gateFailures, "codec comparison: the shuffled write workload did not complete under every family")
+		s := bench.CompareCodecs(ms, "fixed", "varint")
+		if s.Points == 0 {
+			gateFailures = append(gateFailures, "codec comparison: no pipeline point completed under both fixed and varint")
 		} else {
-			fmt.Printf("shuffled-write comparison: fixed %d bytes, varint %d bytes (%.1f%% reduction), compress %d bytes (%.1f%% reduction)\n",
-				sc.BaseBytes, sv.OtherBytes, sv.BytesReduction()*100, sc.OtherBytes, sc.BytesReduction()*100)
-			if sc.BytesReduction() < 0.20 {
+			fmt.Printf("codec comparison (varint) over %d point(s): bytes written %d -> %d (%.1f%% reduction), block I/Os %d -> %d (%.1f%% reduction)\n",
+				s.Points, s.BaseBytes, s.OtherBytes, s.BytesReduction()*100, s.BaseIOs, s.OtherIOs, s.IOReduction()*100)
+			if s.BytesReduction() < 0.30 {
 				gateFailures = append(gateFailures,
-					fmt.Sprintf("compress codec reduced shuffled-write bytes by only %.1f%% (gate: >= 20%%)", sc.BytesReduction()*100))
+					fmt.Sprintf("varint codec reduced pipeline bytes written by only %.1f%% (gate: >= 30%%)", s.BytesReduction()*100))
 			}
-			if sv.BytesReduction() >= 0.10 {
+			if s.OtherIOs >= s.BaseIOs {
 				gateFailures = append(gateFailures,
-					fmt.Sprintf("varint codec reduced shuffled-write bytes by %.1f%%; the workload no longer isolates the LZ family (gate: < 10%%)", sv.BytesReduction()*100))
+					fmt.Sprintf("varint codec did not lower pipeline block I/Os (fixed %d, varint %d)", s.BaseIOs, s.OtherIOs))
 			}
 		}
 	} else if *compareShards {

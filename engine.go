@@ -61,7 +61,10 @@ func WithBlockSize(b int) Option {
 }
 
 // WithNodeBudget overrides the number of nodes considered to fit in memory,
-// decoupling the contraction stop condition from the memory budget.
+// decoupling the contraction stop condition from the memory budget.  The
+// default, (M − B) / 8, follows the paper's charge of 8 bytes per node, not
+// the semi-external solver's footprint of about 40 bytes per node plus a
+// batch of up to M/2 bytes (see iomodel.BytesPerNode).
 func WithNodeBudget(nodes int64) Option {
 	return func(e *Engine) error {
 		e.base.NodeBudget = nodes
@@ -233,8 +236,8 @@ func WithShardedStorage(children ...Storage) Option {
 // volume per physical disk, typically).
 func ParseStorage(spec string) (Storage, error) { return storage.Parse(spec) }
 
-// CodecFixed, CodecVarint and CodecCompress name the built-in record-codec
-// families accepted by WithCodec.
+// CodecFixed and CodecVarint name the built-in record-codec families
+// accepted by WithCodec.
 const (
 	// CodecFixed is the historical fixed-size record layout, byte-identical
 	// to the files the engine wrote before codecs became pluggable.  Record
@@ -246,27 +249,22 @@ const (
 	// accounted block I/Os.  It wins on sorted files, where deltas between
 	// neighbouring records are small.
 	CodecVarint = record.FamilyVarint
-	// CodecCompress is the byte-oriented LZ block layout: frames compress
-	// the fixed record bytes with match/literal sequences, so repetition is
-	// exploited wherever it occurs — including unsorted files, where delta
-	// encoding wins nothing.
-	CodecCompress = record.FamilyCompress
 )
 
 // Codecs lists the registered codec family names.
 func Codecs() []string { return record.Families() }
 
 // WithCodec selects the record-codec family every intermediate file of a run
-// is written with: CodecVarint (the default), CodecFixed or CodecCompress.
-// Readers auto-detect the codec of each file from its self-describing frame
-// header, so inputs written under any family are accepted regardless of this
+// is written with: CodecVarint (the default) or CodecFixed.  Readers
+// auto-detect the codec of each file from its self-describing frame header,
+// so inputs written under either family are accepted regardless of this
 // setting.
 //
 // Unlike WithStorage and WithWorkers, the codec intentionally changes the
-// accounted I/O: a compressing codec stores the same records in fewer bytes
-// and therefore fewer blocks.  It never changes the computed labelling — for
-// any workload and configuration, every codec family produces identical SCC
-// labels (the cross-codec equivalence the test suite enforces).  Framed files
+// accounted I/O: varint stores the same records in fewer bytes and therefore
+// fewer blocks.  It never changes the computed labelling — for any workload
+// and configuration, both codec families produce identical SCC labels (the
+// cross-codec equivalence the test suite enforces).  Framed files
 // end with a frame-index footer, so record seeks work under every family —
 // the random-access consumers (the dfs-scc baseline, Result.LabelOf, the
 // serving subsystem) run unchanged whatever this option says.

@@ -3,6 +3,7 @@ package extscc_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"extscc"
@@ -70,8 +71,8 @@ func sameSCCPartition(t *testing.T, a, b map[extscc.NodeID]uint32) {
 // layer: every registered algorithm — dfs-scc included, which no longer pins
 // its own files to the fixed layout now that framed files seek through their
 // frame-index footer — produces the identical SCC partition under every codec
-// family, at workers=1 and at NumCPU, while both compressing codecs strictly
-// reduce the bytes written.
+// family, at workers=1 and at NumCPU, while varint strictly reduces the bytes
+// written.
 func TestCrossCodecEquivalence(t *testing.T) {
 	// A workload with non-trivial SCC structure, big enough that edge files
 	// span many 4 KiB blocks and the contraction loop actually iterates.
@@ -85,32 +86,28 @@ func TestCrossCodecEquivalence(t *testing.T) {
 		name := algo.Name()
 		for _, workers := range workerCounts {
 			fixedLabels, fixedStats, fixedSCCs := codecRun(t, name, extscc.CodecFixed, workers, edges)
-			for _, codec := range []string{extscc.CodecVarint, extscc.CodecCompress} {
-				labels, stats, sccs := codecRun(t, name, codec, workers, edges)
+			codec := extscc.CodecVarint
+			labels, stats, sccs := codecRun(t, name, codec, workers, edges)
 
-				if fixedSCCs != sccs {
-					t.Fatalf("%s w=%d: NumSCCs %d (fixed) vs %d (%s)", name, workers, fixedSCCs, sccs, codec)
-				}
-				sameSCCPartition(t, fixedLabels, labels)
+			if fixedSCCs != sccs {
+				t.Fatalf("%s w=%d: NumSCCs %d (fixed) vs %d (%s)", name, workers, fixedSCCs, sccs, codec)
+			}
+			sameSCCPartition(t, fixedLabels, labels)
 
-				if stats.BytesWritten >= fixedStats.BytesWritten {
-					t.Errorf("%s w=%d: %s wrote %d bytes, fixed %d; compression must reduce bytes",
-						name, workers, codec, stats.BytesWritten, fixedStats.BytesWritten)
-				}
-				if stats.CompressionRatio <= 1.0 {
-					t.Errorf("%s w=%d: %s compression ratio %.2f, want > 1.0", name, workers, codec, stats.CompressionRatio)
-				}
-				// Block-I/O reduction is pinned for the scan/sort algorithms
-				// only: dfs-scc is dominated by random frame probes, where a
-				// compressed frame can straddle as many blocks as the fixed
-				// window it replaces.
-				if name != "dfs-scc" && stats.TotalIOs >= fixedStats.TotalIOs {
-					t.Errorf("%s w=%d: %s charged %d block I/Os, fixed %d; compression must reduce I/Os",
-						name, workers, codec, stats.TotalIOs, fixedStats.TotalIOs)
-				}
-				if codec == extscc.CodecVarint && stats.CompressionRatio <= 1.1 {
-					t.Errorf("%s w=%d: varint compression ratio %.2f, want > 1.1", name, workers, stats.CompressionRatio)
-				}
+			if stats.BytesWritten >= fixedStats.BytesWritten {
+				t.Errorf("%s w=%d: %s wrote %d bytes, fixed %d; compression must reduce bytes",
+					name, workers, codec, stats.BytesWritten, fixedStats.BytesWritten)
+			}
+			// Block-I/O reduction is pinned for the scan/sort algorithms
+			// only: dfs-scc is dominated by random frame probes, where a
+			// compressed frame can straddle as many blocks as the fixed
+			// window it replaces.
+			if name != "dfs-scc" && stats.TotalIOs >= fixedStats.TotalIOs {
+				t.Errorf("%s w=%d: %s charged %d block I/Os, fixed %d; compression must reduce I/Os",
+					name, workers, codec, stats.TotalIOs, fixedStats.TotalIOs)
+			}
+			if stats.CompressionRatio <= 1.1 {
+				t.Errorf("%s w=%d: varint compression ratio %.2f, want > 1.1", name, workers, stats.CompressionRatio)
 			}
 			if fixedStats.CompressionRatio < 0.99 || fixedStats.CompressionRatio > 1.01 {
 				t.Errorf("%s w=%d: fixed compression ratio %.3f, want ~1.0", name, workers, fixedStats.CompressionRatio)
@@ -142,19 +139,18 @@ func TestWorkerEquivalenceUnderVarint(t *testing.T) {
 	}
 }
 
-// TestWithCodecValidation rejects unknown codec families at both layers.
+// TestWithCodecValidation rejects unknown codec families at both layers,
+// the retired "compress" family included.
 func TestWithCodecValidation(t *testing.T) {
-	if _, err := extscc.New(extscc.WithCodec("zstd")); err == nil {
-		t.Fatal("WithCodec accepted an unknown family")
+	for _, name := range []string{"zstd", "compress"} {
+		if _, err := extscc.New(extscc.WithCodec(name)); err == nil {
+			t.Fatalf("WithCodec accepted the unknown family %q", name)
+		}
 	}
 	if _, err := extscc.New(extscc.WithCodec("")); err != nil {
 		t.Fatalf("WithCodec(\"\") must select the default: %v", err)
 	}
-	found := map[string]bool{}
-	for _, name := range extscc.Codecs() {
-		found[name] = true
-	}
-	if !found[extscc.CodecFixed] || !found[extscc.CodecVarint] || !found[extscc.CodecCompress] {
-		t.Fatalf("Codecs() = %v, want fixed, varint and compress", extscc.Codecs())
+	if got := extscc.Codecs(); !slices.Equal(got, []string{extscc.CodecFixed, extscc.CodecVarint}) {
+		t.Fatalf("Codecs() = %v, want [fixed varint]", got)
 	}
 }

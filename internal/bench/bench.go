@@ -31,7 +31,6 @@ import (
 	"extscc/internal/graphgen"
 	"extscc/internal/iomodel"
 	"extscc/internal/prof"
-	"extscc/internal/recio"
 	"extscc/internal/record"
 	"extscc/internal/storage"
 )
@@ -63,7 +62,7 @@ type Measurement struct {
 	// Workers it never changes the accounted I/O counts, only Duration.
 	Storage string
 	// Codec names the record-codec family intermediate files were written
-	// with ("fixed", "varint", "compress").  Unlike Workers and Storage it
+	// with ("fixed" or "varint").  Unlike Workers and Storage it
 	// deliberately changes BytesWritten and the block counts (compression),
 	// never the labelling.
 	Codec string
@@ -156,9 +155,8 @@ type Config struct {
 	// are identical on every backend; only the wall-clock changes.
 	Storage storage.Backend
 	// Codec is the record-codec family intermediate files are written with
-	// ("" = the process default, normally varint; see EXTSCC_CODEC).  A
-	// compressing codec lowers BytesWritten and the block counts without
-	// changing any SCC result.
+	// ("" = varint, the default).  Varint lowers BytesWritten and the block
+	// counts against fixed without changing any SCC result.
 	Codec string
 	// Retries is the transient-failure retry budget per storage operation
 	// (0 = fail fast).  Retried transfers are never double-counted, so the
@@ -223,7 +221,7 @@ func Experiments() []string {
 		"table1", "fig6", "fig7",
 		"fig8a", "fig8c", "fig8e",
 		"fig9a", "fig9c", "fig9e", "fig9g",
-		"emscc", "ablation", "codecw",
+		"emscc", "ablation",
 	}
 }
 
@@ -255,8 +253,6 @@ func Run(experiment string, c Config) ([]Measurement, error) {
 		return emscc(c)
 	case "ablation":
 		return ablation(c)
-	case "codecw":
-		return codecWorkload(c)
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (known: %s)", experiment, strings.Join(Experiments(), ", "))
 	}
@@ -781,110 +777,6 @@ func ablation(c Config) ([]Measurement, error) {
 			return nil, err
 		}
 		out = append(out, m)
-	}
-	return out, nil
-}
-
-// codecWorkloadEdges builds the codecw edge stream: edges drawn uniformly at
-// random from a vocabulary of 12 node ids scattered across a sparse 28-bit id
-// space.  The sparse ids defeat delta+varint on the shuffled ordering — the
-// delta between two random vocabulary members costs as many varint bytes as
-// the fixed layout spends on the whole field — while the tiny vocabulary
-// keeps whole records repeating inside every frame, which is all the LZ
-// family needs.
-func codecWorkloadEdges(c Config) []record.Edge {
-	n := 120_000
-	if c.Quick {
-		n = 20_000
-	}
-	// Deterministic 64-bit LCG (Knuth's MMIX constants): the workload must be
-	// byte-identical across runs so committed baselines stay valid.
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state
-	}
-	const vocabSize = 12
-	vocab := make([]record.NodeID, 0, vocabSize)
-	seen := map[record.NodeID]bool{}
-	for len(vocab) < vocabSize {
-		id := record.NodeID(next()>>37) | 1<<27 // 28-bit id, top bit set
-		if !seen[id] {
-			seen[id] = true
-			vocab = append(vocab, id)
-		}
-	}
-	edges := make([]record.Edge, n)
-	for i := range edges {
-		r := next()
-		edges[i] = record.Edge{U: vocab[int((r>>32)%vocabSize)], V: vocab[int(r%vocabSize)]}
-	}
-	return edges
-}
-
-// codecWorkload (experiment "codecw") measures the record codecs on the raw
-// write+scan path, outside any SCC algorithm: the same edge multiset is
-// written and read back once in its shuffled generation order and once sorted
-// by (U, V).  The two orderings separate the codec families' regimes —
-// delta+varint needs sortedness to win, while the LZ family compresses the
-// shuffled stream too, since its node ids repeat even though their order is
-// random.  The -compare-codec gate in sccbench pins exactly that: on the
-// shuffled point, compress must cut bytes written by at least 20% while
-// varint stays under 10%.
-func codecWorkload(c Config) ([]Measurement, error) {
-	shuffled := codecWorkloadEdges(c)
-	sorted := make([]record.Edge, len(shuffled))
-	copy(sorted, shuffled)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].U != sorted[j].U {
-			return sorted[i].U < sorted[j].U
-		}
-		return sorted[i].V < sorted[j].V
-	})
-
-	var out []Measurement
-	for _, point := range []struct {
-		x     string
-		edges []record.Edge
-	}{
-		{"shuffled", shuffled},
-		{"sorted", sorted},
-	} {
-		cfg := c.ioConfig(0) // fresh Stats, so each point is measured alone
-		path := fmt.Sprintf("%s/bench-codecw-%s-%d.bin", c.TempDir, point.x, time.Now().UnixNano())
-		start := time.Now()
-		if err := recio.WriteSlice(path, record.EdgeCodec{}, cfg, point.edges); err != nil {
-			return nil, err
-		}
-		got, err := recio.ReadAll(path, record.EdgeCodec{}, cfg)
-		duration := time.Since(start)
-		blockio.Remove(path, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if len(got) != len(point.edges) {
-			return nil, fmt.Errorf("bench: codecw %s round trip returned %d of %d edges", point.x, len(got), len(point.edges))
-		}
-		for i := range got {
-			if got[i] != point.edges[i] {
-				return nil, fmt.Errorf("bench: codecw %s round trip altered edge %d", point.x, i)
-			}
-		}
-		sn := cfg.Stats.Snapshot()
-		out = append(out, Measurement{
-			Experiment:   "codecw",
-			Series:       "edge-write",
-			X:            point.x,
-			Workers:      c.resolvedWorkers(),
-			Storage:      cfg.Backend().Name(),
-			Codec:        cfg.CodecFamily(),
-			Shards:       1,
-			Duration:     duration,
-			TotalIOs:     sn.TotalIOs(),
-			RandomIOs:    sn.RandomIOs(),
-			BytesRead:    sn.BytesRead,
-			BytesWritten: sn.BytesWritten,
-		})
 	}
 	return out, nil
 }

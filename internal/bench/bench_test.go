@@ -12,46 +12,11 @@ func quickConfig(t *testing.T) Config {
 }
 
 func TestExperimentsListedAndRunnable(t *testing.T) {
-	if len(Experiments()) != 13 {
-		t.Fatalf("expected 13 experiments, got %d", len(Experiments()))
+	if len(Experiments()) != 12 {
+		t.Fatalf("expected 12 experiments, got %d", len(Experiments()))
 	}
 	if _, err := Run("nope", quickConfig(t)); err == nil {
 		t.Fatal("expected an error for an unknown experiment")
-	}
-}
-
-func TestCodecWorkloadExperiment(t *testing.T) {
-	byX := map[string]map[string]Measurement{} // x -> codec -> row
-	for _, codec := range []string{"fixed", "varint", "compress"} {
-		cfg := quickConfig(t)
-		cfg.Codec = codec
-		ms, err := Run("codecw", cfg)
-		if err != nil {
-			t.Fatalf("codecw under %s: %v", codec, err)
-		}
-		if len(ms) != 2 {
-			t.Fatalf("codecw under %s: expected shuffled+sorted rows, got %d", codec, len(ms))
-		}
-		for _, m := range ms {
-			if m.Experiment != "codecw" || m.BytesWritten <= 0 {
-				t.Fatalf("codecw under %s: bad row %+v", codec, m)
-			}
-			if byX[m.X] == nil {
-				byX[m.X] = map[string]Measurement{}
-			}
-			byX[m.X][codec] = m
-		}
-	}
-	// The point of the workload: on the shuffled write the LZ family must
-	// beat fixed while delta encoding wins little, and sortedness must help
-	// both framed families.
-	sh := byX["shuffled"]
-	if sh["compress"].BytesWritten >= sh["fixed"].BytesWritten {
-		t.Fatalf("shuffled: compress wrote %d bytes, fixed %d", sh["compress"].BytesWritten, sh["fixed"].BytesWritten)
-	}
-	so := byX["sorted"]
-	if so["varint"].BytesWritten >= sh["varint"].BytesWritten {
-		t.Fatalf("varint wrote %d bytes sorted but %d shuffled", so["varint"].BytesWritten, sh["varint"].BytesWritten)
 	}
 }
 

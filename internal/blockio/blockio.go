@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"extscc/internal/iomodel"
-	"extscc/internal/pool"
 	"extscc/internal/storage"
 )
 
@@ -133,7 +132,7 @@ func NewWriter(path string, cfg iomodel.Config) (*Writer, error) {
 	if bs <= 0 {
 		bs = iomodel.DefaultBlockSize
 	}
-	w := &Writer{f: f, buf: pool.GetSlice(bs), blockSize: bs, stats: cfg.Stats, ret: ret}
+	w := &Writer{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret}
 	if cfg.WorkerCount() > 1 {
 		w.startAsync()
 	}
@@ -146,7 +145,7 @@ func (w *Writer) startAsync() {
 		free:   make(chan []byte, 1),
 		done:   make(chan struct{}),
 	}
-	a.free <- pool.GetSlice(w.blockSize)
+	a.free <- make([]byte, w.blockSize)
 	w.async = a
 	go func() {
 		defer close(a.done)
@@ -162,9 +161,8 @@ func (w *Writer) startAsync() {
 					flushed += int64(len(b))
 				}
 			}
-			// Recycle at the block length, not the capacity: pooled
-			// buffers round up to a size class, and Write's full-block
-			// check compares the fill level against blockSize exactly.
+			// flush handed the block over cut to its fill level; Write
+			// needs it back at full length.
 			a.free <- b[:w.blockSize]
 		}
 	}()
@@ -242,15 +240,7 @@ func (w *Writer) Close() error {
 		if ferr == nil {
 			ferr = w.async.error()
 		}
-		// The drained goroutine pushed its last circulating buffer back;
-		// recycle it along with the foreground buffer below.
-		select {
-		case b := <-w.async.free:
-			pool.PutSlice(b)
-		default:
-		}
 	}
-	pool.PutSlice(w.buf)
 	w.buf = nil
 	if ferr != nil {
 		w.f.Close()
@@ -328,7 +318,7 @@ func NewReader(path string, cfg iomodel.Config) (*Reader, error) {
 	if bs <= 0 {
 		bs = iomodel.DefaultBlockSize
 	}
-	r := &Reader{f: f, buf: pool.GetSlice(bs), blockSize: bs, stats: cfg.Stats, ret: ret, size: size}
+	r := &Reader{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret, size: size}
 	if cfg.WorkerCount() > 1 && r.size > int64(bs) {
 		r.startPrefetch(0)
 	}
@@ -342,8 +332,8 @@ func (r *Reader) startPrefetch(from int64) {
 		free:   make(chan []byte, 2),
 		stop:   make(chan struct{}),
 	}
-	pf.free <- pool.GetSlice(r.blockSize)
-	pf.free <- pool.GetSlice(r.blockSize)
+	pf.free <- make([]byte, r.blockSize)
+	pf.free <- make([]byte, r.blockSize)
 	r.pf = pf
 	go func() {
 		defer close(pf.blocks)
@@ -382,20 +372,10 @@ func (r *Reader) stopPrefetch() {
 		return
 	}
 	close(r.pf.stop)
-	for blk := range r.pf.blocks {
-		pool.PutSlice(blk.buf)
+	// The fetcher closes pf.blocks on its way out; drain until it has.
+	for range r.pf.blocks {
 	}
-	// The fetcher has exited (it closes pf.blocks on the way out); recycle
-	// whatever buffers still sit in the free channel.
-	for {
-		select {
-		case b := <-r.pf.free:
-			pool.PutSlice(b)
-		default:
-			r.pf = nil
-			return
-		}
-	}
+	r.pf = nil
 }
 
 // Size returns the total size of the underlying file in bytes.
@@ -514,7 +494,6 @@ func (r *Reader) Close() error {
 	}
 	r.closed = true
 	r.stopPrefetch()
-	pool.PutSlice(r.buf)
 	r.buf = nil
 	if err := r.f.Close(); err != nil {
 		return fmt.Errorf("blockio: close %s: %w", r.f.Name(), err)

@@ -179,12 +179,12 @@ func ParseFrameHeader(src []byte) (FrameHeader, error) {
 		return FrameHeader{}, fmt.Errorf("blockio: frame payload length %d exceeds the %d-byte frame cap", h.Payload, MaxFramePayload)
 	}
 	// Varint spends at least one byte per record, so more records than
-	// payload bytes is garbage.  LZ frames can legitimately pack many records
-	// per payload byte, so for those the decoded size is bounded instead —
-	// either way a fabricated count cannot drive a huge allocation.
-	if record.FamilyOfID(record.CodecID(h.Codec)) != record.FamilyCompress && uint64(h.Count) > uint64(h.Payload) {
+	// payload bytes is garbage.
+	if uint64(h.Count) > uint64(h.Payload) {
 		return FrameHeader{}, fmt.Errorf("blockio: frame claims %d records in %d payload bytes", h.Count, h.Payload)
 	}
+	// The decoded records must fit the frame cap as well, which bounds the
+	// allocation a fabricated count can demand.
 	if sz := record.FixedSizeOfID(record.CodecID(h.Codec)); sz > 0 && uint64(h.Count)*uint64(sz) > MaxFramePayload {
 		return FrameHeader{}, fmt.Errorf("blockio: frame claims %d records of %d bytes, beyond the %d-byte frame cap", h.Count, sz, MaxFramePayload)
 	}

@@ -88,12 +88,16 @@ func TestParseFrameHeaderRejects(t *testing.T) {
 	}
 
 	// Adversarial headers: an unregistered codec id and insane lengths must
-	// be rejected before any allocation happens downstream.
-	unregistered := append([]byte(nil), buf...)
-	unregistered[5] = 0xEE
-	binary.LittleEndian.PutUint32(unregistered[14:18], FrameCRC(unregistered, payload))
-	if _, err := ParseFrameHeader(unregistered); err == nil || !strings.Contains(err.Error(), "codec") {
-		t.Fatalf("unregistered codec id: got %v, want a codec error", err)
+	// be rejected before any allocation happens downstream.  Ids 7–12 are
+	// the retired compress family's: reserved, so they fail like any other
+	// unregistered id.
+	for _, id := range []byte{0xEE, 7, 8, 9, 10, 11, 12} {
+		unregistered := append([]byte(nil), buf...)
+		unregistered[5] = id
+		binary.LittleEndian.PutUint32(unregistered[14:18], FrameCRC(unregistered, payload))
+		if _, err := ParseFrameHeader(unregistered); err == nil || !strings.Contains(err.Error(), "codec") {
+			t.Fatalf("unregistered codec id %d: got %v, want a codec error", id, err)
+		}
 	}
 
 	huge := append([]byte(nil), buf...)

@@ -20,7 +20,7 @@ import (
 // tool, so the descriptions live here once.
 const (
 	storageHelp = "storage backend: os (default; local disk), mem (fully in RAM), or shard=child,child,... striping files across several volumes (each child: os, mem, or os:DIR)"
-	codecHelp   = "record codec for intermediate files: varint (default; delta+varint frames, wins on sorted files), compress (LZ frames, wins on unsorted files), or fixed (frameless layout, no compression)"
+	codecHelp   = "record codec for intermediate files: varint (default; delta+varint frames, wins on sorted files) or fixed (frameless layout, no compression)"
 	retryHelp   = "retry transient storage failures up to this many times per operation (0 = fail fast)"
 	workersHelp = "worker count for the parallel sorter and overlapped I/O (0 = all CPUs, 1 = sequential)"
 )

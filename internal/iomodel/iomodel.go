@@ -14,8 +14,6 @@ package iomodel
 import (
 	"fmt"
 	"math"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,9 +31,13 @@ const (
 	DefaultBlockSize = 64 * 1024
 	// DefaultMemory is the default main-memory budget M in bytes.
 	DefaultMemory = 4 * 1024 * 1024
-	// BytesPerNode is the number of bytes the semi-external solver needs per
-	// node of the graph (the paper charges 4 bytes per node and keeps two
-	// node-sized arrays, i.e. 8 bytes per node, plus one block).
+	// BytesPerNode is the per-node memory the paper charges its
+	// semi-external base case: two node-sized arrays of 4 bytes each.
+	// NodeCapacity divides M by it, so the capacity follows the paper's
+	// charge, not the footprint of this repository's solver, which holds
+	// about 40 bytes per node plus a batch of up to M/2 bytes (see package
+	// semiscc).  At the defaults the capacity is 516,096 nodes, whose solve
+	// holds about 22 MB against M = 4 MiB.
 	BytesPerNode = 8
 	// DefaultRetryBackoff is the first-retry wait applied when Retries > 0 and
 	// no explicit backoff was configured; each further retry doubles it.
@@ -70,14 +72,13 @@ type Config struct {
 	Workers int
 	// Codec names the record-codec family every intermediate file of the run
 	// is written with: record.FamilyFixed the frameless fixed-size layout,
-	// record.FamilyVarint delta+varint frames, record.FamilyCompress LZ
-	// frames, and "" the process default (see CodecFamily).  Readers
-	// auto-detect the codec of each file from its frame header, so the
-	// setting only steers writers: mixing inputs written under a different
-	// family is always safe.  The codec changes the number of bytes — and
-	// therefore blocks — a file occupies, so unlike Storage and Workers it
-	// intentionally changes the accounted I/O counts; it never changes any
-	// computed labelling.
+	// record.FamilyVarint delta+varint frames, and "" the default (see
+	// CodecFamily).  Readers auto-detect the codec of each file from its
+	// frame header, so the setting only steers writers: mixing inputs
+	// written under a different family is always safe.  The codec changes
+	// the number of bytes — and therefore blocks — a file occupies, so
+	// unlike Storage and Workers it intentionally changes the accounted I/O
+	// counts; it never changes any computed labelling.
 	Codec string
 	// Retries is the number of times a failed backend operation (open, create,
 	// block read, block write) is retried when the failure is transient
@@ -161,36 +162,15 @@ func (c Config) Backend() storage.Backend {
 	return storage.Default()
 }
 
-// codecEnvVar selects the process-wide default codec family; see CodecFamily.
-const codecEnvVar = "EXTSCC_CODEC"
-
-// defaultCodecOnce resolves EXTSCC_CODEC once.  Like EXTSCC_STORAGE, an
-// unknown value panics on first use: the variable is an explicit operator
-// instruction (the CI codec matrix sets it), and falling back silently would
-// let a mistyped matrix entry re-run the default suite while reporting the
-// compress leg green.
-var defaultCodecOnce = sync.OnceValue(func() string {
-	name := os.Getenv(codecEnvVar)
-	if name == "" {
-		return record.FamilyVarint
-	}
-	if !record.ValidFamily(name) {
-		panic(fmt.Sprintf("invalid %s environment: unknown codec family %q (known: %v)", codecEnvVar, name, record.Families()))
-	}
-	return name
-})
-
-// CodecFamily returns the effective record-codec family of the configuration.
-// An empty Codec field selects the process default: record.FamilyVarint —
-// compressed intermediates cut bytes and block I/Os on every workload
-// measured, so a compressing codec is the default — unless the EXTSCC_CODEC
-// environment variable selects another family for the whole process (how CI
-// runs the suite once per codec).  All families support record seeks now
-// (framed files carry a frame-index footer), so the fixed layout is opt-in
-// (WithCodec("fixed")) only for byte-compatibility with pre-codec files.
+// CodecFamily returns the effective record-codec family of the
+// configuration: the Codec field, or record.FamilyVarint when it is empty —
+// varint cuts bytes and block I/Os on every workload measured.  Both families
+// support record seeks (framed files carry a frame-index footer), so the
+// fixed layout is opt-in (WithCodec("fixed")) only for byte-compatibility
+// with pre-codec files.
 func (c Config) CodecFamily() string {
 	if c.Codec == "" {
-		return defaultCodecOnce()
+		return record.FamilyVarint
 	}
 	return c.Codec
 }
@@ -204,9 +184,10 @@ func (c Config) WorkerCount() int {
 }
 
 // NodeCapacity returns the number of graph nodes whose per-node state fits in
-// the memory budget, i.e. the semi-external threshold of Algorithm 2: the
-// contraction phase stops once |V_i| <= NodeCapacity().  A positive
-// NodeBudget overrides the derived value.
+// the memory budget at the paper's BytesPerNode charge, i.e. the
+// semi-external threshold of Algorithm 2: the contraction phase stops once
+// |V_i| <= NodeCapacity().  A positive NodeBudget overrides the derived
+// value.
 func (c Config) NodeCapacity() int64 {
 	if c.NodeBudget > 0 {
 		return c.NodeBudget

@@ -283,60 +283,59 @@ func TestFramedSeekMatchesFixed(t *testing.T) {
 	if err := WriteSlice(fixedPath, record.EdgeCodec{}, fixedConfig(t), edges); err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{record.FamilyVarint, record.FamilyCompress} {
-		cfg := testConfig(t)
-		cfg.Codec = family
-		framedPath := filepath.Join(dir, family+".bin")
-		if err := WriteSlice(framedPath, record.EdgeCodec{}, cfg, edges); err != nil {
-			t.Fatal(err)
-		}
-		fr, err := NewReader(framedPath, record.EdgeCodec{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xr, err := NewReader(fixedPath, record.EdgeCodec{}, fixedConfig(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ferr := fr.Count()
-		want, xerr := xr.Count()
-		if ferr != nil || xerr != nil || got != want {
-			t.Fatalf("%s: Count = %d (%v), fixed says %d (%v)", family, got, ferr, want, xerr)
-		}
-		probes := []int64{0, 499, 250, 251, 1, 498, 7, 7, 123, 0}
-		for _, idx := range probes {
-			if err := fr.SeekTo(idx); err != nil {
-				t.Fatalf("%s: SeekTo(%d): %v", family, idx, err)
-			}
-			if err := xr.SeekTo(idx); err != nil {
-				t.Fatalf("fixed SeekTo(%d): %v", idx, err)
-			}
-			for k := 0; k < 3 && idx+int64(k) < int64(len(edges)); k++ {
-				fgot, ferr := fr.Read()
-				xgot, xerr := xr.Read()
-				if ferr != nil || xerr != nil {
-					t.Fatalf("%s: read after SeekTo(%d)+%d: %v / %v", family, idx, k, ferr, xerr)
-				}
-				if fgot != xgot {
-					t.Fatalf("%s: SeekTo(%d)+%d = %+v, fixed reads %+v", family, idx, k, fgot, xgot)
-				}
-			}
-		}
-		// Past-the-end parks at EOF on both layouts.
-		if err := fr.SeekTo(int64(len(edges))); err != nil {
-			t.Fatalf("%s: SeekTo(end): %v", family, err)
-		}
-		if _, err := fr.Read(); err != io.EOF {
-			t.Fatalf("%s: read past the end returned %v, want EOF", family, err)
-		}
-		fr.Close()
-		xr.Close()
+	family := record.FamilyVarint
+	cfg := testConfig(t)
+	cfg.Codec = family
+	framedPath := filepath.Join(dir, family+".bin")
+	if err := WriteSlice(framedPath, record.EdgeCodec{}, cfg, edges); err != nil {
+		t.Fatal(err)
 	}
+	fr, err := NewReader(framedPath, record.EdgeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xr, err := NewReader(fixedPath, record.EdgeCodec{}, fixedConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ferr := fr.Count()
+	want, xerr := xr.Count()
+	if ferr != nil || xerr != nil || got != want {
+		t.Fatalf("%s: Count = %d (%v), fixed says %d (%v)", family, got, ferr, want, xerr)
+	}
+	probes := []int64{0, 499, 250, 251, 1, 498, 7, 7, 123, 0}
+	for _, idx := range probes {
+		if err := fr.SeekTo(idx); err != nil {
+			t.Fatalf("%s: SeekTo(%d): %v", family, idx, err)
+		}
+		if err := xr.SeekTo(idx); err != nil {
+			t.Fatalf("fixed SeekTo(%d): %v", idx, err)
+		}
+		for k := 0; k < 3 && idx+int64(k) < int64(len(edges)); k++ {
+			fgot, ferr := fr.Read()
+			xgot, xerr := xr.Read()
+			if ferr != nil || xerr != nil {
+				t.Fatalf("%s: read after SeekTo(%d)+%d: %v / %v", family, idx, k, ferr, xerr)
+			}
+			if fgot != xgot {
+				t.Fatalf("%s: SeekTo(%d)+%d = %+v, fixed reads %+v", family, idx, k, fgot, xgot)
+			}
+		}
+	}
+	// Past-the-end parks at EOF on both layouts.
+	if err := fr.SeekTo(int64(len(edges))); err != nil {
+		t.Fatalf("%s: SeekTo(end): %v", family, err)
+	}
+	if _, err := fr.Read(); err != io.EOF {
+		t.Fatalf("%s: read past the end returned %v, want EOF", family, err)
+	}
+	fr.Close()
+	xr.Close()
 }
 
 // TestSeekToKeyBothLayouts pins the key probe on a key-sorted file: the
 // returned index is the first record with KeyOf >= key on the fixed layout
-// and on both framed families, for present keys, absent keys, the global
+// and on the framed varint layout, for present keys, absent keys, the global
 // minimum and past-the-maximum.
 func TestSeekToKeyBothLayouts(t *testing.T) {
 	dir := t.TempDir()
@@ -344,7 +343,7 @@ func TestSeekToKeyBothLayouts(t *testing.T) {
 	for u := uint32(0); u < 300; u += 3 { // keys have gaps: u<<32|v with v = u+1
 		edges = append(edges, record.Edge{U: u, V: u + 1})
 	}
-	for _, family := range []string{record.FamilyFixed, record.FamilyVarint, record.FamilyCompress} {
+	for _, family := range []string{record.FamilyFixed, record.FamilyVarint} {
 		cfg := testConfig(t)
 		cfg.Codec = family
 		path := filepath.Join(dir, "bykey-"+family+".bin")

@@ -265,10 +265,10 @@ func newHeadFlipCase[T any](name string, codec record.Codec[T], recs []T) headFl
 }
 
 // TestCorruptFrameHeadBitFlips: flipping any one of the 144 bits of a framed
-// file's first header must fail the read with ErrCorrupt, for every framed
-// family and record type.  A flip in the magic must not turn the file into
-// fixed-layout records, and a flip that makes the header name another record
-// type's codec is corruption too, not a codec error.
+// file's first header must fail the read with ErrCorrupt, for the varint
+// family and every record type.  A flip in the magic must not turn the file
+// into fixed-layout records, and a flip that makes the header name another
+// record type's codec is corruption too, not a codec error.
 func TestCorruptFrameHeadBitFlips(t *testing.T) {
 	nodes := make([]record.NodeID, 81)
 	edges := make([]record.Edge, 81)
@@ -283,39 +283,75 @@ func TestCorruptFrameHeadBitFlips(t *testing.T) {
 		newHeadFlipCase("edge", record.EdgeCodec{}, edges),
 		newHeadFlipCase("label", record.LabelCodec{}, labels),
 	}
-	for _, family := range []string{record.FamilyVarint, record.FamilyCompress} {
-		for _, tc := range cases {
-			t.Run(family+"/"+tc.name, func(t *testing.T) {
-				mem := storage.NewMem()
-				cfg, err := iomodel.Config{BlockSize: 4096, Memory: 16384, Codec: family, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
-				if err != nil {
-					t.Fatal(err)
+	family := record.FamilyVarint
+	for _, tc := range cases {
+		t.Run(family+"/"+tc.name, func(t *testing.T) {
+			mem := storage.NewMem()
+			cfg, err := iomodel.Config{BlockSize: 4096, Memory: 16384, Codec: family, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const path = "/mem/headflip/file.bin"
+			if err := tc.write(path, cfg); err != nil {
+				t.Fatal(err)
+			}
+			pristine, err := storage.ReadFile(mem, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !blockio.HasFrameMagic(pristine) {
+				t.Fatalf("%s file is not framed", family)
+			}
+			if err := tc.read(path, cfg); err != nil {
+				t.Fatalf("pristine file does not read back: %v", err)
+			}
+			for bit := 0; bit < 8*blockio.FrameHeaderSize; bit++ {
+				patched := append([]byte(nil), pristine...)
+				patched[bit/8] ^= 1 << (bit % 8)
+				putFile(t, mem, path, patched)
+				err := tc.read(path, cfg)
+				if !errors.Is(err, blockio.ErrCorrupt) {
+					t.Fatalf("flipping bit %d of byte %d of the %d-byte file: got %v, want ErrCorrupt", bit%8, bit/8, len(pristine), err)
 				}
-				const path = "/mem/headflip/file.bin"
-				if err := tc.write(path, cfg); err != nil {
-					t.Fatal(err)
-				}
-				pristine, err := storage.ReadFile(mem, path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !blockio.HasFrameMagic(pristine) {
-					t.Fatalf("%s file is not framed", family)
-				}
-				if err := tc.read(path, cfg); err != nil {
-					t.Fatalf("pristine file does not read back: %v", err)
-				}
-				for bit := 0; bit < 8*blockio.FrameHeaderSize; bit++ {
-					patched := append([]byte(nil), pristine...)
-					patched[bit/8] ^= 1 << (bit % 8)
-					putFile(t, mem, path, patched)
-					err := tc.read(path, cfg)
-					if !errors.Is(err, blockio.ErrCorrupt) {
-						t.Fatalf("flipping bit %d of byte %d of the %d-byte file: got %v, want ErrCorrupt", bit%8, bit/8, len(pristine), err)
-					}
-				}
-			})
-		}
+			}
+		})
+	}
+}
+
+// TestRetiredCompressFileFailsTyped hand-builds an edge file of the retired
+// compress family — one raw-mode frame (mode byte 0, then the fixed layout)
+// under CodecID 7, with a valid CRC and frame-index footer, as such a build
+// wrote it — and pins that opening or reading it fails with ErrCorrupt: the
+// id stays reserved, so the file is never decoded as another layout.
+func TestRetiredCompressFileFailsTyped(t *testing.T) {
+	edges := []record.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}
+	payload := []byte{0}
+	rec := make([]byte, record.EdgeCodec{}.Size())
+	for _, e := range edges {
+		record.EdgeCodec{}.Encode(e, rec)
+		payload = append(payload, rec...)
+	}
+	file := make([]byte, blockio.FrameHeaderSize)
+	blockio.PutFrameHeader(file, blockio.FrameHeader{Codec: 7, Count: uint32(len(edges)), Payload: uint32(len(payload))}, payload)
+	file = append(file, payload...)
+	file = blockio.AppendFooter(file, []blockio.FooterEntry{{
+		Count:  uint32(len(edges)),
+		MinKey: record.KeyOf(edges[0]),
+		MaxKey: record.KeyOf(edges[len(edges)-1]),
+	}})
+
+	mem := storage.NewMem()
+	cfg, err := iomodel.Config{Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "/mem/retired/compress-edges.bin"
+	putFile(t, mem, path, file)
+	if _, err := NewReader(path, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("NewReader on a compress-family file: got %v, want ErrCorrupt", err)
+	}
+	if got, err := ReadAll(path, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("ReadAll on a compress-family file: got %d records and %v, want ErrCorrupt", len(got), err)
 	}
 }
 

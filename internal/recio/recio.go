@@ -10,13 +10,13 @@
 //     to the files this repository wrote before codecs became pluggable;
 //     record-indexed seeks are byte arithmetic and counting is free.
 //   - framed: self-describing frames (blockio.FrameHeader) whose payload a
-//     variable-length record.BlockCodec encodes — delta+varint for sorted
-//     intermediates, LZ compression for unsorted ones.  Framed writers close
-//     the file with a frame-index footer (blockio.Footer), which makes the
-//     file seekable too: SeekTo binary-searches the index, SeekToKey range
-//     probes via per-frame min/max keys, and Count is O(1).  A framed file
-//     without its footer is corrupt (blockio.ErrCorrupt), whether a seek, a
-//     count or a stream finds the footer missing.
+//     variable-length record.BlockCodec encodes (delta+varint, see package
+//     record).  Framed writers close the file with a frame-index footer
+//     (blockio.Footer), which makes the file seekable too: SeekTo
+//     binary-searches the index, SeekToKey range probes via per-frame
+//     min/max keys, and Count is O(1).  A framed file without its footer is
+//     corrupt (blockio.ErrCorrupt), whether a seek, a count or a stream finds
+//     the footer missing.
 //
 // Readers never need to be told the layout: NewReader sniffs the frame magic
 // and dispatches on the frame's codec ID, so files written under different
@@ -33,7 +33,6 @@ import (
 
 	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
-	"extscc/internal/pool"
 	"extscc/internal/record"
 )
 
@@ -84,7 +83,7 @@ func NewWriter[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 		w.bc = bc
 		w.frameCap = cap
 		w.batch = make([]T, 0, cap)
-		w.frame = pool.GetSlice(bs)[:blockio.FrameHeaderSize]
+		w.frame = make([]byte, blockio.FrameHeaderSize, bs)
 	} else {
 		w.buf = make([]byte, codec.Size())
 	}
@@ -171,8 +170,6 @@ func (w *Writer[T]) Close() error {
 		}
 	}
 	w.stats.CountLogicalWrite(w.count * int64(w.codec.Size()))
-	pool.PutSlice(w.frame)
-	w.frame = nil
 	cerr := w.w.Close()
 	if ferr != nil {
 		return ferr
@@ -410,8 +407,7 @@ func (r *Reader[T]) nextFrame() error {
 			return r.corrupt(start, fmt.Sprintf("frame payload length %d exceeds file size %d", h.Payload, r.r.Size()))
 		}
 		if cap(r.payload) < int(h.Payload) {
-			pool.PutSlice(r.payload)
-			r.payload = pool.GetSlice(int(h.Payload))
+			r.payload = make([]byte, h.Payload)
 		}
 		pb := r.payload[:h.Payload]
 		if err := r.readFull(pb); err != nil {
@@ -574,10 +570,8 @@ func (r *Reader[T]) SeekToKey(key uint64) (int64, error) {
 	return r.frameFirst + int64(r.bi), nil
 }
 
-// Close closes the underlying file and recycles the frame-payload scratch.
+// Close closes the underlying file.
 func (r *Reader[T]) Close() error {
-	pool.PutSlice(r.payload)
-	r.payload = nil
 	return r.r.Close()
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // benchEdges builds a frame-sized batch with the mixed structure real edge
-// files have: mostly-sorted sources with scattered targets, so both the
-// varint deltas and the LZ matcher see realistic input.
+// files have: mostly-sorted sources with scattered targets, so the varint
+// deltas see realistic input.
 func benchEdges(n int) []Edge {
 	recs := make([]Edge, n)
 	for i := range recs {
@@ -98,41 +98,32 @@ func benchmarkCodecFrame[T comparable](b *testing.B, bc BlockCodec[T], recs []T)
 	})
 }
 
-// BenchmarkFrameRoundTrip measures one encode+decode of a 4096-record frame
-// per codec family, then encode and decode alone on contract-web's two hot
-// varint frames at B = 64 KiB: a full Edge frame sorted by source and a full
-// EdgeAug frame sorted by target.  Run with -benchmem: the allocs/op column
-// must read 0 at steady state — the frame hot path works entirely out of
-// reused and pooled buffers (see internal/pool).
+// BenchmarkFrameRoundTrip measures one encode+decode of a 4096-record Edge
+// frame under varint and under fixed, then encode and decode alone on
+// contract-web's two hot varint frames at B = 64 KiB: a full Edge frame
+// sorted by source and a full EdgeAug frame sorted by target.  Run with
+// -benchmem: the allocs/op column must read 0 at steady state — varint
+// appends into the caller's reused encode and decode buffers.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	recs := benchEdges(4096)
 	rawBytes := int64(len(recs) * EdgeCodec{}.Size())
 
-	for _, family := range []string{FamilyVarint, FamilyCompress} {
-		c, ok := BlockCodecFor[Edge](family)
-		if !ok {
-			b.Fatalf("no Edge block codec for family %q", family)
-		}
-		b.Run(family, func(b *testing.B) {
-			enc := make([]byte, 0, len(recs)*c.MaxRecordSize())
-			dec := make([]Edge, 0, len(recs))
-			var err error
-			enc, dec, err = frameRoundTrip(c, recs, enc, dec) // warm pooled buffers
-			if err != nil {
+	b.Run(FamilyVarint, func(b *testing.B) {
+		c := VarintEdgeCodec{}
+		enc := make([]byte, 0, len(recs)*c.MaxRecordSize())
+		dec := make([]Edge, 0, len(recs))
+		var err error
+		b.ReportAllocs()
+		b.SetBytes(rawBytes)
+		for i := 0; i < b.N; i++ {
+			if enc, dec, err = frameRoundTrip(c, recs, enc, dec); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.SetBytes(rawBytes)
-			for i := 0; i < b.N; i++ {
-				if enc, dec, err = frameRoundTrip(c, recs, enc, dec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if len(dec) != len(recs) || dec[17] != recs[17] {
-				b.Fatal("round trip corrupted records")
-			}
-		})
-	}
+		}
+		if len(dec) != len(recs) || dec[17] != recs[17] {
+			b.Fatal("round trip corrupted records")
+		}
+	})
 
 	// The fixed family is frameless; its hot path is the plain Encode/Decode
 	// pair over a reused block buffer.
@@ -165,29 +156,20 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 }
 
 // TestFrameRoundTripAllocs is the regression guard behind the benchmark: the
-// steady-state frame round trip must not allocate.  The threshold is below
-// one alloc per op but not exactly zero, so a GC emptying the buffer pool
-// mid-measurement (a refill, not a leak) cannot flake the test.
+// steady-state varint frame round trip must not allocate, because it appends
+// into the caller's encode and decode buffers.
 func TestFrameRoundTripAllocs(t *testing.T) {
 	recs := benchEdges(4096)
-	for _, family := range []string{FamilyVarint, FamilyCompress} {
-		c, ok := BlockCodecFor[Edge](family)
-		if !ok {
-			t.Fatalf("no Edge block codec for family %q", family)
-		}
-		enc := make([]byte, 0, len(recs)*c.MaxRecordSize())
-		dec := make([]Edge, 0, len(recs))
-		var err error
+	c := VarintEdgeCodec{}
+	enc := make([]byte, 0, len(recs)*c.MaxRecordSize())
+	dec := make([]Edge, 0, len(recs))
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
 		if enc, dec, err = frameRoundTrip(c, recs, enc, dec); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if enc, dec, err = frameRoundTrip(c, recs, enc, dec); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs >= 1 {
-			t.Errorf("family %s: frame round trip allocates %.1f times per op, want 0", family, allocs)
-		}
+	})
+	if allocs >= 1 {
+		t.Errorf("varint frame round trip allocates %.1f times per op, want 0", allocs)
 	}
 }

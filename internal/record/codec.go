@@ -14,27 +14,21 @@ const (
 	// seeks.
 	FamilyFixed = "fixed"
 	// FamilyVarint is the delta+varint block layout (see doc.go), the
-	// process-wide default (iomodel.Config.CodecFamily).
+	// default (iomodel.Config.CodecFamily).
 	FamilyVarint = "varint"
-	// FamilyCompress is the byte-oriented LZ block layout (see doc.go): each
-	// frame holds the fixed layout of its records run through an LZ77-style
-	// match/literal compressor.  Unlike varint it assumes nothing about
-	// sortedness, so unsorted files — extsort run files mid-sort, shuffled
-	// edge sets, relabel intermediates — still shrink.
-	FamilyCompress = "compress"
 )
 
 // Families lists the registered codec family names.
-func Families() []string { return []string{FamilyFixed, FamilyVarint, FamilyCompress} }
+func Families() []string { return []string{FamilyFixed, FamilyVarint} }
 
 // ValidFamily reports whether name is a registered codec family.
 func ValidFamily(name string) bool {
-	return name == FamilyFixed || name == FamilyVarint || name == FamilyCompress
+	return name == FamilyFixed || name == FamilyVarint
 }
 
 // CodecID identifies a block codec on disk: it is the single codec byte of a
 // frame header, making framed files self-describing.  IDs are append-only and
-// never reused.
+// never reused; doc.go lists the retired ones.
 type CodecID uint8
 
 const (
@@ -48,36 +42,16 @@ const (
 	CodecVarintEdgeAug    CodecID = 4
 	CodecVarintLabel      CodecID = 5
 	CodecVarintEdgeSCC    CodecID = 6
-	// Compress family, one ID per record type (layout in doc.go).
-	CodecCompressEdge       CodecID = 7
-	CodecCompressNode       CodecID = 8
-	CodecCompressNodeDegree CodecID = 9
-	CodecCompressEdgeAug    CodecID = 10
-	CodecCompressLabel      CodecID = 11
-	CodecCompressEdgeSCC    CodecID = 12
 )
 
 // KnownCodecID reports whether id is registered for use in frame headers.
 // CodecFixed is not: it marks the frameless layout and never appears in a
-// frame, so a "frame" naming it is garbage.  Frame parsing rejects unknown
-// ids up front — a magic-byte collision in a fixed file then fails fast
-// instead of being decoded as a frame.
+// frame, so a "frame" naming it is garbage; neither are the reserved ids of
+// retired families.  Frame parsing rejects unknown ids up front — a
+// magic-byte collision in a fixed file, or a file of a retired family, then
+// fails fast instead of being decoded as a frame.
 func KnownCodecID(id CodecID) bool {
-	return id >= CodecVarintEdge && id <= CodecCompressEdgeSCC
-}
-
-// FamilyOfID returns the codec family a registered CodecID belongs to, or ""
-// for CodecFixed and unknown ids.  Frame parsing uses it to pick the right
-// count/payload sanity rule: varint spends at least one byte per record,
-// while LZ frames can legitimately pack many records per payload byte.
-func FamilyOfID(id CodecID) string {
-	switch {
-	case id >= CodecVarintEdge && id <= CodecVarintEdgeSCC:
-		return FamilyVarint
-	case id >= CodecCompressEdge && id <= CodecCompressEdgeSCC:
-		return FamilyCompress
-	}
-	return ""
+	return id >= CodecVarintEdge && id <= CodecVarintEdgeSCC
 }
 
 // FixedSizeOfID returns the fixed-layout size of the record type a registered
@@ -85,17 +59,17 @@ func FamilyOfID(id CodecID) string {
 // it to bound the decoded size a header can demand before allocating.
 func FixedSizeOfID(id CodecID) int {
 	switch id {
-	case CodecVarintEdge, CodecCompressEdge:
+	case CodecVarintEdge:
 		return EdgeCodec{}.Size()
-	case CodecVarintNode, CodecCompressNode:
+	case CodecVarintNode:
 		return NodeCodec{}.Size()
-	case CodecVarintNodeDegree, CodecCompressNodeDegree:
+	case CodecVarintNodeDegree:
 		return NodeDegreeCodec{}.Size()
-	case CodecVarintEdgeAug, CodecCompressEdgeAug:
+	case CodecVarintEdgeAug:
 		return EdgeAugCodec{}.Size()
-	case CodecVarintLabel, CodecCompressLabel:
+	case CodecVarintLabel:
 		return LabelCodec{}.Size()
-	case CodecVarintEdgeSCC, CodecCompressEdgeSCC:
+	case CodecVarintEdgeSCC:
 		return EdgeSCCCodec{}.Size()
 	}
 	return 0
@@ -124,39 +98,24 @@ type BlockCodec[T any] interface {
 // FamilyFixed, whose files are frameless, and for record types private to a
 // single package).  Callers fall back to the fixed layout in that case.
 func BlockCodecFor[T any](family string) (BlockCodec[T], bool) {
+	if family != FamilyVarint {
+		return nil, false
+	}
 	var zero T
 	var c any
-	switch family {
-	case FamilyVarint:
-		switch any(zero).(type) {
-		case Edge:
-			c = VarintEdgeCodec{}
-		case NodeID: // uint32: also covers SCCID
-			c = VarintNodeCodec{}
-		case NodeDegree:
-			c = VarintNodeDegreeCodec{}
-		case EdgeAug:
-			c = VarintEdgeAugCodec{}
-		case Label:
-			c = VarintLabelCodec{}
-		case EdgeSCC:
-			c = VarintEdgeSCCCodec{}
-		}
-	case FamilyCompress:
-		switch any(zero).(type) {
-		case Edge:
-			c = CompressCodec[Edge]{id: CodecCompressEdge, fixed: EdgeCodec{}}
-		case NodeID: // uint32: also covers SCCID
-			c = CompressCodec[NodeID]{id: CodecCompressNode, fixed: NodeCodec{}}
-		case NodeDegree:
-			c = CompressCodec[NodeDegree]{id: CodecCompressNodeDegree, fixed: NodeDegreeCodec{}}
-		case EdgeAug:
-			c = CompressCodec[EdgeAug]{id: CodecCompressEdgeAug, fixed: EdgeAugCodec{}}
-		case Label:
-			c = CompressCodec[Label]{id: CodecCompressLabel, fixed: LabelCodec{}}
-		case EdgeSCC:
-			c = CompressCodec[EdgeSCC]{id: CodecCompressEdgeSCC, fixed: EdgeSCCCodec{}}
-		}
+	switch any(zero).(type) {
+	case Edge:
+		c = VarintEdgeCodec{}
+	case NodeID: // uint32: also covers SCCID
+		c = VarintNodeCodec{}
+	case NodeDegree:
+		c = VarintNodeDegreeCodec{}
+	case EdgeAug:
+		c = VarintEdgeAugCodec{}
+	case Label:
+		c = VarintLabelCodec{}
+	case EdgeSCC:
+		c = VarintEdgeSCCCodec{}
 	}
 	if c == nil {
 		return nil, false
@@ -168,10 +127,8 @@ func BlockCodecFor[T any](family string) (BlockCodec[T], bool) {
 // BlockCodec decoding records of type T.  An ID that belongs to a different
 // record type is an error: it means the file is being read as the wrong type.
 func BlockCodecForID[T any](id CodecID) (BlockCodec[T], error) {
-	for _, family := range []string{FamilyVarint, FamilyCompress} {
-		if c, ok := BlockCodecFor[T](family); ok && c.ID() == id {
-			return c, nil
-		}
+	if c, ok := BlockCodecFor[T](FamilyVarint); ok && c.ID() == id {
+		return c, nil
 	}
 	var zero T
 	return nil, fmt.Errorf("record: frame codec id %d does not decode records of type %T", id, zero)

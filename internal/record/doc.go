@@ -3,7 +3,7 @@
 // SCC label files), the total orders the paper's algorithms sort them by, and
 // the codecs that lay them out on disk.
 //
-// Three codec families are registered:
+// Two codec families are registered:
 //
 //   - "fixed": the historical fixed-size little-endian layout.  A fixed file
 //     is the plain concatenation of its records with no framing, so it is
@@ -18,11 +18,6 @@
 //     degree/key fields are written as plain uvarints.  Sorted runs collapse
 //     to one or two bytes per field; the encoding remains correct (just less
 //     compact) for unsorted files because zigzag deltas cover negative gaps.
-//   - "compress": a per-frame LZ77-style match/literal compressor applied
-//     over the fixed layout.  Where varint needs small deltas between
-//     consecutive records, compress exploits byte-level repetition — shared
-//     high bytes of node ids, zero padding, repeated records — and therefore
-//     still wins on unsorted files where varint degenerates.
 //
 // # Fixed layouts (family "fixed")
 //
@@ -59,50 +54,9 @@
 // to uint32; the records consume the payload exactly.  Package recio reports
 // any violation as blockio.ErrCorrupt.
 //
-// # Compress layouts (family "compress")
-//
-// One compress codec exists per record type, sharing a single payload format
-// parameterised only by the record's fixed size:
-//
-//	CodecCompressEdge       (7)
-//	CodecCompressNode       (8)
-//	CodecCompressNodeDegree (9)
-//	CodecCompressEdgeAug    (10)
-//	CodecCompressLabel      (11)
-//	CodecCompressEdgeSCC    (12)
-//
-// A compress frame payload is one mode byte followed by data:
-//
-//	payload := mode byte | data
-//	mode 0 (raw): data is the frame's records in the fixed layout, verbatim.
-//	mode 1 (LZ):  data is an LZ77 token stream that decompresses to the
-//	              fixed layout.
-//
-// The encoder always tries LZ and falls back to raw when LZ is not strictly
-// smaller, so a compress frame never costs more than one byte over fixed.
-// Any other mode byte is a corruption error.
-//
-// The LZ stream is a sequence of groups, each:
-//
-//	token    (1): litLen<<4 | matchLen', where matchLen' = matchLen-4,
-//	              both nibbles capped at 15
-//	litExt  (0+): if the litLen nibble is 15, extension bytes follow — each
-//	              255 adds 255, the first byte under 255 terminates and adds
-//	              its value (total literal length = 15 + extensions)
-//	literals(L):  L literal bytes, copied verbatim
-//	offset   (2): little-endian uint16 storing offset-1; the match copies
-//	              from `out position - offset`, which may overlap the bytes
-//	              being written (run-length behaviour)
-//	matchExt(0+): same 255-run extension scheme when the match nibble is 15
-//	              (total match length = 4 + 15 + extensions)
-//
-// The minimum match length is 4 (a match costs at least 3 bytes: token +
-// offset) and the maximum offset is 65536.  The final group of every stream
-// is literals-only: its match nibble is 0 and it carries no offset, so the
-// decoder finishes exactly when the payload is exhausted.  Matches never
-// reach back past the start of the frame — frames decode independently, as
-// in the varint family.  A decoded frame whose size is not count *
-// Size(record) is a corruption error.
+// CodecIDs 7–12 are reserved: the retired compress family wrote them, and
+// no build reuses them, so a leftover file of that family fails typed
+// (blockio.ErrCorrupt) instead of being misread.
 //
 // The parenthesised numbers above are the CodecID stored in the frame
 // header, which is how a reader recognises the record type and layout
@@ -123,21 +77,14 @@
 //
 // # Frame-index footers (seekable framed files)
 //
-// Framed files (varint and compress families) end with a self-describing
-// footer indexing every frame — byte offset, first record index, record
-// count and min/max key per frame, CRC-protected — which makes them
-// seekable: record seeks become a binary search over the index and key
+// Framed files (the varint family) end with a self-describing footer
+// indexing every frame — byte offset, first record index, record count and
+// min/max key per frame, CRC-protected — which makes them seekable: record seeks become a binary search over the index and key
 // probes use the per-frame key ranges.  A framed file without its footer is
 // corrupt.  The byte-level footer layout and parsing rules live in package
 // blockio (footer.go).
 //
-// # Pooling and the accounting guarantee
-//
-// The encode/decode hot paths stage their scratch space through the
-// size-classed buffer pool (package pool).  Pooled buffers are scratch
-// memory: they never change a single on-disk byte or any accounted I/O
-// counter.
-//
 // Future codecs extend the table above with a fresh CodecID; IDs are
-// append-only and never reused, so old files stay decodable.
+// append-only and never reused, so a file of a retired family is rejected,
+// never decoded as another layout.
 package record

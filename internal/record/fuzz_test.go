@@ -1,20 +1,16 @@
 package record
 
-// Fuzz round-trips for every codec — fixed, varint and compress: Encode
-// followed by Decode must reproduce the record exactly, for arbitrary field
-// values.  The varint fuzzers additionally build three-record blocks (so the
-// delta chains are exercised, not just the first record); the compress
-// fuzzers drive the raw LZ compressor over arbitrary byte strings and build
-// blocks with controlled repetition so both the LZ and the raw-fallback
-// payload modes are hit.  Every varint block must also match a reference
-// encoder built on encoding/binary byte for byte.  The garbage fuzzers feed
-// arbitrary bytes to every block decoder, which must reject them with an
-// error instead of panicking or fabricating records; the varint decoders must
-// also agree with a reference decoder built on encoding/binary.  The seed
-// corpus under testdata/fuzz pins the boundary NodeIDs (0 and MaxUint32), the
-// varint field-length edges and the malformed-LZ shapes; the seeds run as
-// ordinary cases on every `go test`, and `go test -fuzz` explores beyond
-// them.
+// Fuzz round-trips for every codec — fixed and varint: Encode followed by
+// Decode must reproduce the record exactly, for arbitrary field values.  The
+// varint fuzzers additionally build three-record blocks (so the delta chains
+// are exercised, not just the first record).  Every varint block must also
+// match a reference encoder built on encoding/binary byte for byte.  The
+// garbage fuzzer feeds arbitrary bytes to every block decoder, which must
+// reject them with an error instead of panicking or fabricating records, and
+// must agree with a reference decoder built on encoding/binary.  The seed
+// corpus under testdata/fuzz pins the boundary NodeIDs (0 and MaxUint32) and
+// the varint field-length edges; the seeds run as ordinary cases on every
+// `go test`, and `go test -fuzz` explores beyond them.
 
 import (
 	"bytes"
@@ -238,18 +234,16 @@ func refDecodeBlock[T any](payload []byte, count int) (recs []T, ok bool) {
 	return recs, r.off == len(payload)
 }
 
-// fuzzBlockRoundTrip encodes recs as one block and decodes it back.  A
-// varint block must also be byte-identical to refAppendBlock's.
+// fuzzBlockRoundTrip encodes recs as one block and decodes it back.  The
+// block must also be byte-identical to refAppendBlock's.
 func fuzzBlockRoundTrip[T comparable](t *testing.T, bc BlockCodec[T], recs []T) {
 	t.Helper()
 	payload := bc.AppendBlock(nil, recs)
 	if len(payload) > len(recs)*bc.MaxRecordSize() {
 		t.Fatalf("payload %d bytes exceeds MaxRecordSize bound %d", len(payload), len(recs)*bc.MaxRecordSize())
 	}
-	if FamilyOfID(bc.ID()) == FamilyVarint {
-		if want := refAppendBlock(recs); !bytes.Equal(payload, want) {
-			t.Fatalf("AppendBlock wrote % x, reference encoder % x", payload, want)
-		}
+	if want := refAppendBlock(recs); !bytes.Equal(payload, want) {
+		t.Fatalf("AppendBlock wrote % x, reference encoder % x", payload, want)
 	}
 	got, err := bc.DecodeBlock(payload, len(recs), nil)
 	if err != nil {
@@ -315,91 +309,6 @@ func FuzzVarintEdgeSCCCodec(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0), uint32(math.MaxUint32), uint32(math.MaxUint32), uint32(math.MaxUint32))
 	f.Fuzz(func(t *testing.T, u1, v1, s1, u2, v2, s2 uint32) {
 		fuzzBlockRoundTrip[EdgeSCC](t, VarintEdgeSCCCodec{}, []EdgeSCC{{U: u1, V: v1, SCC: s1}, {U: u2, V: v2, SCC: s2}})
-	})
-}
-
-// FuzzLZRoundTrip drives the core LZ compressor over arbitrary byte strings:
-// lzAppend followed by lzDecode must reproduce the input exactly, whatever
-// its repetition structure (this is the property every compress-family codec
-// reduces to).
-func FuzzLZRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("abcabcabcabcabcabcabcabc"))
-	f.Add(bytes.Repeat([]byte{0}, 300))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, src []byte) {
-		enc := lzAppend(nil, src)
-		got, err := lzDecode(make([]byte, 0, len(src)), enc, len(src))
-		if err != nil {
-			t.Fatalf("lzDecode rejected lzAppend's own output: %v", err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("LZ round trip altered %d bytes", len(src))
-		}
-	})
-}
-
-// FuzzCompressEdgeCodec round-trips edge blocks through the compress codec.
-// reps repeats the two fuzzed edges so high values compress (mode 1) while
-// low values with distinct ids fall back to the raw payload (mode 0); both
-// modes must reproduce the records exactly.
-func FuzzCompressEdgeCodec(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint32(math.MaxUint32), uint32(math.MaxUint32), uint8(0))
-	f.Add(uint32(7), uint32(9), uint32(7), uint32(9), uint8(200))
-	f.Add(uint32(1), uint32(2), uint32(3), uint32(4), uint8(3))
-	f.Fuzz(func(t *testing.T, u1, v1, u2, v2 uint32, reps uint8) {
-		bc, ok := BlockCodecFor[Edge](FamilyCompress)
-		if !ok {
-			t.Fatal("no compress block codec for Edge")
-		}
-		recs := []Edge{{U: u1, V: v1}, {U: u2, V: v2}}
-		for i := 0; i < int(reps); i++ {
-			recs = append(recs, recs[i%2])
-		}
-		fuzzBlockRoundTrip[Edge](t, bc, recs)
-	})
-}
-
-// FuzzCompressDecodeGarbage feeds arbitrary payload bytes and record counts
-// to every compress decoder: decoding must terminate with records or an
-// error — truncated groups, out-of-range match offsets, over- and under-runs
-// and unknown mode bytes included — never panic or read out of bounds, and a
-// successful decode must produce exactly count records.
-func FuzzCompressDecodeGarbage(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{compressModeRaw}, uint8(1))
-	f.Add([]byte{compressModeLZ, 0xff, 0xff}, uint8(1))
-	f.Add([]byte{compressModeLZ, 0xf0, 255, 255, 255}, uint8(2))
-	f.Add([]byte{2, 1, 2, 3}, uint8(1))
-	f.Add([]byte{compressModeLZ, 0x04, 1, 2, 3, 4, 0xff, 0xff, 0x00}, uint8(1))
-	f.Fuzz(func(t *testing.T, payload []byte, count8 uint8) {
-		count := int(count8)
-		checkLen := func(name string, n int, err error) {
-			if err == nil && n != count {
-				t.Fatalf("%s: decoded %d records without error, want %d", name, n, count)
-			}
-		}
-		e, ok := BlockCodecFor[Edge](FamilyCompress)
-		if !ok {
-			t.Fatal("no compress block codec for Edge")
-		}
-		ed, eerr := e.DecodeBlock(payload, count, nil)
-		checkLen("edge", len(ed), eerr)
-		n, _ := BlockCodecFor[NodeID](FamilyCompress)
-		nd, nerr := n.DecodeBlock(payload, count, nil)
-		checkLen("node", len(nd), nerr)
-		d, _ := BlockCodecFor[NodeDegree](FamilyCompress)
-		dd, derr := d.DecodeBlock(payload, count, nil)
-		checkLen("degree", len(dd), derr)
-		a, _ := BlockCodecFor[EdgeAug](FamilyCompress)
-		ad, aerr := a.DecodeBlock(payload, count, nil)
-		checkLen("aug", len(ad), aerr)
-		l, _ := BlockCodecFor[Label](FamilyCompress)
-		ld, lerr := l.DecodeBlock(payload, count, nil)
-		checkLen("label", len(ld), lerr)
-		s, _ := BlockCodecFor[EdgeSCC](FamilyCompress)
-		sd, serr := s.DecodeBlock(payload, count, nil)
-		checkLen("edgescc", len(sd), serr)
 	})
 }
 

@@ -69,7 +69,7 @@ type Stats struct {
 	// Workers it never affects the I/O counters, only Duration.
 	Storage string
 	// Codec names the record-codec family intermediate files were written
-	// with ("fixed", "varint", "compress"); see WithCodec.
+	// with ("fixed" or "varint"); see WithCodec.
 	Codec string
 	// Phases breaks the run down by engine phase — staging, contraction,
 	// sorting, merging, labelling, expansion — in first-execution order.
@@ -187,7 +187,7 @@ func (r *Result) LabelOf(node NodeID) (scc uint32, ok bool, err error) {
 
 // LookupLabels resolves a batch of nodes, returning a map holding an entry
 // for every node that has a label.  Each distinct node costs one key probe
-// of the node-sorted file: on framed files (varint, compress) a binary search
+// of the node-sorted file: on framed (varint) files a binary search
 // over the frame-index footer's per-frame key ranges plus at most one frame
 // decode, and nothing at all when the frame is already decoded; on fixed
 // files a binary search over record offsets.  So point queries over

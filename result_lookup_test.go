@@ -44,7 +44,7 @@ var lookupBackends = []struct {
 }
 
 // multiFrameResult runs the engine at a 256-byte block size, so the label
-// file spans dozens of frames (varint, compress) or blocks (fixed).  The
+// file spans dozens of frames (varint) or blocks (fixed).  The
 // graph's ids run from 50 to 1549 and leave some of them unlabelled, so
 // there are absent ids below, inside and above the labelled range.
 func multiFrameResult(t *testing.T, codec string, b Storage) *Result {
@@ -108,7 +108,7 @@ func frameEnds(t *testing.T, res *Result, labels []Label) []NodeID {
 // frames, for every id from 0 to past the last label and at every frame's
 // first and last label.
 func TestLabelOfBothPaths(t *testing.T) {
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		for _, be := range lookupBackends {
 			t.Run("B256/"+codec+"/"+be.name, func(t *testing.T) {
 				res := multiFrameResult(t, codec, be.b())
@@ -145,7 +145,7 @@ func TestLabelOfBothPaths(t *testing.T) {
 			})
 		}
 	}
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		for _, be := range lookupBackends {
 			t.Run(codec+"/"+be.name, func(t *testing.T) {
 				res := lookupResult(t, codec, be.b())
@@ -179,7 +179,7 @@ func TestLabelOfBothPaths(t *testing.T) {
 // duplicates and absent ids, that touches every frame of a many-frame label
 // file.
 func TestLookupLabelsBatch(t *testing.T) {
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		for _, be := range lookupBackends {
 			t.Run("B256/"+codec+"/"+be.name, func(t *testing.T) {
 				res := multiFrameResult(t, codec, be.b())
@@ -215,7 +215,7 @@ func TestLookupLabelsBatch(t *testing.T) {
 			})
 		}
 	}
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		t.Run(codec, func(t *testing.T) {
 			res := lookupResult(t, codec, OSStorage())
 			defer res.Close()
@@ -254,7 +254,7 @@ func TestLookupLabelsBatch(t *testing.T) {
 // TestLabelOfConcurrent hammers LabelOf from many goroutines (meaningful
 // under -race): the lazy init must be safe and every answer correct.
 func TestLabelOfConcurrent(t *testing.T) {
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		t.Run(codec, func(t *testing.T) {
 			res := lookupResult(t, codec, OSStorage())
 			defer res.Close()
@@ -299,7 +299,7 @@ func TestLabelOfConcurrent(t *testing.T) {
 // at every position exactly one lookup fails with ErrInjected while every
 // other lookup, and the repeat of the failed one, answers correctly.
 func TestLookupReadFaultDropsReader(t *testing.T) {
-	for _, codec := range []string{"fixed", "varint", "compress"} {
+	for _, codec := range []string{"fixed", "varint"} {
 		t.Run(codec, func(t *testing.T) {
 			// run computes the labelling on a faulting mem backend and moves
 			// the label file to a name that only the lookups read.
@@ -481,7 +481,7 @@ func TestFooterlessLabelLookupFailsTyped(t *testing.T) {
 // lookups on a footer-indexed framed labelling must allocate a bounded amount
 // per call (reader buffers, one footer), whatever the labelling's size.
 func TestFramedLookupAllocationBounded(t *testing.T) {
-	res := lookupResult(t, "compress", OSStorage())
+	res := lookupResult(t, "varint", OSStorage())
 	defer res.Close()
 	if _, _, err := res.LabelOf(7); err != nil {
 		t.Fatal(err)
