@@ -23,9 +23,9 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Mirrors the `race` job: the WithWorkers pools, the in-memory storage
-# backend, and the sharded multi-volume backend under the race detector,
-# once per storage spec.
+# Mirrors the `race` job: the concurrent shard solves of WithShards, the
+# in-memory storage backend, the sharded multi-volume backend and the
+# serving subsystem under the race detector, once per storage spec.
 race:
 	EXTSCC_STORAGE=os $(GO) test -race -short ./...
 	EXTSCC_STORAGE=mem $(GO) test -race -short ./...
@@ -61,8 +61,7 @@ fuzz:
 		done; \
 	done
 
-# Mirrors the `bench` job: quick fig7, workers=1 vs workers=NumCPU with
-# identical SCCs and I/O counts enforced; the shard gate (1 vs 2 vs 4
+# Mirrors the `bench` job on quick fig7: the shard gate (1 vs 2 vs 4
 # compute shards on per-shard in-memory volumes, identical SCC counts, the
 # per-shard-count rows and speedup recorded in BENCH_quick.{json,csv}); the
 # storage-equivalence gate (mem ≡ os); then the codec gate (fixed and
@@ -70,12 +69,10 @@ fuzz:
 # and lower block I/Os), with both codec sweeps also gated against the
 # committed baseline.  Every CSV row carries the per-phase *_ms columns.
 bench:
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-workers -workers 0 \
-		-json BENCH_workers.json -csv BENCH_workers.csv
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-shards -workers 1 \
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-shards \
 		-json BENCH_quick.json -csv BENCH_quick.csv
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-storage -workers 1
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec -workers 1 \
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-storage
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec \
 		-json BENCH_codec.json -csv BENCH_codec.csv \
 		-baseline bench/baseline.json -tolerance 0.25
 
@@ -102,7 +99,7 @@ microbench:
 # -compare-codec so it holds both codec families' sweeps — the same shape
 # the gating run produces.
 bench-baseline:
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec -workers 1 \
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec \
 		-json bench/baseline.json
 
 # Mirrors the `serve-smoke` job: build sccserve, boot it on the generated
@@ -120,16 +117,20 @@ serve-smoke:
 # write plus a transient read must be absorbed by -retry on both backends
 # (the torn flavor on the os leg pins the truncate-and-rewrite recovery
 # against real seek-offset semantics), and a corrupting plan must fail the
-# run with a typed corruption message, never a wrong answer.
+# run with a typed corruption message, never a wrong answer.  The run makes
+# 30 reads under its run directory, so the read rule's n=15 lands mid-run;
+# each retry leg fails unless sccrun reports both faults recovered.
 faultsweep:
 	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
-	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=40,mode=transient,path=extscc-engine-' \
-		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3
-	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=40,mode=transient,path=extscc-engine-' \
-		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint
+	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=15,mode=transient,path=extscc-engine-' \
+		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 | tee FAULT_os.log
+	grep -q '^retries: 2 ' FAULT_os.log || { echo "os leg: the torn write and the transient read were not both recovered"; exit 1; }
+	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=15,mode=transient,path=extscc-engine-' \
+		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint | tee FAULT_mem.log
+	grep -q '^retries: 2 ' FAULT_mem.log || { echo "mem leg: the torn write and the transient read were not both recovered"; exit 1; }
 	@echo "expecting the corrupting run below to fail with a corruption error:"
 	! EXTSCC_FAULT='op=read,n=1,count=0,mode=corrupt,path=extscc-engine-' \
 		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint
-	rm -f FAULT_graph.edges
+	rm -f FAULT_graph.edges FAULT_os.log FAULT_mem.log

@@ -70,10 +70,6 @@ type Task struct {
 	// NodeBudget, when positive, overrides the node capacity derived from
 	// Memory (the semi-external threshold of Algorithm 2).
 	NodeBudget int64
-	// Workers is the resolved worker count of the run (>= 1; see
-	// WithWorkers).  Built-in algorithms thread it into the external sort
-	// and block I/O; external backends may use it to size their own pools.
-	Workers int
 	// MaxIOs, when positive, caps the number of block transfers; algorithms
 	// that support it return ErrBudgetExceeded once exceeded.
 	MaxIOs int64

@@ -7,21 +7,20 @@
 //
 //	sccbench -experiment fig6
 //	sccbench -experiment all -quick -csv results.csv
-//	sccbench -experiment fig7 -quick -compare-workers -json BENCH_quick.json \
+//	sccbench -experiment fig7 -quick -compare-codec -json BENCH_codec.json \
 //	         -baseline bench/baseline.json
 //
-// -compare-workers runs every experiment twice — sequential (workers=1) and
-// parallel (the -workers count, defaulting to all CPUs) — and fails unless
-// both runs agree on every SCC count and every accounted I/O count; it then
-// reports the wall-clock speedup.  -compare-storage does the same across
-// storage backends: it runs the experiment on the OS backend and on the
+// -compare-storage runs the experiment on the OS backend and on the
 // in-memory backend and fails unless both agree on every SCC count and
-// every accounted I/O count (the mem ≡ os equivalence guarantee).
+// every accounted I/O count (the mem ≡ os equivalence guarantee); it then
+// reports the wall-clock speedup.  -compare-shards runs it at 1, 2 and 4
+// compute shards and fails unless every completed point agrees on its SCC
+// count.
 // -compare-codec runs the experiment under the fixed and varint record
 // codecs and fails unless both produce identical SCC results AND varint pays
 // for itself in the I/O model: it must cut the pipeline bytes written by at
 // least 30% while lowering the block I/O count.  -json writes all
-// measurements as a JSON report; -baseline gates the sequential OS-backend
+// measurements as a JSON report; -baseline gates the OS-backend
 // measurements against a committed report and exits non-zero on a
 // regression beyond -tolerance.
 package main
@@ -31,7 +30,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"time"
 
 	"extscc/internal/bench"
@@ -48,8 +46,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads further for a fast smoke run")
 	tempDir := flag.String("tmp", os.TempDir(), "directory for graphs and intermediate files")
 	csvPath := flag.String("csv", "", "also write measurements as CSV to this file")
-	workers := cliflags.Workers(1)
-	compareWorkers := flag.Bool("compare-workers", false, "run sequentially and with -workers workers, verify identical SCCs and I/O counts, report the speedup")
 	storageName := cliflags.Storage()
 	compareStorage := flag.Bool("compare-storage", false, "run on the os and mem backends, verify identical SCCs and I/O counts, report the speedup")
 	codecName := cliflags.Codec()
@@ -58,26 +54,20 @@ func main() {
 	compareShards := flag.Bool("compare-shards", false, "run at 1, 2 and 4 compute shards, each striped over that many in-memory volumes, verify identical SCC counts, and report the wall-clock speedup")
 	compareCodec := flag.Bool("compare-codec", false, "run with the fixed and varint codecs, verify identical SCCs, and report the byte and block-I/O reductions (fails unless varint cuts pipeline bytes by >= 30% with fewer block I/Os)")
 	jsonPath := flag.String("json", "", "write measurements as a JSON report to this file")
-	baselinePath := flag.String("baseline", "", "gate the workers=1 measurements against this committed JSON report")
+	baselinePath := flag.String("baseline", "", "gate the measurements against this committed JSON report")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional I/O regression against -baseline")
 	flag.Parse()
 
-	if *compareWorkers && *workers == 1 {
-		log.Fatal("-compare-workers needs a parallel worker count: pass -workers 0 (all CPUs) or -workers N with N > 1")
-	}
 	if *compareStorage && *storageName != "" {
 		log.Fatal("-compare-storage runs on both backends; do not combine it with -storage")
 	}
-	if *compareStorage && *compareWorkers {
-		log.Fatal("-compare-workers and -compare-storage are separate gates; run them as two invocations")
-	}
-	if *compareCodec && (*compareWorkers || *compareStorage) {
+	if *compareCodec && *compareStorage {
 		log.Fatal("-compare-codec is a separate gate; run it as its own invocation")
 	}
 	if *compareCodec && *codecName != "" {
 		log.Fatal("-compare-codec runs every codec family; do not combine it with -codec")
 	}
-	if *compareShards && (*compareWorkers || *compareStorage || *compareCodec) {
+	if *compareShards && (*compareStorage || *compareCodec) {
 		log.Fatal("-compare-shards is a separate gate; run it as its own invocation")
 	}
 	if *compareShards && (*storageName != "" || *shards != 0) {
@@ -103,15 +93,8 @@ func main() {
 		// though the accounted I/O counts are identical (mem ≡ os).
 		log.Fatalf("-baseline gates the os-backend measurements; rerun without -storage=%s (the I/O counts are identical across backends)", backend.Name())
 	}
-	resolvedWorkers := *workers
-	if resolvedWorkers < 1 {
-		// Match the engine's own WithWorkers(0) resolution: GOMAXPROCS
-		// respects CPU quotas, NumCPU would oversubscribe in containers.
-		resolvedWorkers = runtime.GOMAXPROCS(0)
-	}
-
-	runOnce := func(w int, b storage.Backend, codec string, shardCount int) ([]bench.Measurement, error) {
-		cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: w, Storage: b, Codec: codec, Retries: *retry, Shards: shardCount}
+	runOnce := func(b storage.Backend, codec string, shardCount int) ([]bench.Measurement, error) {
+		cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Storage: b, Codec: codec, Retries: *retry, Shards: shardCount}
 		if *experiment == "all" {
 			return bench.RunAll(cfg)
 		}
@@ -123,42 +106,12 @@ func main() {
 	// artifact of a failing run.
 	var gateFailures []string
 	var ms []bench.Measurement
-	if *compareWorkers {
-		seq, err := runOnce(1, backend, *codecName, *shards)
+	if *compareStorage {
+		osMs, err := runOnce(storage.OS(), *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ms = seq
-		if resolvedWorkers > 1 {
-			par, err := runOnce(resolvedWorkers, backend, *codecName, *shards)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ms = append(ms, par...)
-			if violations := bench.VerifyWorkerEquivalence(ms); len(violations) > 0 {
-				for _, v := range violations {
-					log.Printf("worker-equivalence violation: %s", v)
-				}
-				gateFailures = append(gateFailures,
-					fmt.Sprintf("workers=1 and workers=%d disagree on %d measurement(s)", resolvedWorkers, len(violations)))
-			} else {
-				seqTotal, parTotal := totalDuration(seq), totalDuration(par)
-				speedup := "n/a"
-				if parTotal > 0 {
-					speedup = fmt.Sprintf("%.2fx", float64(seqTotal)/float64(parTotal))
-				}
-				fmt.Printf("worker comparison: workers=1 took %s, workers=%d took %s (speedup %s); SCCs and I/O counts identical\n",
-					seqTotal.Round(time.Millisecond), resolvedWorkers, parTotal.Round(time.Millisecond), speedup)
-			}
-		} else {
-			fmt.Println("worker comparison: only one CPU available, parallel run skipped")
-		}
-	} else if *compareStorage {
-		osMs, err := runOnce(resolvedWorkers, storage.OS(), *codecName, *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		memMs, err := runOnce(resolvedWorkers, storage.NewMem(), *codecName, *shards)
+		memMs, err := runOnce(storage.NewMem(), *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -180,7 +133,7 @@ func main() {
 		}
 	} else if *compareCodec {
 		for _, family := range []string{"fixed", "varint"} {
-			got, err := runOnce(resolvedWorkers, backend, family, *shards)
+			got, err := runOnce(backend, family, *shards)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -220,7 +173,7 @@ func main() {
 				}
 				b = storage.NewSharded(children...)
 			}
-			got, err := runOnce(resolvedWorkers, b, *codecName, n)
+			got, err := runOnce(b, *codecName, n)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -247,7 +200,7 @@ func main() {
 		}
 	} else {
 		var err error
-		ms, err = runOnce(resolvedWorkers, backend, *codecName, *shards)
+		ms, err = runOnce(backend, *codecName, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -269,7 +222,7 @@ func main() {
 		fmt.Printf("CSV written to %s\n", *csvPath)
 	}
 
-	cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Workers: resolvedWorkers, Storage: backend, Codec: *codecName, Retries: *retry, Shards: *shards}
+	cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Storage: backend, Codec: *codecName, Retries: *retry, Shards: *shards}
 	report := bench.NewReport(*experiment, cfg, ms)
 	if *jsonPath != "" {
 		if err := report.WriteFile(*jsonPath); err != nil {

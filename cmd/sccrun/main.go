@@ -34,7 +34,6 @@ func main() {
 	memory := cliflags.Memory()
 	block := cliflags.Block()
 	nodeBudget := cliflags.NodeBudget()
-	workers := cliflags.Workers(0)
 	tempDir := flag.String("tmp", os.TempDir(), "directory for intermediate files")
 	storageName := cliflags.Storage()
 	codecName := cliflags.Codec()
@@ -68,7 +67,6 @@ func main() {
 		extscc.WithMemory(*memory),
 		extscc.WithBlockSize(*block),
 		extscc.WithNodeBudget(*nodeBudget),
-		extscc.WithWorkers(*workers),
 		extscc.WithTempDir(*tempDir),
 		extscc.WithStorage(backend),
 		extscc.WithCodec(*codecName),
@@ -108,8 +106,8 @@ func main() {
 	if res.Stats.ContractionIterations > 0 {
 		fmt.Printf("contraction iterations: %d\n", res.Stats.ContractionIterations)
 	}
-	fmt.Printf("SCCs: %d\ntime: %s (%d workers, %s storage, %s codec)\nI/Os: %d (random %d, semi-external scans %d)\nbytes: read %d, written %d (compression %.2fx)\n",
-		res.NumSCCs, res.Stats.Duration.Round(time.Millisecond), res.Stats.Workers, res.Stats.Storage, res.Stats.Codec,
+	fmt.Printf("SCCs: %d\ntime: %s (%s storage, %s codec)\nI/Os: %d (random %d, semi-external scans %d)\nbytes: read %d, written %d (compression %.2fx)\n",
+		res.NumSCCs, res.Stats.Duration.Round(time.Millisecond), res.Stats.Storage, res.Stats.Codec,
 		res.Stats.TotalIOs, res.Stats.RandomIOs, res.Stats.SemiExternalScans, res.Stats.BytesRead, res.Stats.BytesWritten, res.Stats.CompressionRatio)
 	if res.Stats.Retries > 0 {
 		fmt.Printf("retries: %d transient storage failures recovered\n", res.Stats.Retries)

@@ -47,7 +47,6 @@ func main() {
 	algo := flag.String("algo", "", "algorithm to ingest with (\"\" = engine default; \"help\" lists the registry)")
 	memory := cliflags.Memory()
 	block := cliflags.Block()
-	workers := cliflags.Workers(0)
 	tempDir := flag.String("tmp", "", "directory for materialised files (\"\" = system temp)")
 	storageName := cliflags.Storage()
 	codecName := cliflags.Codec()
@@ -94,7 +93,6 @@ func main() {
 		Algorithm:    *algo,
 		Memory:       *memory,
 		BlockSize:    *block,
-		Workers:      *workers,
 		Retries:      *retry,
 		Codec:        *codecName,
 		Storage:      backend,

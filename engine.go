@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"extscc/internal/edgefile"
@@ -100,24 +99,16 @@ func WithMaxIOs(n int64) Option {
 	}
 }
 
-// WithWorkers sets the number of concurrent workers the external-memory
-// primitives may use: parallel run formation and merging in the external
-// sort (which every contraction iteration dispatches through) and the
-// overlapped (prefetching / write-behind) block I/O.  0 means
-// runtime.GOMAXPROCS(0), the default; 1 forces the fully sequential
-// behaviour.  The labelling, the number of SCCs, and every accounted I/O
-// count are identical at every worker count — run boundaries and merge
-// structure are derived from the memory budget only — so the paper's I/O
-// model is unaffected; only the wall-clock changes.  One memory caveat: a
-// multi-pass merge with k independent groups in flight transiently buffers
-// up to min(n, k) × M of block buffers; WithWorkers(1) restores the strict
-// M budget (see the README's WithWorkers footnote).
+// WithWorkers has no effect: every external sort and block stream of a run
+// executes on the run's own goroutine and keeps to the memory budget M, and
+// Stats.Workers reports 1.  The only concurrency inside a run is WithShards.
+// The option remains so that callers that set it keep compiling; it still
+// rejects a negative count.
 func WithWorkers(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
 			return fmt.Errorf("extscc: WithWorkers(%d): worker count cannot be negative", n)
 		}
-		e.base.Workers = n
 		return nil
 	}
 }
@@ -260,9 +251,9 @@ func Codecs() []string { return record.Families() }
 // so inputs written under either family are accepted regardless of this
 // setting.
 //
-// Unlike WithStorage and WithWorkers, the codec intentionally changes the
-// accounted I/O: varint stores the same records in fewer bytes and therefore
-// fewer blocks.  It never changes the computed labelling — for any workload
+// Unlike WithStorage, the codec intentionally changes the accounted I/O:
+// varint stores the same records in fewer bytes and therefore fewer blocks.
+// It never changes the computed labelling — for any workload
 // and configuration, both codec families produce identical SCC labels (the
 // cross-codec equivalence the test suite enforces).  Framed files
 // end with a frame-index footer, so record seeks work under every family —
@@ -310,16 +301,12 @@ func New(opts ...Option) (*Engine, error) {
 		Memory:     e.base.Memory,
 		NodeBudget: e.base.NodeBudget,
 		TempDir:    e.base.TempDir,
-		Workers:    e.base.Workers,
 		Codec:      e.base.Codec,
 		Retries:    e.base.Retries,
 		Storage:    e.base.Storage,
 	}.Validate()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	cfg.Stats = nil // each Run allocates its own counters
 	e.base = cfg
@@ -395,7 +382,6 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 		Memory:     cfg.Memory,
 		BlockSize:  cfg.BlockSize,
 		NodeBudget: cfg.NodeBudget,
-		Workers:    cfg.WorkerCount(),
 		MaxIOs:     e.maxIOs,
 		KeepTemp:   e.keepTemp,
 		Progress:   e.progress,
@@ -443,7 +429,7 @@ func (e *Engine) Run(ctx context.Context, src Source) (*Result, error) {
 			Retries:       full.Retries,
 			CorruptFrames: full.CorruptFrames,
 			Phases:        phaseStats(cfg.Prof),
-			Workers:       cfg.WorkerCount(),
+			Workers:       1,
 			Storage:       cfg.Backend().Name(),
 			Codec:         cfg.CodecFamily(),
 			Duration:      time.Since(start),

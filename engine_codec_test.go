@@ -71,55 +71,46 @@ func sameSCCPartition(t *testing.T, a, b map[extscc.NodeID]uint32) {
 // layer: every registered algorithm — dfs-scc included, which no longer pins
 // its own files to the fixed layout now that framed files seek through their
 // frame-index footer — produces the identical SCC partition under every codec
-// family, at workers=1 and at NumCPU, while varint strictly reduces the bytes
-// written.
+// family, while varint strictly reduces the bytes written.
 func TestCrossCodecEquivalence(t *testing.T) {
 	// A workload with non-trivial SCC structure, big enough that edge files
 	// span many 4 KiB blocks and the contraction loop actually iterates.
 	edges := graphgen.Random(600, 2400, 42)
-	workerCounts := []int{1, runtime.NumCPU()}
-	if workerCounts[1] < 2 {
-		workerCounts = workerCounts[:1]
-	}
 
 	for _, algo := range extscc.Algorithms() {
 		name := algo.Name()
-		for _, workers := range workerCounts {
-			fixedLabels, fixedStats, fixedSCCs := codecRun(t, name, extscc.CodecFixed, workers, edges)
-			codec := extscc.CodecVarint
-			labels, stats, sccs := codecRun(t, name, codec, workers, edges)
+		fixedLabels, fixedStats, fixedSCCs := codecRun(t, name, extscc.CodecFixed, 1, edges)
+		codec := extscc.CodecVarint
+		labels, stats, sccs := codecRun(t, name, codec, 1, edges)
 
-			if fixedSCCs != sccs {
-				t.Fatalf("%s w=%d: NumSCCs %d (fixed) vs %d (%s)", name, workers, fixedSCCs, sccs, codec)
-			}
-			sameSCCPartition(t, fixedLabels, labels)
+		if fixedSCCs != sccs {
+			t.Fatalf("%s: NumSCCs %d (fixed) vs %d (%s)", name, fixedSCCs, sccs, codec)
+		}
+		sameSCCPartition(t, fixedLabels, labels)
 
-			if stats.BytesWritten >= fixedStats.BytesWritten {
-				t.Errorf("%s w=%d: %s wrote %d bytes, fixed %d; compression must reduce bytes",
-					name, workers, codec, stats.BytesWritten, fixedStats.BytesWritten)
-			}
-			// Block-I/O reduction is pinned for the scan/sort algorithms
-			// only: dfs-scc is dominated by random frame probes, where a
-			// compressed frame can straddle as many blocks as the fixed
-			// window it replaces.
-			if name != "dfs-scc" && stats.TotalIOs >= fixedStats.TotalIOs {
-				t.Errorf("%s w=%d: %s charged %d block I/Os, fixed %d; compression must reduce I/Os",
-					name, workers, codec, stats.TotalIOs, fixedStats.TotalIOs)
-			}
-			if stats.CompressionRatio <= 1.1 {
-				t.Errorf("%s w=%d: varint compression ratio %.2f, want > 1.1", name, workers, stats.CompressionRatio)
-			}
-			if fixedStats.CompressionRatio < 0.99 || fixedStats.CompressionRatio > 1.01 {
-				t.Errorf("%s w=%d: fixed compression ratio %.3f, want ~1.0", name, workers, fixedStats.CompressionRatio)
-			}
+		if stats.BytesWritten >= fixedStats.BytesWritten {
+			t.Errorf("%s: %s wrote %d bytes, fixed %d; compression must reduce bytes",
+				name, codec, stats.BytesWritten, fixedStats.BytesWritten)
+		}
+		// Block-I/O reduction is pinned for the scan/sort algorithms only:
+		// dfs-scc is dominated by random frame probes, where a compressed
+		// frame can straddle as many blocks as the fixed window it replaces.
+		if name != "dfs-scc" && stats.TotalIOs >= fixedStats.TotalIOs {
+			t.Errorf("%s: %s charged %d block I/Os, fixed %d; compression must reduce I/Os",
+				name, codec, stats.TotalIOs, fixedStats.TotalIOs)
+		}
+		if stats.CompressionRatio <= 1.1 {
+			t.Errorf("%s: varint compression ratio %.2f, want > 1.1", name, stats.CompressionRatio)
+		}
+		if fixedStats.CompressionRatio < 0.99 || fixedStats.CompressionRatio > 1.01 {
+			t.Errorf("%s: fixed compression ratio %.3f, want ~1.0", name, fixedStats.CompressionRatio)
 		}
 	}
 }
 
-// TestWorkerEquivalenceUnderVarint extends PR 3's determinism guarantee to
-// the compressed codec: the worker count must not change a varint run's
-// labelling or any accounted I/O counter (frames depend only on the record
-// sequence and block size, which are worker-independent).
+// TestWorkerEquivalenceUnderVarint pins that WithWorkers is inert under the
+// varint codec: a varint run's labelling and accounted I/O counters are the
+// same at workers=1 and workers=NumCPU.
 func TestWorkerEquivalenceUnderVarint(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("single-CPU machine")

@@ -19,7 +19,8 @@ import (
 // TestCrossBackendEquivalence is the engine-level contract of WithStorage:
 // for every registered algorithm on a quick workload, the in-memory backend
 // and the OS backend produce identical SCC labellings and identical
-// iomodel.Stats counters, at workers=1 and workers=NumCPU.
+// iomodel.Stats counters.  The workers=NumCPU leg pins that the inert
+// WithWorkers option changes neither.
 func TestCrossBackendEquivalence(t *testing.T) {
 	edges := graphgen.Random(220, 660, 11)
 	extra := []NodeID{500, 501} // isolated nodes exercise the node-file path

@@ -157,7 +157,8 @@ func canonicalPartition(t *testing.T, labels []extscc.Label) []extscc.Label {
 // TestShardedEquivalence is the engine-level contract of WithShards /
 // WithShardedStorage: for every registered algorithm and both codec
 // families, a sharded run computes the identical SCC partition to the
-// unsharded run, at workers=1 and workers=NumCPU.
+// unsharded run.  The workers=NumCPU leg pins that the inert WithWorkers
+// option does not change it.
 func TestShardedEquivalence(t *testing.T) {
 	edges := graphgen.Random(220, 660, 11)
 	extra := []extscc.NodeID{500, 501} // isolated nodes exercise the node split

@@ -29,7 +29,6 @@ type ReportEntry struct {
 	Experiment   string `json:"experiment"`
 	X            string `json:"x"`
 	Series       string `json:"series"`
-	Workers      int    `json:"workers"`
 	Storage      string `json:"storage,omitempty"`
 	Codec        string `json:"codec,omitempty"`
 	Shards       int    `json:"shards,omitempty"`
@@ -47,13 +46,11 @@ type ReportEntry struct {
 	Phases []PhaseMeasurement `json:"phases,omitempty"`
 }
 
-// key identifies a measurement point; workers is part of the identity so a
-// report can hold the same sweep at several worker counts.  A non-default
-// storage backend or codec family is part of the identity too, while
-// OS-backend fixed-codec entries keep the historical key so committed
-// baselines recorded before storage and codecs became pluggable still match.
+// key identifies a measurement point.  A non-default storage backend, codec
+// family or shard count is part of the identity, so a report can hold the
+// same sweep under several of them.
 func (e ReportEntry) key() string {
-	k := fmt.Sprintf("%s|%s|%s|w=%d", e.Experiment, e.X, e.Series, e.Workers)
+	k := fmt.Sprintf("%s|%s|%s", e.Experiment, e.X, e.Series)
 	if e.Storage != "" && e.Storage != "os" {
 		k += "|s=" + e.Storage
 	}
@@ -81,7 +78,6 @@ func NewReport(experiment string, c Config, ms []Measurement) Report {
 			Experiment:   m.Experiment,
 			X:            m.X,
 			Series:       m.Series,
-			Workers:      m.Workers,
 			Storage:      m.Storage,
 			Codec:        m.Codec,
 			Shards:       m.shardCount(),
@@ -186,7 +182,7 @@ func CompareToBaseline(current, baseline Report, tolerance float64) []string {
 	return violations
 }
 
-// equivalenceViolations is the shared engine of the two equivalence gates:
+// equivalenceViolations is the engine of the storage-equivalence gate:
 // measurements that agree on pointKey but differ in the compared dimension
 // (dimOf) must agree on the INF status, the number of SCCs, the iteration
 // count, and every accounted I/O count.  The first measurement seen at each
@@ -235,21 +231,21 @@ func equivalenceViolations(ms []Measurement, pointKey func(Measurement) string, 
 
 // VerifyStorageEquivalence checks the cross-backend guarantee of
 // WithStorage across measurements that hold the same sweep on several
-// storage backends: for every (experiment, x, series, workers) point, all
-// backends must agree on the INF status, the number of SCCs, the iteration
-// count, and every accounted I/O count.  It returns one violation string
-// per disagreement.
+// storage backends: for every (experiment, x, series) point, all backends
+// must agree on the INF status, the number of SCCs, the iteration count,
+// and every accounted I/O count.  It returns one violation string per
+// disagreement.
 func VerifyStorageEquivalence(ms []Measurement) []string {
 	return equivalenceViolations(ms,
 		func(m Measurement) string {
-			return fmt.Sprintf("%s|%s|%s|w=%d", m.Experiment, m.X, m.Series, m.Workers)
+			return fmt.Sprintf("%s|%s|%s", m.Experiment, m.X, m.Series)
 		},
 		func(m Measurement) string { return "storage=" + m.Storage })
 }
 
 // VerifyCodecEquivalence checks the result-equivalence guarantee of WithCodec
 // across measurements that hold the same sweep under several codec families:
-// for every (experiment, x, series, workers, storage) point, all codecs must
+// for every (experiment, x, series, storage) point, all codecs must
 // agree on the INF status, the number of SCCs and the iteration count.  The
 // I/O counts are deliberately NOT compared — changing them is what a
 // compressing codec is for; CodecSavings quantifies that change.
@@ -257,7 +253,7 @@ func VerifyCodecEquivalence(ms []Measurement) []string {
 	points := map[string]Measurement{}
 	var violations []string
 	for _, m := range ms {
-		k := fmt.Sprintf("%s|%s|%s|w=%d|s=%s", m.Experiment, m.X, m.Series, m.Workers, m.Storage)
+		k := fmt.Sprintf("%s|%s|%s|s=%s", m.Experiment, m.X, m.Series, m.Storage)
 		ref, ok := points[k]
 		if !ok {
 			points[k] = m
@@ -315,7 +311,7 @@ func (s CodecSavings) IOReduction() float64 {
 func CompareCodecs(ms []Measurement, baseCodec, otherCodec string) CodecSavings {
 	base := map[string]Measurement{}
 	key := func(m Measurement) string {
-		return fmt.Sprintf("%s|%s|%s|w=%d|s=%s", m.Experiment, m.X, m.Series, m.Workers, m.Storage)
+		return fmt.Sprintf("%s|%s|%s|s=%s", m.Experiment, m.X, m.Series, m.Storage)
 	}
 	for _, m := range ms {
 		if m.Codec == baseCodec && !m.INF {
@@ -342,9 +338,9 @@ func CompareCodecs(ms []Measurement, baseCodec, otherCodec string) CodecSavings 
 
 // VerifyShardEquivalence checks the result guarantee of the sharded
 // contraction pre-pass across measurements that hold the same sweep at
-// several shard counts: for every (experiment, x, series, workers, codec)
-// point that completed at both shard counts, the number of SCCs must be
-// identical.  Iteration and I/O counts are deliberately NOT compared — the
+// several shard counts: for every (experiment, x, series, codec) point that
+// completed at both shard counts, the number of SCCs must be identical.
+// Iteration and I/O counts are deliberately NOT compared — the
 // pre-pass adds split/condense passes and changes where contraction
 // happens — and neither is the INF status of budget-capped runs: the
 // pre-pass shrinks the graph the capped algorithm sees, so a run that blew
@@ -354,7 +350,7 @@ func VerifyShardEquivalence(ms []Measurement) []string {
 	points := map[string]Measurement{}
 	var violations []string
 	for _, m := range ms {
-		k := fmt.Sprintf("%s|%s|%s|w=%d|c=%s", m.Experiment, m.X, m.Series, m.Workers, m.Codec)
+		k := fmt.Sprintf("%s|%s|%s|c=%s", m.Experiment, m.X, m.Series, m.Codec)
 		ref, ok := points[k]
 		if !ok {
 			points[k] = m
@@ -372,17 +368,4 @@ func VerifyShardEquivalence(ms []Measurement) []string {
 	}
 	sort.Strings(violations)
 	return violations
-}
-
-// VerifyWorkerEquivalence checks the core guarantee of WithWorkers across a
-// report that holds the same sweep at several worker counts: for every
-// (experiment, x, series) point, all worker counts must agree on the INF
-// status, the number of SCCs, the iteration count, and every accounted I/O
-// count.  It returns one violation string per disagreement.
-func VerifyWorkerEquivalence(ms []Measurement) []string {
-	return equivalenceViolations(ms,
-		func(m Measurement) string {
-			return fmt.Sprintf("%s|%s|%s", m.Experiment, m.X, m.Series)
-		},
-		func(m Measurement) string { return fmt.Sprintf("workers=%d", m.Workers) })
 }

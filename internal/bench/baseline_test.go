@@ -9,13 +9,13 @@ import (
 
 func sampleMeasurements() []Measurement {
 	return []Measurement{
-		{Experiment: "fig7", X: "M=0.50|V|", Series: AlgoExtOp, Workers: 1, Duration: 2 * time.Second, TotalIOs: 1000, RandomIOs: 0, NumSCCs: 42},
-		{Experiment: "fig7", X: "M=0.50|V|", Series: AlgoDFS, Workers: 1, INF: true, Note: "exceeded budget"},
+		{Experiment: "fig7", X: "M=0.50|V|", Series: AlgoExtOp, Duration: 2 * time.Second, TotalIOs: 1000, RandomIOs: 0, NumSCCs: 42},
+		{Experiment: "fig7", X: "M=0.50|V|", Series: AlgoDFS, INF: true, Note: "exceeded budget"},
 	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	cfg := Config{Quick: true, Scale: 1000, Workers: 1}
+	cfg := Config{Quick: true, Scale: 1000}
 	report := NewReport("fig7", cfg, sampleMeasurements())
 	path := filepath.Join(t.TempDir(), "report.json")
 	if err := report.WriteFile(path); err != nil {
@@ -34,7 +34,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestCompareToBaseline(t *testing.T) {
-	cfg := Config{Quick: true, Scale: 1000, Workers: 1}
+	cfg := Config{Quick: true, Scale: 1000}
 	base := NewReport("fig7", cfg, sampleMeasurements())
 
 	// Identical run: no violations.
@@ -70,34 +70,38 @@ func TestCompareToBaseline(t *testing.T) {
 	}
 }
 
+// TestVerifyWorkerEquivalence covers equivalenceViolations through the
+// storage gate: runs of one sweep on two backends must agree on every SCC
+// and I/O count, and each disagreement is one well-formed violation.
 func TestVerifyWorkerEquivalence(t *testing.T) {
-	seq := sampleMeasurements()
-	par := sampleMeasurements()
-	for i := range par {
-		par[i].Workers = 4
-		par[i].Duration /= 2 // faster is fine; I/Os identical
+	onOS := sampleMeasurements()
+	onMem := sampleMeasurements()
+	for i := range onOS {
+		onOS[i].Storage = "os"
+		onMem[i].Storage = "mem"
+		onMem[i].Duration /= 2 // faster is fine; I/Os identical
 	}
-	if v := VerifyWorkerEquivalence(append(seq, par...)); len(v) != 0 {
+	if v := VerifyStorageEquivalence(append(onOS, onMem...)); len(v) != 0 {
 		t.Fatalf("equivalent runs reported violations: %v", v)
 	}
-	par[0].TotalIOs++
-	v := VerifyWorkerEquivalence(append(seq, par...))
+	onMem[0].TotalIOs++
+	v := VerifyStorageEquivalence(append(onOS, onMem...))
 	if len(v) != 1 || !strings.Contains(v[0], "I/O counts differ") {
 		t.Fatalf("expected an I/O-difference violation, got %v", v)
 	}
 	if strings.Contains(v[0], "%!") {
 		t.Fatalf("violation message has a formatting bug: %v", v[0])
 	}
-	par[0].TotalIOs--
-	par[0].NumSCCs++
-	v = VerifyWorkerEquivalence(append(seq, par...))
+	onMem[0].TotalIOs--
+	onMem[0].NumSCCs++
+	v = VerifyStorageEquivalence(append(onOS, onMem...))
 	if len(v) != 1 || !strings.Contains(v[0], "SCC count differs") {
 		t.Fatalf("expected an SCC-difference violation, got %v", v)
 	}
 }
 
 func TestCompareToBaselineRandomIOs(t *testing.T) {
-	cfg := Config{Quick: true, Scale: 1000, Workers: 1}
+	cfg := Config{Quick: true, Scale: 1000}
 	base := NewReport("fig7", cfg, sampleMeasurements())
 
 	// The baseline records zero random I/Os (the paper's invariant for the
@@ -111,8 +115,8 @@ func TestCompareToBaselineRandomIOs(t *testing.T) {
 }
 
 func TestCompareToBaselineWorkloadMismatch(t *testing.T) {
-	quickCfg := Config{Quick: true, Scale: 1000, Workers: 1}
-	fullCfg := Config{Quick: false, Scale: 1000, Workers: 1}
+	quickCfg := Config{Quick: true, Scale: 1000}
+	fullCfg := Config{Quick: false, Scale: 1000}
 	base := NewReport("fig7", quickCfg, sampleMeasurements())
 	v := CompareToBaseline(NewReport("fig7", fullCfg, sampleMeasurements()), base, 0.25)
 	if len(v) != 1 || !strings.Contains(v[0], "workload mismatch") {

@@ -54,15 +54,11 @@ type Measurement struct {
 	Series string
 	// X is the swept parameter value (e.g. "60%" or "M=V/4").
 	X string
-	// Workers is the worker count the run executed with.  It never changes
-	// TotalIOs/RandomIOs (the parallel sorter keeps the accounted I/O
-	// identical), only Duration.
-	Workers int
-	// Storage names the backend the run executed on ("os", "mem").  Like
-	// Workers it never changes the accounted I/O counts, only Duration.
+	// Storage names the backend the run executed on ("os", "mem").  It
+	// never changes the accounted I/O counts, only Duration.
 	Storage string
 	// Codec names the record-codec family intermediate files were written
-	// with ("fixed" or "varint").  Unlike Workers and Storage it
+	// with ("fixed" or "varint").  Unlike Storage it
 	// deliberately changes BytesWritten and the block counts (compression),
 	// never the labelling.
 	Codec string
@@ -146,10 +142,6 @@ type Config struct {
 	// Quick shrinks every workload further (used by the testing.B benches and
 	// by -quick) so a full sweep finishes in seconds.
 	Quick bool
-	// Workers is the worker count for the parallel sorter and overlapped
-	// I/O.  0 and 1 both mean sequential, the paper's reference execution;
-	// the measured I/O counts are identical at every setting.
-	Workers int
 	// Storage is the backend graphs and intermediates live on (nil = the
 	// process default, normally the OS backend).  The measured I/O counts
 	// are identical on every backend; only the wall-clock changes.
@@ -184,14 +176,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resolvedWorkers returns the effective worker count of the configuration.
-func (c Config) resolvedWorkers() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
-}
-
 // resolvedShards returns the effective compute-shard count.
 func (c Config) resolvedShards() int {
 	if c.Shards < 1 {
@@ -207,7 +191,6 @@ func (c Config) ioConfig(nodeBudget int64) iomodel.Config {
 		Memory:     iomodel.DefaultMemory,
 		NodeBudget: nodeBudget,
 		TempDir:    c.TempDir,
-		Workers:    c.resolvedWorkers(),
 		Codec:      c.Codec,
 		Retries:    c.Retries,
 		Storage:    c.Storage,
@@ -381,7 +364,6 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		extscc.WithMemory(iomodel.DefaultMemory),
 		extscc.WithBlockSize(iomodel.DefaultBlockSize),
 		extscc.WithNodeBudget(nodeBudget),
-		extscc.WithWorkers(c.resolvedWorkers()),
 		extscc.WithTempDir(c.TempDir),
 		extscc.WithStorage(backend),
 		extscc.WithCodec(c.Codec),
@@ -412,7 +394,7 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 	res, err := eng.Run(ctx, extscc.PreparedSource(g.EdgePath, g.NodePath, g.NumNodes, g.NumEdges))
 	switch {
 	case errors.Is(err, extscc.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded):
-		return Measurement{Experiment: experiment, Series: series, X: x, Workers: c.resolvedWorkers(), Storage: backend.Name(), Codec: c.ioConfig(0).CodecFamily(), Shards: c.resolvedShards(), INF: true, Note: "exceeded budget"}, nil
+		return Measurement{Experiment: experiment, Series: series, X: x, Storage: backend.Name(), Codec: c.ioConfig(0).CodecFamily(), Shards: c.resolvedShards(), INF: true, Note: "exceeded budget"}, nil
 	case err != nil:
 		return Measurement{}, err
 	}
@@ -421,7 +403,6 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		Experiment:   experiment,
 		Series:       series,
 		X:            x,
-		Workers:      res.Stats.Workers,
 		Storage:      res.Stats.Storage,
 		Codec:        res.Stats.Codec,
 		Shards:       c.resolvedShards(),
@@ -455,7 +436,6 @@ func runExt(c Config, experiment, x string, g edgefile.Graph, nodeBudget int64, 
 		Experiment:   experiment,
 		Series:       series,
 		X:            x,
-		Workers:      cfg.WorkerCount(),
 		Storage:      cfg.Backend().Name(),
 		Codec:        cfg.CodecFamily(),
 		Shards:       1,
@@ -690,7 +670,7 @@ func emscc(c Config) ([]Measurement, error) {
 			MaxIterations:  16,
 		}, cfg)
 		if errors.Is(err, context.DeadlineExceeded) {
-			out = append(out, Measurement{Experiment: "emscc", Series: AlgoEM, X: x, Workers: cfg.WorkerCount(), Storage: cfg.Backend().Name(), Codec: cfg.CodecFamily(), INF: true, Note: "exceeded budget"})
+			out = append(out, Measurement{Experiment: "emscc", Series: AlgoEM, X: x, Storage: cfg.Backend().Name(), Codec: cfg.CodecFamily(), INF: true, Note: "exceeded budget"})
 			return nil
 		}
 		if err != nil {
@@ -700,7 +680,6 @@ func emscc(c Config) ([]Measurement, error) {
 			Experiment:   "emscc",
 			Series:       AlgoEM,
 			X:            x,
-			Workers:      cfg.WorkerCount(),
 			Storage:      cfg.Backend().Name(),
 			Codec:        cfg.CodecFamily(),
 			Duration:     res.Duration,
@@ -818,10 +797,10 @@ func FormatTable(ms []Measurement) string {
 
 // WriteCSV writes measurements as CSV for plotting.  The per-phase columns
 // hold wall-clock milliseconds per engine phase (0 for phases the run did
-// not execute; phase walls overlap under workers, so they need not sum to
-// duration_ms).
+// not execute; phases nest and shard solves overlap, so phase walls need not
+// sum to duration_ms).
 func WriteCSV(w io.Writer, ms []Measurement) error {
-	header := "experiment,x,algorithm,workers,storage,codec,shards,duration_ms,total_ios,random_ios,bytes_read,bytes_written,iterations,num_sccs,inf,note"
+	header := "experiment,x,algorithm,storage,codec,shards,duration_ms,total_ios,random_ios,bytes_read,bytes_written,iterations,num_sccs,inf,note"
 	for _, p := range phaseColumns {
 		header += "," + p + "_ms"
 	}
@@ -829,8 +808,8 @@ func WriteCSV(w io.Writer, ms []Measurement) error {
 		return err
 	}
 	for _, m := range ms {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%q",
-			m.Experiment, m.X, m.Series, m.Workers, m.Storage, m.Codec, m.shardCount(),
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%t,%q",
+			m.Experiment, m.X, m.Series, m.Storage, m.Codec, m.shardCount(),
 			m.Duration.Milliseconds(), m.TotalIOs, m.RandomIOs,
 			m.BytesRead, m.BytesWritten, m.Iterations, m.NumSCCs, m.INF, m.Note); err != nil {
 			return err

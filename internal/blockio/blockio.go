@@ -5,6 +5,9 @@
 // exactly as in the I/O model of the paper.  The backend (local disk, RAM,
 // ...) comes from iomodel.Config.Backend(); the accounting is charged here,
 // above the backend, so every backend observes identical I/O counts.
+//
+// Readers and Writers transfer one block at a time on the caller's
+// goroutine and hold a single block buffer each.
 package blockio
 
 import (
@@ -16,7 +19,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,14 +71,6 @@ func TempFile(dir, prefix string, stats *iomodel.Stats) string {
 
 // Writer writes a file in blocks of the configured size, counting one write
 // I/O per flushed block.  Writer is not safe for concurrent use.
-//
-// With cfg.Workers > 1 the Writer is write-behind: full blocks are handed to
-// a background goroutine so that encoding the next block overlaps the disk
-// write of the previous one.  The accounted I/O is identical to the
-// synchronous mode — one sequential write per flushed block, charged at
-// hand-off time, in the same order — only the wall-clock overlap changes.  A
-// disk error from an asynchronous write surfaces on a later Write or on
-// Close.
 type Writer struct {
 	f         storage.File
 	buf       []byte
@@ -86,32 +80,6 @@ type Writer struct {
 	ret       retrier
 	written   int64
 	closed    bool
-	async     *asyncWriter
-}
-
-// asyncWriter is the write-behind state: a background goroutine drains full
-// blocks while the foreground fills the next one.  Two block buffers
-// circulate, so the writer never holds more than 2*BlockSize bytes.
-type asyncWriter struct {
-	blocks chan []byte
-	free   chan []byte
-	done   chan struct{}
-	mu     sync.Mutex
-	err    error
-}
-
-func (a *asyncWriter) setErr(err error) {
-	a.mu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	a.mu.Unlock()
-}
-
-func (a *asyncWriter) error() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
 }
 
 // NewWriter creates (truncating) the file at path on cfg's storage backend
@@ -132,40 +100,7 @@ func NewWriter(path string, cfg iomodel.Config) (*Writer, error) {
 	if bs <= 0 {
 		bs = iomodel.DefaultBlockSize
 	}
-	w := &Writer{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret}
-	if cfg.WorkerCount() > 1 {
-		w.startAsync()
-	}
-	return w, nil
-}
-
-func (w *Writer) startAsync() {
-	a := &asyncWriter{
-		blocks: make(chan []byte),
-		free:   make(chan []byte, 1),
-		done:   make(chan struct{}),
-	}
-	a.free <- make([]byte, w.blockSize)
-	w.async = a
-	go func() {
-		defer close(a.done)
-		// flushed tracks the bytes known persisted, the rollback point for
-		// retried appends (see retrier.writeBlock); it is goroutine-local
-		// because only this goroutine touches the file.
-		var flushed int64
-		for b := range a.blocks {
-			if a.error() == nil {
-				if err := w.ret.writeBlock(w.f, b, flushed); err != nil {
-					a.setErr(fmt.Errorf("blockio: write %s: %w", w.f.Name(), err))
-				} else {
-					flushed += int64(len(b))
-				}
-			}
-			// flush handed the block over cut to its fill level; Write
-			// needs it back at full length.
-			a.free <- b[:w.blockSize]
-		}
-	}()
+	return &Writer{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret}, nil
 }
 
 // Write appends p to the file, flushing full blocks as they fill.
@@ -192,20 +127,6 @@ func (w *Writer) flush() error {
 	if w.n == 0 {
 		return nil
 	}
-	if w.async != nil {
-		if err := w.async.error(); err != nil {
-			return err
-		}
-		// Writes of a Writer are always appends and therefore sequential; the
-		// block is charged at hand-off so the accounting order matches the
-		// synchronous mode exactly.
-		w.stats.CountWrite(w.n, false)
-		w.written += int64(w.n)
-		w.async.blocks <- w.buf[:w.n]
-		w.buf = <-w.async.free
-		w.n = 0
-		return nil
-	}
 	// w.written is exactly the persisted length here (every prior flush
 	// succeeded or we would have failed), so it is the rollback point for
 	// retried appends.
@@ -226,21 +147,13 @@ func (w *Writer) BytesWritten() int64 { return w.written + int64(w.n) }
 // Name returns the underlying file path.
 func (w *Writer) Name() string { return w.f.Name() }
 
-// Close flushes the final partial block, waits for any in-flight
-// asynchronous writes, and closes the file.
+// Close flushes the final partial block and closes the file.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
 	ferr := w.flush()
-	if w.async != nil {
-		close(w.async.blocks)
-		<-w.async.done
-		if ferr == nil {
-			ferr = w.async.error()
-		}
-	}
 	w.buf = nil
 	if ferr != nil {
 		w.f.Close()
@@ -256,15 +169,6 @@ func (w *Writer) Close() error {
 // per block fetched.  A read that does not immediately follow the previously
 // fetched block (because Seek moved the position) is counted as random.
 // Reader is not safe for concurrent use.
-//
-// With cfg.Workers > 1 the Reader is double-buffered: a background goroutine
-// fetches the next block while the foreground decodes the current one.  A
-// block is charged to Stats when it is delivered to the consumer, not when it
-// is physically fetched, so a purely sequential scan accounts exactly the
-// same I/Os (count, order, and sequential/random classification) as the
-// synchronous mode.  The first SeekTo permanently drops the reader back to
-// synchronous fetching: a seeking access pattern gains nothing from
-// sequential prefetch, and the fallback keeps random-I/O accounting exact.
 type Reader struct {
 	f          storage.File
 	buf        []byte
@@ -276,24 +180,6 @@ type Reader struct {
 	nextSeq    int64 // file offset at which the next read is sequential
 	size       int64
 	closed     bool
-	pf         *prefetcher
-}
-
-// pfBlock is one block fetched ahead of the consumer.
-type pfBlock struct {
-	buf []byte
-	n   int
-	off int64
-	err error
-}
-
-// prefetcher is the background block fetcher.  Two block buffers circulate
-// between the goroutine and the consumer, so prefetching never holds more
-// than 2*BlockSize bytes.
-type prefetcher struct {
-	blocks chan pfBlock
-	free   chan []byte
-	stop   chan struct{}
 }
 
 // NewReader opens the file at path on cfg's storage backend for
@@ -318,64 +204,7 @@ func NewReader(path string, cfg iomodel.Config) (*Reader, error) {
 	if bs <= 0 {
 		bs = iomodel.DefaultBlockSize
 	}
-	r := &Reader{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret, size: size}
-	if cfg.WorkerCount() > 1 && r.size > int64(bs) {
-		r.startPrefetch(0)
-	}
-	return r, nil
-}
-
-// startPrefetch launches the background fetcher at the given file offset.
-func (r *Reader) startPrefetch(from int64) {
-	pf := &prefetcher{
-		blocks: make(chan pfBlock, 1),
-		free:   make(chan []byte, 2),
-		stop:   make(chan struct{}),
-	}
-	pf.free <- make([]byte, r.blockSize)
-	pf.free <- make([]byte, r.blockSize)
-	r.pf = pf
-	go func() {
-		defer close(pf.blocks)
-		off := from
-		for off < r.size {
-			var buf []byte
-			select {
-			case buf = <-pf.free:
-			case <-pf.stop:
-				return
-			}
-			n, err := r.ret.readAt(r.f, buf[:r.blockSize], off)
-			if err == io.EOF && n > 0 {
-				err = nil // Size() bounds the loop; a short final block is not an error
-			}
-			if n == 0 && err == nil {
-				err = io.EOF
-			}
-			select {
-			case pf.blocks <- pfBlock{buf: buf, n: n, off: off, err: err}:
-			case <-pf.stop:
-				return
-			}
-			if err != nil {
-				return
-			}
-			off += int64(n)
-		}
-	}()
-}
-
-// stopPrefetch terminates the background fetcher and drains its channel so
-// the goroutine always exits.
-func (r *Reader) stopPrefetch() {
-	if r.pf == nil {
-		return
-	}
-	close(r.pf.stop)
-	// The fetcher closes pf.blocks on its way out; drain until it has.
-	for range r.pf.blocks {
-	}
-	r.pf = nil
+	return &Reader{f: f, buf: make([]byte, bs), blockSize: bs, stats: cfg.Stats, ret: ret, size: size}, nil
 }
 
 // Size returns the total size of the underlying file in bytes.
@@ -392,31 +221,6 @@ func (r *Reader) fill() error {
 		return io.EOF
 	}
 	random := r.fileOffset != r.nextSeq
-	if r.pf != nil {
-		blk, ok := <-r.pf.blocks
-		if !ok {
-			// The fetcher stopped early; fall back to synchronous reads.
-			r.pf = nil
-			return r.fill()
-		}
-		if blk.err != nil {
-			if blk.err == io.EOF {
-				return io.EOF
-			}
-			return fmt.Errorf("blockio: read %s: %w", r.f.Name(), blk.err)
-		}
-		// The fetcher walks the file strictly sequentially from the offset
-		// prefetching started at, so the delivered block is exactly the one
-		// the consumer needs next.
-		old := r.buf
-		r.buf = blk.buf
-		r.pf.free <- old
-		r.stats.CountRead(blk.n, random)
-		r.r, r.n = 0, blk.n
-		r.fileOffset += int64(blk.n)
-		r.nextSeq = r.fileOffset
-		return nil
-	}
 	n, err := r.ret.readAt(r.f, r.buf[:r.blockSize], r.fileOffset)
 	if n == 0 {
 		if err == io.EOF || err == nil {
@@ -464,11 +268,9 @@ func (r *Reader) ReadFull(p []byte) error {
 	return nil
 }
 
-// Seek repositions the reader to the absolute offset.  The next block fetch
-// is counted as a random I/O unless the offset continues the previous block.
-// Seeking disables prefetching for the rest of the reader's life: blocks
-// fetched ahead of a seek would be charged I/Os a synchronous reader never
-// performs.
+// SeekTo repositions the reader to the absolute offset.  The next block
+// fetch is counted as a random I/O unless the offset continues the previous
+// block.
 func (r *Reader) SeekTo(offset int64) error {
 	if r.closed {
 		return ErrClosed
@@ -476,7 +278,6 @@ func (r *Reader) SeekTo(offset int64) error {
 	if offset < 0 {
 		return fmt.Errorf("blockio: negative seek offset %d", offset)
 	}
-	r.stopPrefetch()
 	r.r, r.n = 0, 0
 	r.fileOffset = offset
 	return nil
@@ -493,7 +294,6 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.stopPrefetch()
 	r.buf = nil
 	if err := r.f.Close(); err != nil {
 		return fmt.Errorf("blockio: close %s: %w", r.f.Name(), err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -36,16 +37,6 @@ func writeRaw(t *testing.T, cfg iomodel.Config, path string, data []byte) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// readRaw loads the whole file at path from cfg's storage backend.
-func readRaw(t *testing.T, cfg iomodel.Config, path string) []byte {
-	t.Helper()
-	data, err := storage.ReadFile(cfg.Backend(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -356,126 +347,36 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestOverlappedIOMatchesSynchronous writes and reads the same payload with
-// and without workers and verifies bytes on disk, bytes returned, and every
-// accounted I/O counter are identical — overlap must only change wall-clock.
-func TestOverlappedIOMatchesSynchronous(t *testing.T) {
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 1000) // 16000 bytes
-	payload = payload[:len(payload)-7]                        // partial final block
+// TestStreamsRunOnCallerGoroutine pins that block streams do their I/O on
+// the caller's goroutine, whatever worker count the configuration carries:
+// with a Writer and a Reader open mid-way through multi-block files, no
+// goroutine beyond the test's own exists (a prefetcher or a write-behind
+// flusher would show up here).
+func TestStreamsRunOnCallerGoroutine(t *testing.T) {
+	cfg := testConfig(t, 64)
+	cfg.Workers = 4
+	payload := bytes.Repeat([]byte("abcdefgh"), 200) // 25 blocks of 64
+	src := filepath.Join(t.TempDir(), "src.bin")
+	writeRaw(t, cfg, src, payload)
+	base := runtime.NumGoroutine()
 
-	type outcome struct {
-		disk  []byte
-		read  []byte
-		stats iomodel.Snapshot
+	w, err := NewWriter(filepath.Join(t.TempDir(), "dst.bin"), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runWith := func(workers int) outcome {
-		cfg := testConfig(t, 64)
-		cfg.Workers = workers
-		path := filepath.Join(t.TempDir(), "data.bin")
-		w, err := NewWriter(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Write in odd-sized chunks so block boundaries never align with
-		// Write calls.
-		for off := 0; off < len(payload); off += 37 {
-			end := off + 37
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if _, err := w.Write(payload[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		disk := readRaw(t, cfg, path)
-		r, err := NewReader(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{disk: disk, read: got, stats: cfg.Stats.Snapshot()}
+	defer w.Close()
+	if _, err := w.Write(payload[:300]); err != nil { // flushes 4 blocks
+		t.Fatal(err)
 	}
-
-	seq := runWith(1)
-	par := runWith(4)
-	if !bytes.Equal(seq.disk, par.disk) {
-		t.Error("asynchronous writer produced different bytes on disk")
+	r, err := NewReader(src, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(seq.read, par.read) {
-		t.Error("prefetching reader returned different bytes")
+	defer r.Close()
+	if err := r.ReadFull(make([]byte, 100)); err != nil {
+		t.Fatal(err)
 	}
-	if seq.stats != par.stats {
-		t.Errorf("overlapped I/O changed the accounting:\n  seq: %+v\n  par: %+v", seq.stats, par.stats)
-	}
-}
-
-// TestPrefetchReaderSeekFallsBack verifies that a SeekTo on a prefetching
-// reader keeps returning correct data and charges the same I/Os as a
-// synchronous reader performing the same accesses.
-func TestPrefetchReaderSeekFallsBack(t *testing.T) {
-	payload := bytes.Repeat([]byte("abcdefgh"), 200) // 1600 bytes, 25 blocks of 64
-	path := filepath.Join(t.TempDir(), "data.bin")
-	base := testConfig(t, 64)
-	{
-		w, err := NewWriter(path, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	runWith := func(workers int) ([]byte, iomodel.Snapshot) {
-		cfg := testConfig(t, 64)
-		cfg.Workers = workers
-		r, err := NewReader(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		var out []byte
-		buf := make([]byte, 100)
-		// Sequential reads, then a backwards seek, then more reads.
-		for i := 0; i < 3; i++ {
-			if err := r.ReadFull(buf); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, buf...)
-		}
-		if err := r.SeekTo(64); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if err := r.ReadFull(buf); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, buf...)
-		}
-		return out, cfg.Stats.Snapshot()
-	}
-
-	seqData, seqStats := runWith(1)
-	parData, parStats := runWith(4)
-	if !bytes.Equal(seqData, parData) {
-		t.Error("seek on a prefetching reader returned different data")
-	}
-	if seqStats != parStats {
-		t.Errorf("seek on a prefetching reader changed the accounting:\n  seq: %+v\n  par: %+v", seqStats, parStats)
-	}
-	if parStats.RandomReads == 0 {
-		t.Error("the backwards seek should have been charged as a random read")
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines run with a Writer and a Reader open, %d before", n, base)
 	}
 }

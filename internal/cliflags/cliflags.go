@@ -22,7 +22,6 @@ const (
 	storageHelp = "storage backend: os (default; local disk), mem (fully in RAM), or shard=child,child,... striping files across several volumes (each child: os, mem, or os:DIR)"
 	codecHelp   = "record codec for intermediate files: varint (default; delta+varint frames, wins on sorted files) or fixed (frameless layout, no compression)"
 	retryHelp   = "retry transient storage failures up to this many times per operation (0 = fail fast)"
-	workersHelp = "worker count for the parallel sorter and overlapped I/O (0 = all CPUs, 1 = sequential)"
 )
 
 // Storage registers the -storage flag.  The accepted grammar is
@@ -34,10 +33,6 @@ func Codec() *string { return flag.String("codec", "", codecHelp) }
 
 // Retry registers the -retry flag.
 func Retry() *int { return flag.Int("retry", 0, retryHelp) }
-
-// Workers registers the -workers flag with the given default (tools that
-// measure sequential behaviour default to 1, the rest to 0 = all CPUs).
-func Workers(def int) *int { return flag.Int("workers", def, workersHelp) }
 
 // Memory registers the -memory flag.
 func Memory() *int64 {

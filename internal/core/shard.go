@@ -74,8 +74,8 @@ func (r *ShardResult) Remove(cfg iomodel.Config) error {
 // shard solves within one contraction step each.
 //
 // Memory: up to shards solves are in flight at once, each budgeted with the
-// full cfg.Memory, so the transient footprint is shards × M (the same
-// trade WithWorkers documents for its merge groups).
+// full cfg.Memory, so the transient footprint is shards × M.  This pre-pass
+// is the only place a run computes concurrently.
 func ContractShards(ctx context.Context, g edgefile.Graph, dir string, shards int, opts Options, cfg iomodel.Config) (*ShardResult, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {

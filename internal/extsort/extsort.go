@@ -14,13 +14,10 @@
 // sorts a record's key determines the record (see the orders of package
 // record), so the sorted output depends on the input's records alone.
 //
-// With cfg.Workers > 1 the sorter overlaps work without changing the
-// accounted I/O: run boundaries are identical at every worker count (each run
-// still holds runCapacity() records of the input, in input order), the next
-// batch is read while the current one is sorted and written, and independent
-// run groups of a merge pass are merged concurrently.  The output file is
-// byte-for-byte the sequential sorter's and every Stats counter matches the
-// sequential run exactly; only the wall-clock changes.
+// A sort runs entirely on its caller's goroutine.  Run formation holds one
+// batch of at most M/2 bytes of records, and a merge holds at most M/B block
+// buffers (SortFanIn inputs plus its output), so the sort keeps to the
+// memory budget M whatever else the run is configured with.
 package extsort
 
 import (
@@ -28,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
@@ -49,15 +45,15 @@ type Sorter[T any] struct {
 }
 
 // New returns a Sorter for records of type T ordered by key (one of the
-// orders of package record), operating under the memory budget, block size
-// and worker count of cfg.
+// orders of package record), operating under the memory budget and block
+// size of cfg.
 func New[T any](codec record.Codec[T], key func(T) record.Key, cfg iomodel.Config) *Sorter[T] {
 	return NewContext(context.Background(), codec, key, cfg)
 }
 
 // NewContext is New with a cancellation context: cancelling ctx aborts a
-// running sort between batches, merge groups and record chunks; every worker
-// drains and every temporary file the sort created is removed.
+// running sort between batches, merge groups and record chunks, and every
+// temporary file the sort created is removed.
 func NewContext[T any](ctx context.Context, codec record.Codec[T], key func(T) record.Key, cfg iomodel.Config) *Sorter[T] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -66,9 +62,6 @@ func NewContext[T any](ctx context.Context, codec record.Codec[T], key func(T) r
 }
 
 func (s *Sorter[T]) ctxErr() error { return s.ctx.Err() }
-
-// workers returns the effective worker count of the sorter.
-func (s *Sorter[T]) workers() int { return s.cfg.WorkerCount() }
 
 // blockSize returns the effective block size of the sorter.
 func (s *Sorter[T]) blockSize() int {
@@ -134,16 +127,11 @@ func (s *Sorter[T]) SortSlice(recs []T) { radixSort(recs, s.key) }
 
 // formRuns splits the input stream into sorted runs, each at most
 // runCapacity() records, and writes every run to a temporary file.  The run
-// boundaries depend only on the input order and the memory budget — never on
-// the worker count — so the parallel and sequential modes produce identical
-// run files.
+// boundaries depend only on the input order and the memory budget.
 func (s *Sorter[T]) formRuns(in recio.Iterator[T]) ([]string, error) {
 	capRecords, err := s.runCapacity()
 	if err != nil {
 		return nil, err
-	}
-	if s.workers() > 1 {
-		return s.formRunsParallel(in, capRecords)
 	}
 	var runs []string
 	buf := make([]T, 0, capRecords)
@@ -186,81 +174,6 @@ func (s *Sorter[T]) formRuns(in recio.Iterator[T]) ([]string, error) {
 	return runs, nil
 }
 
-// formRunsParallel pipelines run formation: the calling goroutine keeps
-// reading the input into the next batch while a background goroutine sorts
-// and writes the previous one.  Two record batches circulate, so run
-// formation holds at most the full memory budget (2 × M/2) at any moment.
-// Batches are handed over in input order and written by a single goroutine,
-// so the produced run files — paths aside — are the sequential ones.
-func (s *Sorter[T]) formRunsParallel(in recio.Iterator[T], capRecords int) ([]string, error) {
-	free := make(chan []T, 2)
-	free <- make([]T, 0, capRecords)
-	free <- make([]T, 0, capRecords)
-	batches := make(chan []T)
-
-	var (
-		runs     []string
-		writeErr error
-		failed   = make(chan struct{})
-		done     = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		for buf := range batches {
-			if writeErr == nil {
-				path, err := s.writeRun(buf)
-				if err != nil {
-					writeErr = err
-					close(failed)
-				} else {
-					runs = append(runs, path)
-				}
-			}
-			free <- buf[:0]
-		}
-	}()
-
-	var readErr error
-	buf := <-free
-	scanned := 0
-read:
-	for {
-		rec, ok, err := in.Next()
-		if err != nil {
-			readErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		if scanned++; scanned%checkEvery == 0 {
-			if err := s.ctxErr(); err != nil {
-				readErr = err
-				break
-			}
-			select {
-			case <-failed:
-				break read
-			default:
-			}
-		}
-		buf = append(buf, rec)
-		if len(buf) == capRecords {
-			batches <- buf
-			buf = <-free
-		}
-	}
-	if readErr == nil && len(buf) > 0 {
-		batches <- buf
-	}
-	close(batches)
-	<-done
-	if readErr != nil {
-		return runs, readErr
-	}
-	return runs, writeErr
-}
-
 // writeRun sorts one batch and writes it as a run file.
 func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 	if err := s.ctxErr(); err != nil {
@@ -277,11 +190,9 @@ func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 }
 
 // mergeRuns repeatedly merges groups of at most SortFanIn() runs until a
-// single sorted file remains, then renames/copies it to outPath.  When the
-// sorter has more than one worker, the independent groups of one pass are
-// merged concurrently; the pass structure (and therefore every I/O count) is
-// the sequential one.  On error every intermediate file the merge created is
-// removed, including a partially written outPath.
+// single sorted file remains, then renames/copies it to outPath.  On error
+// every intermediate file the merge created is removed, including a
+// partially written outPath.
 func (s *Sorter[T]) mergeRuns(runs []string, outPath string) error {
 	if len(runs) == 0 {
 		// An empty input still produces an (empty) output file.
@@ -335,78 +246,19 @@ func (s *Sorter[T]) mergeRuns(runs []string, outPath string) error {
 }
 
 // mergePass merges current[gi*fanIn:(gi+1)*fanIn] into next[gi] for every
-// group, with up to workers() groups in flight, and removes each consumed
-// group.  Note: each in-flight group buffers fanIn+1 blocks, so a pass with
-// multiple workers and multiple groups transiently holds up to
-// min(workers, groups) × M bytes of block buffers; WithWorkers(1) restores
-// the strict budget.
+// group, one group at a time, and removes each consumed group.
 func (s *Sorter[T]) mergePass(current, next []string, fanIn int) error {
-	group := func(gi int) []string {
-		start := gi * fanIn
-		end := start + fanIn
-		if end > len(current) {
-			end = len(current)
-		}
-		return current[start:end]
-	}
-	par := s.workers()
-	if par > len(next) {
-		par = len(next)
-	}
-	if par <= 1 {
-		for gi := range next {
-			if err := s.ctxErr(); err != nil {
-				return err
-			}
-			g := group(gi)
-			if err := s.mergeGroup(g, next[gi]); err != nil {
-				return err
-			}
-			removeAll(g, s.cfg)
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	bail := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	sem := make(chan struct{}, par)
 	for gi := range next {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if bail() {
-				return
-			}
-			if err := s.ctxErr(); err != nil {
-				setErr(err)
-				return
-			}
-			g := group(gi)
-			if err := s.mergeGroup(g, next[gi]); err != nil {
-				setErr(err)
-				return
-			}
-			removeAll(g, s.cfg)
-		}(gi)
+		if err := s.ctxErr(); err != nil {
+			return err
+		}
+		g := current[gi*fanIn : min((gi+1)*fanIn, len(current))]
+		if err := s.mergeGroup(g, next[gi]); err != nil {
+			return err
+		}
+		removeAll(g, s.cfg)
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // mergeItem is one heap entry of the k-way merge: a run's head record with

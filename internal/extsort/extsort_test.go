@@ -1,13 +1,13 @@
 package extsort
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -274,57 +274,38 @@ func TestSortChargesIO(t *testing.T) {
 	}
 }
 
-// testConfigWorkers is testConfig with a worker count.
-func testConfigWorkers(t *testing.T, memory int64, workers int) iomodel.Config {
-	t.Helper()
-	cfg := testConfig(t, memory)
-	cfg.Workers = workers
-	return cfg
+// goroutineCounter is an input iterator that records, at every record it
+// hands out, how many goroutines are running.
+type goroutineCounter struct {
+	recio.Iterator[record.Edge]
+	peak int
 }
 
-// TestParallelSortByteIdenticalAndSameIO is the determinism contract of the
-// parallel sorter: at every worker count the output file is byte-for-byte the
-// sequential one and every accounted I/O counter matches exactly.
-func TestParallelSortByteIdenticalAndSameIO(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	edges := randomEdges(5000, rng) // tiny budget below => many runs, multi-pass merge
+func (c *goroutineCounter) Next() (record.Edge, bool, error) {
+	c.peak = max(c.peak, runtime.NumGoroutine())
+	return c.Iterator.Next()
+}
 
-	type outcome struct {
-		bytes []byte
-		delta iomodel.Snapshot
+// TestSortRunsOnCallerGoroutine pins that a multi-run sort does all its work
+// on the calling goroutine, whatever worker count the configuration carries:
+// while the sort pulls its input, no goroutine beyond the test's own exists
+// (a background run writer would show up here).
+func TestSortRunsOnCallerGoroutine(t *testing.T) {
+	cfg := testConfig(t, 256)
+	cfg.Workers = 4
+	edges := randomEdges(2000, rand.New(rand.NewSource(14)))
+	base := runtime.NumGoroutine()
+	in := &goroutineCounter{Iterator: recio.NewSliceIterator(edges)}
+	out := filepath.Join(t.TempDir(), "out.bin")
+	before := cfg.Stats.Snapshot()
+	if err := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg).SortStream(in, out); err != nil {
+		t.Fatal(err)
 	}
-	runWith := func(workers int) outcome {
-		cfg := testConfigWorkers(t, 256, workers)
-		dir := t.TempDir()
-		in := filepath.Join(dir, "in.bin")
-		out := filepath.Join(dir, "out.bin")
-		if err := recio.WriteSlice(in, record.EdgeCodec{}, cfg, edges); err != nil {
-			t.Fatal(err)
-		}
-		before := cfg.Stats.Snapshot()
-		s := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg)
-		if err := s.SortFile(in, out); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, err := storage.ReadFile(cfg.Backend(), out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{bytes: data, delta: cfg.Stats.Snapshot().Sub(before)}
+	if runs := cfg.Stats.Snapshot().Sub(before).SortRuns; runs < 2 {
+		t.Fatalf("workload formed %d run(s); the pin needs several", runs)
 	}
-
-	seq := runWith(1)
-	if seq.delta.MergePasses < 2 {
-		t.Fatalf("workload too small to exercise multi-pass merging: %d passes", seq.delta.MergePasses)
-	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		par := runWith(workers)
-		if !bytes.Equal(par.bytes, seq.bytes) {
-			t.Errorf("workers=%d: output differs from the sequential sorter", workers)
-		}
-		if par.delta != seq.delta {
-			t.Errorf("workers=%d: I/O accounting differs from sequential:\n  seq: %+v\n  par: %+v", workers, seq.delta, par.delta)
-		}
+	if in.peak > base {
+		t.Fatalf("%d goroutines ran while the sort read its input, %d before it started", in.peak, base)
 	}
 }
 
@@ -375,11 +356,11 @@ func (c *cancelAfterCalls) Err() error {
 	return nil
 }
 
-// TestParallelSortCancellationMidMerge cancels a multi-worker sort while its
-// merge pool is running and verifies every worker drains and every temporary
-// file (runs, merge intermediates, the partial output) is removed.
+// TestParallelSortCancellationMidMerge cancels a sort while its merge passes
+// are running and verifies every temporary file (runs, merge intermediates,
+// the partial output) is removed.
 func TestParallelSortCancellationMidMerge(t *testing.T) {
-	cfg := testConfigWorkers(t, 256, 4)
+	cfg := testConfig(t, 256)
 	tempDir := t.TempDir()
 	cfg.TempDir = tempDir
 	rng := rand.New(rand.NewSource(12))
@@ -415,10 +396,10 @@ func TestParallelSortCancellationMidMerge(t *testing.T) {
 	}
 }
 
-// TestParallelSortCancellationDuringRunFormation cancels while batches are
-// still being formed.
+// TestParallelSortCancellationDuringRunFormation cancels while runs are still
+// being formed.
 func TestParallelSortCancellationDuringRunFormation(t *testing.T) {
-	cfg := testConfigWorkers(t, 256, 4)
+	cfg := testConfig(t, 256)
 	tempDir := t.TempDir()
 	cfg.TempDir = tempDir
 	rng := rand.New(rand.NewSource(13))
@@ -439,11 +420,11 @@ func TestParallelSortCancellationDuringRunFormation(t *testing.T) {
 	}
 }
 
-// TestParallelSortEmptyAndTinyInputs exercises the parallel path's edge
-// cases: empty input, fewer records than workers, exactly one batch.
+// TestParallelSortEmptyAndTinyInputs exercises the sorter's edge cases:
+// empty input, a few records, exactly one run, one record past it.
 func TestParallelSortEmptyAndTinyInputs(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 16, 17} {
-		cfg := testConfigWorkers(t, 256, 4)
+		cfg := testConfig(t, 256)
 		rng := rand.New(rand.NewSource(int64(20 + n)))
 		sortAndVerify(t, cfg, randomEdges(n, rng))
 	}

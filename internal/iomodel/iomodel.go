@@ -61,14 +61,9 @@ type Config struct {
 	// contraction iterations without shrinking sort buffers to a handful of
 	// records.
 	NodeBudget int64
-	// Workers is the number of concurrent workers available to the external
-	// operators: run formation and run merging in the external sort, and the
-	// overlapped (prefetching / write-behind) block I/O.  0 and 1 both mean
-	// fully sequential execution, which is byte-for-byte identical to the
-	// historical single-threaded behaviour.  Parallel execution never changes
-	// the accounted I/O: run boundaries and merge structure are independent
-	// of the worker count, so every Stats counter matches the sequential run
-	// exactly (see package extsort).
+	// Workers has no effect: the external sort and the block streams run on
+	// their caller's goroutine whatever it says.  It stays so that code
+	// setting it keeps compiling.
 	Workers int
 	// Codec names the record-codec family every intermediate file of the run
 	// is written with: record.FamilyFixed the frameless fixed-size layout,
@@ -77,7 +72,7 @@ type Config struct {
 	// frame header, so the setting only steers writers: mixing inputs
 	// written under a different family is always safe.  The codec changes
 	// the number of bytes — and therefore blocks — a file occupies, so
-	// unlike Storage and Workers it intentionally changes the accounted I/O
+	// unlike Storage it intentionally changes the accounted I/O
 	// counts; it never changes any computed labelling.
 	Codec string
 	// Retries is the number of times a failed backend operation (open, create,
@@ -129,9 +124,6 @@ func (c Config) Validate() (Config, error) {
 	if c.Memory < int64(2*c.BlockSize) {
 		return c, fmt.Errorf("iomodel: memory %d violates M >= 2*B with B=%d", c.Memory, c.BlockSize)
 	}
-	if c.Workers < 0 {
-		return c, fmt.Errorf("iomodel: negative worker count %d", c.Workers)
-	}
 	if c.Retries < 0 {
 		return c, fmt.Errorf("iomodel: negative retry count %d", c.Retries)
 	}
@@ -173,14 +165,6 @@ func (c Config) CodecFamily() string {
 		return record.FamilyVarint
 	}
 	return c.Codec
-}
-
-// WorkerCount returns the effective worker count: at least 1.
-func (c Config) WorkerCount() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
 }
 
 // NodeCapacity returns the number of graph nodes whose per-node state fits in

@@ -393,7 +393,7 @@ func TestFixedFileNearMagicFailsTyped(t *testing.T) {
 // repeated Count or SeekToKey loads the footer and answers correctly.
 func TestFooterReadFaultRetried(t *testing.T) {
 	mem := storage.NewMem()
-	base, err := iomodel.Config{BlockSize: 256, Memory: 4096, Workers: 1, Codec: record.FamilyVarint, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+	base, err := iomodel.Config{BlockSize: 256, Memory: 4096, Codec: record.FamilyVarint, Storage: mem, Stats: &iomodel.Stats{}}.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,18 +281,15 @@ func NewReader[T any](path string, codec record.Codec[T], cfg iomodel.Config) (*
 func (r *Reader[T]) Framed() bool { return r.bc != nil }
 
 // loadFooter reads a framed file's frame-index footer: two random reads
-// through a dedicated single-worker block reader, so the streaming reader's
-// position and prefetch pipeline stay untouched.  A loaded footer and a
-// corrupt one (a missing footer is typed corruption) are cached; any other
-// error, a transient read fault say, is returned uncached, so the next call
-// retries.
+// through a second block reader, so the streaming reader's position and
+// buffered block stay untouched.  A loaded footer and a corrupt one (a
+// missing footer is typed corruption) are cached; any other error, a
+// transient read fault say, is returned uncached, so the next call retries.
 func (r *Reader[T]) loadFooter() error {
 	if r.footer != nil || r.footerErr != nil {
 		return r.footerErr
 	}
-	cfg := r.cfg
-	cfg.Workers = 1
-	fr, err := blockio.NewReader(r.Name(), cfg)
+	fr, err := blockio.NewReader(r.Name(), r.cfg)
 	if err != nil {
 		return err
 	}

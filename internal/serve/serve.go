@@ -50,11 +50,10 @@ type Options struct {
 	Source extscc.Source
 	// Algorithm is the registered algorithm name ("" = the engine default).
 	Algorithm string
-	// Memory, BlockSize, Workers, Retries and Codec are passed through to
-	// the engine and reused for the DAG and index builds.
+	// Memory, BlockSize, Retries and Codec are passed through to the
+	// engine and reused for the DAG and index builds.
 	Memory    int64
 	BlockSize int
-	Workers   int
 	Retries   int
 	Codec     string
 	// Storage is the backend everything is materialised on: the in-memory
@@ -157,7 +156,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	engOpts := []extscc.Option{
 		extscc.WithMemory(opts.Memory),
 		extscc.WithBlockSize(opts.BlockSize),
-		extscc.WithWorkers(opts.Workers),
 		extscc.WithRetry(opts.Retries),
 		extscc.WithCodec(opts.Codec),
 		extscc.WithStorage(backend),
@@ -193,7 +191,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	cfg, err := iomodel.Config{
 		BlockSize: opts.BlockSize,
 		Memory:    opts.Memory,
-		Workers:   opts.Workers,
 		Retries:   opts.Retries,
 		Codec:     opts.Codec,
 		Storage:   backend,

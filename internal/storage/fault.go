@@ -14,10 +14,10 @@ import (
 // wrapped backend performs and fires a configured fault at the Nth matching
 // operation — a transient or permanent error, a short ("torn") write that
 // persists only a prefix of the block, or a bit flip in the bytes a read
-// returns.  Because the op sequence of a sequential (Workers=1) run is
-// deterministic, a test can run a workload once to count its ops and then
-// re-run it injecting a fault at every k-th op, which is exactly what the
-// engine-level fault sweep does.
+// returns.  Because the op sequence of an unsharded run is deterministic
+// (its sorts and block streams run on one goroutine), a test can run a
+// workload once to count its ops and then re-run it injecting a fault at
+// every k-th op, which is exactly what the engine-level fault sweep does.
 //
 // Faults are injected at the storage boundary, below the I/O accounting of
 // package blockio, so an injected failure looks to the rest of the system
@@ -183,8 +183,8 @@ type firedFault struct {
 // FaultPlan is a set of FaultRules plus the operation counters they are
 // evaluated against.  A plan with no rules injects nothing but still counts,
 // which is how sweeps measure a workload's op budget.  All methods are safe
-// for concurrent use; with Workers=1 the op sequence — and therefore the
-// fired fault — is deterministic.
+// for concurrent use; in an unsharded run the op sequence — and therefore
+// the fired fault — is deterministic.
 type FaultPlan struct {
 	rules []*FaultRule
 	total atomic.Int64

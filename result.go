@@ -17,12 +17,11 @@ import (
 )
 
 // Stats summarises the I/O behaviour of a computation.  Every counter is
-// independent of the storage backend and of the worker count: for a fixed
-// workload and configuration, runs on OSStorage and MemStorage at any
-// WithWorkers setting report identical values (only Duration varies).  The
-// codec family (WithCodec) is different: it deliberately changes BytesWritten
-// and the block counts — that is the point of a compressing codec — while
-// leaving the labelling untouched.
+// independent of the storage backend: for a fixed workload and
+// configuration, runs on OSStorage and MemStorage report identical values
+// (only Duration varies).  The codec family (WithCodec) is different: it
+// deliberately changes BytesWritten and the block counts — that is the point
+// of a compressing codec — while leaving the labelling untouched.
 type Stats struct {
 	// TotalIOs is the number of block transfers (reads plus writes).
 	TotalIOs int64
@@ -62,19 +61,21 @@ type Stats struct {
 	// the other algorithms).  With WithShards it also counts the scans of
 	// the shard pre-pass, whose solves run Ext-SCC whatever the algorithm.
 	SemiExternalScans int
-	// Workers is the worker count the run executed with (see WithWorkers).
-	// It never affects the I/O counters above, only Duration.
+	// Workers is always 1: every run's sorts and block streams execute on
+	// its own goroutine (only WithShards solves shards concurrently).  The
+	// field stays so that code reading it keeps compiling.
 	Workers int
-	// Storage names the backend the run executed on ("os", "mem").  Like
-	// Workers it never affects the I/O counters, only Duration.
+	// Storage names the backend the run executed on ("os", "mem").  It
+	// never affects the I/O counters above, only Duration.
 	Storage string
 	// Codec names the record-codec family intermediate files were written
 	// with ("fixed" or "varint"); see WithCodec.
 	Codec string
 	// Phases breaks the run down by engine phase — staging, contraction,
 	// sorting, merging, labelling, expansion — in first-execution order.
-	// Wall-clock overlaps under WithWorkers (phases run concurrently inside
-	// the sort, for example), so phase walls can sum to more than Duration.
+	// Phases nest (a contraction step runs its sorts and merges), and under
+	// WithShards the shard solves run concurrently, so phase walls can sum
+	// to more than Duration.
 	Phases []PhaseStat
 	// Duration is the wall-clock time of the whole Run, staging included.
 	Duration time.Duration
@@ -230,11 +231,7 @@ func (r *Result) LookupLabels(nodes []NodeID) (map[NodeID]uint32, error) {
 // opening the held reader if needed.  The caller holds labelMu.
 func (r *Result) probeLabel(node NodeID) (record.Label, error) {
 	if r.labels == nil {
-		// A seeking reader gains nothing from prefetch, so it reads
-		// synchronously.
-		cfg := r.cfg
-		cfg.Workers = 1
-		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, cfg)
+		rd, err := recio.NewReader(r.LabelPath, record.LabelCodec{}, r.cfg)
 		if err != nil {
 			return record.Label{}, err
 		}
