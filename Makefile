@@ -24,12 +24,11 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Mirrors the `race` job: the concurrent shard solves of WithShards, the
-# in-memory storage backend, the sharded multi-volume backend and the
-# serving subsystem under the race detector, once per storage spec.
+# in-memory storage backend and the serving subsystem under the race
+# detector, once per storage backend.
 race:
 	EXTSCC_STORAGE=os $(GO) test -race -short ./...
 	EXTSCC_STORAGE=mem $(GO) test -race -short ./...
-	EXTSCC_STORAGE=shard=mem,mem $(GO) test -race -short ./...
 
 # Mirrors the `lint` job.  staticcheck and govulncheck are skipped when not
 # installed so the target works offline; CI always runs them.
@@ -62,8 +61,8 @@ fuzz:
 	done
 
 # Mirrors the `bench` job on quick fig7: the shard gate (1 vs 2 vs 4
-# compute shards on per-shard in-memory volumes, identical SCC counts, the
-# per-shard-count rows and speedup recorded in BENCH_quick.{json,csv}); the
+# compute shards, each on one fresh in-memory backend, identical SCC counts,
+# the per-shard-count rows and speedup recorded in BENCH_quick.{json,csv}); the
 # storage-equivalence gate (mem ≡ os); then the codec gate (fixed and
 # varint must agree on SCC results; varint must cut pipeline bytes by >= 30%
 # and lower block I/Os), with both codec sweeps also gated against the

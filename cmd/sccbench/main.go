@@ -51,7 +51,7 @@ func main() {
 	codecName := cliflags.Codec()
 	retry := cliflags.Retry()
 	shards := flag.Int("shards", 0, "compute-shard count for the sharded contraction pre-pass (0 = unsharded)")
-	compareShards := flag.Bool("compare-shards", false, "run at 1, 2 and 4 compute shards, each striped over that many in-memory volumes, verify identical SCC counts, and report the wall-clock speedup")
+	compareShards := flag.Bool("compare-shards", false, "run at 1, 2 and 4 compute shards, each on one fresh in-memory backend, verify identical SCC counts, and report the wall-clock speedup")
 	compareCodec := flag.Bool("compare-codec", false, "run with the fixed and varint codecs, verify identical SCCs, and report the byte and block-I/O reductions (fails unless varint cuts pipeline bytes by >= 30% with fewer block I/Os)")
 	jsonPath := flag.String("json", "", "write measurements as a JSON report to this file")
 	baselinePath := flag.String("baseline", "", "gate the measurements against this committed JSON report")
@@ -165,15 +165,7 @@ func main() {
 		counts := []int{1, 2, 4}
 		perCount := map[int][]bench.Measurement{}
 		for _, n := range counts {
-			b := storage.Backend(storage.NewMem())
-			if n > 1 {
-				children := make([]storage.Backend, n)
-				for i := range children {
-					children[i] = storage.NewMem()
-				}
-				b = storage.NewSharded(children...)
-			}
-			got, err := runOnce(b, *codecName, n)
+			got, err := runOnce(storage.NewMem(), *codecName, n)
 			if err != nil {
 				log.Fatal(err)
 			}

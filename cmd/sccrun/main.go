@@ -7,7 +7,7 @@
 //
 //	sccrun -algo ext-scc-op -memory 4194304 -in web.edges -out web.scc
 //	sccrun -algo dfs-scc -max-ios 2000000 -in web.edges
-//	sccrun -storage shard=os:/vol0,os:/vol1 -shards 2 -in web.edges
+//	sccrun -storage mem -shards 2 -in web.edges
 //	sccrun -algo help
 package main
 

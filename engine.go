@@ -165,8 +165,7 @@ func MemStorage() Storage { return storage.NewMem() }
 //
 // The backend never changes the computation or its accounted cost: for any
 // fixed workload and configuration, MemStorage and OSStorage produce
-// identical SCC labellings and identical I/O counters at every worker
-// count.
+// identical SCC labellings and identical I/O counters.
 func WithStorage(b Storage) Option {
 	return func(e *Engine) error {
 		if b == nil {
@@ -196,36 +195,6 @@ func WithShards(n int) Option {
 		return nil
 	}
 }
-
-// WithShardedStorage composes WithStorage and WithShards: every run stores
-// its files across the given child backends (hash-routed, see
-// ParseStorage's "shard=" spec for the CLI equivalent) and runs the sharded
-// contraction pre-pass with one compute shard per child, so each volume
-// serves roughly one shard's working set.  At least one child is required;
-// with a single child only the storage composition applies (one compute
-// shard means no pre-pass).
-func WithShardedStorage(children ...Storage) Option {
-	return func(e *Engine) error {
-		for _, c := range children {
-			if c == nil {
-				return errors.New("extscc: WithShardedStorage: nil child backend")
-			}
-		}
-		if len(children) == 0 {
-			return errors.New("extscc: WithShardedStorage: no child backends")
-		}
-		e.base.Storage = storage.NewSharded(children...)
-		e.shards = len(children)
-		return nil
-	}
-}
-
-// ParseStorage resolves a storage spec string to a backend using the same
-// grammar as the EXTSCC_STORAGE environment variable and every CLI -storage
-// flag: "os", "mem", or "shard=child,child,..." where each child is "os",
-// "mem", or "os:DIR" for a backend rooted at a specific directory (one
-// volume per physical disk, typically).
-func ParseStorage(spec string) (Storage, error) { return storage.Parse(spec) }
 
 // CodecFixed and CodecVarint name the built-in record-codec families
 // accepted by WithCodec.

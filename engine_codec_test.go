@@ -2,7 +2,6 @@ package extscc_test
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -12,12 +11,11 @@ import (
 
 // codecRun executes one algorithm under one codec family and returns the
 // labelling plus the run's Stats.
-func codecRun(t *testing.T, algo, codec string, workers int, edges []extscc.Edge) (map[extscc.NodeID]uint32, extscc.Stats, int64) {
+func codecRun(t *testing.T, algo, codec string, edges []extscc.Edge) (map[extscc.NodeID]uint32, extscc.Stats, int64) {
 	t.Helper()
 	eng, err := extscc.New(
 		extscc.WithAlgorithm(algo),
 		extscc.WithCodec(codec),
-		extscc.WithWorkers(workers),
 		extscc.WithMemory(256*1024),
 		extscc.WithBlockSize(4096),
 		extscc.WithNodeBudget(150),
@@ -79,9 +77,9 @@ func TestCrossCodecEquivalence(t *testing.T) {
 
 	for _, algo := range extscc.Algorithms() {
 		name := algo.Name()
-		fixedLabels, fixedStats, fixedSCCs := codecRun(t, name, extscc.CodecFixed, 1, edges)
+		fixedLabels, fixedStats, fixedSCCs := codecRun(t, name, extscc.CodecFixed, edges)
 		codec := extscc.CodecVarint
-		labels, stats, sccs := codecRun(t, name, codec, 1, edges)
+		labels, stats, sccs := codecRun(t, name, codec, edges)
 
 		if fixedSCCs != sccs {
 			t.Fatalf("%s: NumSCCs %d (fixed) vs %d (%s)", name, fixedSCCs, sccs, codec)
@@ -105,28 +103,6 @@ func TestCrossCodecEquivalence(t *testing.T) {
 		if fixedStats.CompressionRatio < 0.99 || fixedStats.CompressionRatio > 1.01 {
 			t.Errorf("%s: fixed compression ratio %.3f, want ~1.0", name, fixedStats.CompressionRatio)
 		}
-	}
-}
-
-// TestWorkerEquivalenceUnderVarint pins that WithWorkers is inert under the
-// varint codec: a varint run's labelling and accounted I/O counters are the
-// same at workers=1 and workers=NumCPU.
-func TestWorkerEquivalenceUnderVarint(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("single-CPU machine")
-	}
-	edges := graphgen.Random(400, 1600, 7)
-	seqLabels, seqStats, seqSCCs := codecRun(t, "ext-scc-op", extscc.CodecVarint, 1, edges)
-	parLabels, parStats, parSCCs := codecRun(t, "ext-scc-op", extscc.CodecVarint, runtime.NumCPU(), edges)
-	if seqSCCs != parSCCs {
-		t.Fatalf("NumSCCs %d (w=1) vs %d (w=%d)", seqSCCs, parSCCs, runtime.NumCPU())
-	}
-	sameSCCPartition(t, seqLabels, parLabels)
-	if seqStats.TotalIOs != parStats.TotalIOs || seqStats.BytesWritten != parStats.BytesWritten ||
-		seqStats.RandomIOs != parStats.RandomIOs || seqStats.FilesCreated != parStats.FilesCreated {
-		t.Fatalf("varint I/O counters differ across workers: w=1 ios=%d bytes=%d random=%d files=%d; w=%d ios=%d bytes=%d random=%d files=%d",
-			seqStats.TotalIOs, seqStats.BytesWritten, seqStats.RandomIOs, seqStats.FilesCreated,
-			runtime.NumCPU(), parStats.TotalIOs, parStats.BytesWritten, parStats.RandomIOs, parStats.FilesCreated)
 	}
 }
 

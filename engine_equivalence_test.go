@@ -8,8 +8,6 @@ package extscc
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"extscc/internal/graphgen"
@@ -19,8 +17,7 @@ import (
 // TestCrossBackendEquivalence is the engine-level contract of WithStorage:
 // for every registered algorithm on a quick workload, the in-memory backend
 // and the OS backend produce identical SCC labellings and identical
-// iomodel.Stats counters.  The workers=NumCPU leg pins that the inert
-// WithWorkers option changes neither.
+// iomodel.Stats counters.
 func TestCrossBackendEquivalence(t *testing.T) {
 	edges := graphgen.Random(220, 660, 11)
 	extra := []NodeID{500, 501} // isolated nodes exercise the node-file path
@@ -31,12 +28,11 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		numSCCs int64
 		err     error
 	}
-	runOn := func(t *testing.T, algo string, workers int, backend Storage) outcome {
+	runOn := func(t *testing.T, algo string, backend Storage) outcome {
 		t.Helper()
 		eng, err := New(
 			WithAlgorithm(algo),
 			WithNodeBudget(40), // forces several contraction iterations
-			WithWorkers(workers),
 			WithStorage(backend),
 			WithTempDir(t.TempDir()),
 		)
@@ -55,42 +51,36 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		return outcome{labels: labels, snap: res.cfg.Stats.Snapshot(), numSCCs: res.NumSCCs}
 	}
 
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
 	for _, algo := range Algorithms() {
-		for _, workers := range workerCounts {
-			t.Run(fmt.Sprintf("%s/workers=%d", algo.Name(), workers), func(t *testing.T) {
-				onOS := runOn(t, algo.Name(), workers, OSStorage())
-				onMem := runOn(t, algo.Name(), workers, MemStorage())
+		t.Run(algo.Name(), func(t *testing.T) {
+			onOS := runOn(t, algo.Name(), OSStorage())
+			onMem := runOn(t, algo.Name(), MemStorage())
 
-				if (onOS.err == nil) != (onMem.err == nil) {
-					t.Fatalf("backends disagree on the outcome: os err=%v, mem err=%v", onOS.err, onMem.err)
+			if (onOS.err == nil) != (onMem.err == nil) {
+				t.Fatalf("backends disagree on the outcome: os err=%v, mem err=%v", onOS.err, onMem.err)
+			}
+			if onOS.err != nil {
+				// Both failed (e.g. em-scc not converging); the failure
+				// mode must be the same one.
+				if errors.Is(onOS.err, ErrDidNotConverge) != errors.Is(onMem.err, ErrDidNotConverge) {
+					t.Fatalf("backends failed differently: os err=%v, mem err=%v", onOS.err, onMem.err)
 				}
-				if onOS.err != nil {
-					// Both failed (e.g. em-scc not converging); the failure
-					// mode must be the same one.
-					if errors.Is(onOS.err, ErrDidNotConverge) != errors.Is(onMem.err, ErrDidNotConverge) {
-						t.Fatalf("backends failed differently: os err=%v, mem err=%v", onOS.err, onMem.err)
-					}
-					return
+				return
+			}
+			if onOS.numSCCs != onMem.numSCCs {
+				t.Fatalf("SCC count differs: os=%d mem=%d", onOS.numSCCs, onMem.numSCCs)
+			}
+			if len(onOS.labels) != len(onMem.labels) {
+				t.Fatalf("label count differs: os=%d mem=%d", len(onOS.labels), len(onMem.labels))
+			}
+			for i := range onOS.labels {
+				if onOS.labels[i] != onMem.labels[i] {
+					t.Fatalf("label %d differs: os=%v mem=%v", i, onOS.labels[i], onMem.labels[i])
 				}
-				if onOS.numSCCs != onMem.numSCCs {
-					t.Fatalf("SCC count differs: os=%d mem=%d", onOS.numSCCs, onMem.numSCCs)
-				}
-				if len(onOS.labels) != len(onMem.labels) {
-					t.Fatalf("label count differs: os=%d mem=%d", len(onOS.labels), len(onMem.labels))
-				}
-				for i := range onOS.labels {
-					if onOS.labels[i] != onMem.labels[i] {
-						t.Fatalf("label %d differs: os=%v mem=%v", i, onOS.labels[i], onMem.labels[i])
-					}
-				}
-				if onOS.snap != onMem.snap {
-					t.Fatalf("accounted I/O differs between backends:\n  os:  %+v\n  mem: %+v", onOS.snap, onMem.snap)
-				}
-			})
-		}
+			}
+			if onOS.snap != onMem.snap {
+				t.Fatalf("accounted I/O differs between backends:\n  os:  %+v\n  mem: %+v", onOS.snap, onMem.snap)
+			}
+		})
 	}
 }

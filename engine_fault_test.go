@@ -20,7 +20,7 @@ type faultRunResult struct {
 }
 
 // runFaulted executes the sweep workload once against inner wrapped in plan.
-// Workers is pinned to 1 so the backend op sequence is deterministic, which
+// The run is unsharded, so its backend op sequence is deterministic, which
 // is what makes "inject at the k-th op" reproducible.
 func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retries int, plan *storage.FaultPlan) faultRunResult {
 	t.Helper()
@@ -29,7 +29,6 @@ func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retri
 		extscc.WithAlgorithm("ext-scc-op"),
 		extscc.WithStorage(fb),
 		extscc.WithTempDir(tempDir),
-		extscc.WithWorkers(1),
 		extscc.WithNodeBudget(40),
 		extscc.WithCodec(codec),
 		extscc.WithRetry(retries),
@@ -76,15 +75,6 @@ func assertClean(t *testing.T, tag string, inner extscc.Storage, tempDir string)
 		}
 		return
 	}
-	if s, ok := inner.(*storage.ShardedBackend); ok {
-		// Crash-clean must hold on every child volume, not just in union.
-		for i, c := range s.Children() {
-			if m, ok := c.(*storage.MemBackend); ok && m.Len() != 0 {
-				t.Errorf("%s: run left %d files on shard child %d: %v", tag, m.Len(), i, m.Paths())
-			}
-		}
-		return
-	}
 	left, err := inner.List(tempDir)
 	if err != nil {
 		t.Fatalf("%s: list %s: %v", tag, tempDir, err)
@@ -112,17 +102,13 @@ func TestEngineFaultSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is a multi-run workload; skipped with -short")
 	}
-	for _, backendName := range []string{"mem", "os", "shard"} {
+	for _, backendName := range []string{"mem", "os"} {
 		for _, codec := range []string{extscc.CodecFixed, extscc.CodecVarint} {
 			t.Run(backendName+"/"+codec, func(t *testing.T) {
 				newBackend := func() (extscc.Storage, string) {
-					switch backendName {
-					case "mem":
+					if backendName == "mem" {
 						m := storage.NewMem()
 						return m, m.TempPath()
-					case "shard":
-						s := storage.NewSharded(storage.NewMem(), storage.NewMem())
-						return s, s.TempPath()
 					}
 					return storage.OS(), t.TempDir()
 				}

@@ -3,9 +3,7 @@ package extscc_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"extscc"
@@ -154,11 +152,10 @@ func canonicalPartition(t *testing.T, labels []extscc.Label) []extscc.Label {
 	return out
 }
 
-// TestShardedEquivalence is the engine-level contract of WithShards /
-// WithShardedStorage: for every registered algorithm and both codec
-// families, a sharded run computes the identical SCC partition to the
-// unsharded run.  The workers=NumCPU leg pins that the inert WithWorkers
-// option does not change it.
+// TestShardedEquivalence is the engine-level contract of WithShards: for
+// every registered algorithm and both codec families, a run with three
+// compute shards on one in-memory backend computes the identical SCC
+// partition to the unsharded run.
 func TestShardedEquivalence(t *testing.T) {
 	edges := graphgen.Random(220, 660, 11)
 	extra := []extscc.NodeID{500, 501} // isolated nodes exercise the node split
@@ -169,22 +166,16 @@ func TestShardedEquivalence(t *testing.T) {
 		numSCCs int64
 		err     error
 	}
-	run := func(t *testing.T, algo, codec string, workers int, sharded bool) outcome {
+	run := func(t *testing.T, algo, codec string, shards int) outcome {
 		t.Helper()
-		opts := []extscc.Option{
+		eng, err := extscc.New(
 			extscc.WithAlgorithm(algo),
 			extscc.WithCodec(codec),
 			extscc.WithNodeBudget(40),
-			extscc.WithWorkers(workers),
+			extscc.WithShards(shards),
+			extscc.WithStorage(extscc.MemStorage()),
 			extscc.WithTempDir(t.TempDir()),
-		}
-		if sharded {
-			opts = append(opts, extscc.WithShardedStorage(
-				extscc.MemStorage(), extscc.MemStorage(), extscc.MemStorage()))
-		} else {
-			opts = append(opts, extscc.WithStorage(extscc.MemStorage()))
-		}
-		eng, err := extscc.New(opts...)
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,72 +191,60 @@ func TestShardedEquivalence(t *testing.T) {
 		return outcome{labels: labels, stats: res.Stats, numSCCs: res.NumSCCs}
 	}
 
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
 	for _, algo := range extscc.Algorithms() {
 		for _, codec := range extscc.Codecs() {
-			for _, workers := range workerCounts {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", algo.Name(), codec, workers), func(t *testing.T) {
-					flat := run(t, algo.Name(), codec, workers, false)
-					shard := run(t, algo.Name(), codec, workers, true)
+			t.Run(algo.Name()+"/"+codec, func(t *testing.T) {
+				flat := run(t, algo.Name(), codec, 0)
+				shard := run(t, algo.Name(), codec, 3)
 
-					// em-scc may legitimately converge on the condensed
-					// remainder while diverging on the full graph (or vice
-					// versa): the pre-pass changes the input it iterates on.
-					// Any other failure must not depend on sharding.
-					if flat.err != nil || shard.err != nil {
-						for mode, err := range map[string]error{"unsharded": flat.err, "sharded": shard.err} {
-							if err != nil && !errors.Is(err, extscc.ErrDidNotConverge) {
-								t.Fatalf("%s run failed: %v", mode, err)
-							}
-						}
-						t.Skipf("skipping comparison: unsharded err=%v, sharded err=%v", flat.err, shard.err)
-					}
-					if flat.numSCCs != shard.numSCCs {
-						t.Fatalf("SCC count differs: unsharded=%d sharded=%d", flat.numSCCs, shard.numSCCs)
-					}
-					want := canonicalPartition(t, flat.labels)
-					got := canonicalPartition(t, shard.labels)
-					if len(want) != len(got) {
-						t.Fatalf("label count differs: unsharded=%d sharded=%d", len(want), len(got))
-					}
-					for i := range want {
-						if want[i] != got[i] {
-							t.Fatalf("partition differs at %d: unsharded=%v sharded=%v", i, want[i], got[i])
+				// em-scc may legitimately converge on the condensed
+				// remainder while diverging on the full graph (or vice
+				// versa): the pre-pass changes the input it iterates on.
+				// Any other failure must not depend on sharding.
+				if flat.err != nil || shard.err != nil {
+					for mode, err := range map[string]error{"unsharded": flat.err, "sharded": shard.err} {
+						if err != nil && !errors.Is(err, extscc.ErrDidNotConverge) {
+							t.Fatalf("%s run failed: %v", mode, err)
 						}
 					}
-					// Stats sanity: the sharded run is a real accounted
-					// computation on the composed backend, not a bypass.
-					if shard.stats.Storage != "shard" {
-						t.Fatalf("Stats.Storage = %q, want \"shard\"", shard.stats.Storage)
+					t.Skipf("skipping comparison: unsharded err=%v, sharded err=%v", flat.err, shard.err)
+				}
+				if flat.numSCCs != shard.numSCCs {
+					t.Fatalf("SCC count differs: unsharded=%d sharded=%d", flat.numSCCs, shard.numSCCs)
+				}
+				want := canonicalPartition(t, flat.labels)
+				got := canonicalPartition(t, shard.labels)
+				if len(want) != len(got) {
+					t.Fatalf("label count differs: unsharded=%d sharded=%d", len(want), len(got))
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("partition differs at %d: unsharded=%v sharded=%v", i, want[i], got[i])
 					}
-					if shard.stats.TotalIOs <= 0 || shard.stats.BytesWritten <= 0 {
-						t.Fatalf("sharded run accounted no I/O: %+v", shard.stats)
-					}
-					// The pre-pass contracts, so a sharded run always reports
-					// contraction iterations, whatever finishes the remainder.
-					if shard.stats.ContractionIterations == 0 {
-						t.Error("sharded run reported zero contraction iterations")
-					}
-				})
-			}
+				}
+				// Stats sanity: the sharded run is a real accounted
+				// computation on the configured backend, not a bypass.
+				if shard.stats.Storage != "mem" {
+					t.Fatalf("Stats.Storage = %q, want \"mem\"", shard.stats.Storage)
+				}
+				if shard.stats.TotalIOs <= 0 || shard.stats.BytesWritten <= 0 {
+					t.Fatalf("sharded run accounted no I/O: %+v", shard.stats)
+				}
+				// The pre-pass contracts, so a sharded run always reports
+				// contraction iterations, whatever finishes the remainder.
+				if shard.stats.ContractionIterations == 0 {
+					t.Error("sharded run reported zero contraction iterations")
+				}
+			})
 		}
 	}
 }
 
-// TestShardOptionValidation pins the construction-time contract of the
-// sharding options.
+// TestShardOptionValidation pins the construction-time contract of
+// WithShards.
 func TestShardOptionValidation(t *testing.T) {
 	if _, err := extscc.New(extscc.WithShards(-1)); err == nil {
 		t.Fatal("expected an error for WithShards(-1)")
-	}
-	if _, err := extscc.New(extscc.WithShardedStorage()); err == nil {
-		t.Fatal("expected an error for WithShardedStorage with no children")
-	}
-	if _, err := extscc.New(extscc.WithShardedStorage(extscc.MemStorage(), nil)); err == nil {
-		t.Fatal("expected an error for a nil shard child")
 	}
 	// 0 and 1 are valid and mean "unsharded".
 	for _, n := range []int{0, 1} {

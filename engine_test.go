@@ -410,7 +410,8 @@ func TestWithWorkersMatchesSequential(t *testing.T) {
 			}
 		}
 		if stats.TotalIOs != seqStats.TotalIOs || stats.RandomIOs != seqStats.RandomIOs ||
-			stats.BytesRead != seqStats.BytesRead || stats.BytesWritten != seqStats.BytesWritten {
+			stats.BytesRead != seqStats.BytesRead || stats.BytesWritten != seqStats.BytesWritten ||
+			stats.FilesCreated != seqStats.FilesCreated {
 			t.Errorf("workers=%d: I/O accounting differs from workers=1:\n  1: %+v\n  %d: %+v", workers, seqStats, workers, stats)
 		}
 	}

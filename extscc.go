@@ -13,11 +13,9 @@
 //     GeneratorSource (synthetic workloads) and PreparedSource (pre-staged
 //     files).  Anything that stages an edge file can implement Source.
 //   - Storage selects where every file of a run lives: OSStorage (local
-//     disk, the default), MemStorage (fully in RAM), or a sharded
-//     composition of several child volumes (WithShardedStorage, or the
-//     "shard=..." spec of ParseStorage), chosen with WithStorage.  The
-//     backend never changes the labelling or the accounted I/O — only
-//     where the bytes live.  WithShards additionally splits the
+//     disk, the default) or MemStorage (fully in RAM), chosen with
+//     WithStorage.  The backend never changes the labelling or the
+//     accounted I/O — only where the bytes live.  WithShards splits the
 //     computation itself into concurrent per-shard contraction runs.
 //   - Codecs select how records are laid out on disk: CodecVarint
 //     (delta+varint compressed frames, the default) or CodecFixed (the

@@ -19,13 +19,13 @@ import (
 // Canonical help texts.  Each flag means exactly the same thing in every
 // tool, so the descriptions live here once.
 const (
-	storageHelp = "storage backend: os (default; local disk), mem (fully in RAM), or shard=child,child,... striping files across several volumes (each child: os, mem, or os:DIR)"
+	storageHelp = "storage backend: os (default; local disk) or mem (fully in RAM)"
 	codecHelp   = "record codec for intermediate files: varint (default; delta+varint frames, wins on sorted files) or fixed (frameless layout, no compression)"
 	retryHelp   = "retry transient storage failures up to this many times per operation (0 = fail fast)"
 )
 
-// Storage registers the -storage flag.  The accepted grammar is
-// storage.Parse's: "os", "mem", or "shard=child,child,...".
+// Storage registers the -storage flag.  The accepted values are
+// storage.Parse's: "os" and "mem".
 func Storage() *string { return flag.String("storage", "", storageHelp) }
 
 // Codec registers the -codec flag.

@@ -1,9 +1,9 @@
-// Sharded contraction: the pre-pass behind the engine's WithShards /
-// WithShardedStorage options.  The input graph is partitioned by source-node
-// range (edgefile.SplitByNodeRange), each shard's internal subgraph is
-// solved by a full Ext-SCC run — every SCC of a subgraph is contained in an
-// SCC of the whole graph, so collapsing shard-local components is always
-// sound — and the shard solves run concurrently, one goroutine per shard.
+// Sharded contraction: the pre-pass behind the engine's WithShards option.
+// The input graph is partitioned by source-node range
+// (edgefile.SplitByNodeRange), each shard's internal subgraph is solved by a
+// full Ext-SCC run — every SCC of a subgraph is contained in an SCC of the
+// whole graph, so collapsing shard-local components is always sound — and
+// the shard solves run concurrently, one goroutine per shard.
 // The per-shard labellings concatenate into a node→representative mapping
 // that condenses the original graph; the (much smaller) condensed remainder
 // is then finished by whichever algorithm the engine is configured with,

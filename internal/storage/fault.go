@@ -423,15 +423,6 @@ func (b *FaultBackend) MkdirTemp(parent, pattern string) (string, error) {
 	return b.inner.MkdirTemp(parent, pattern)
 }
 
-// EnsureDir forwards the sharded backend's dirMaker hook when the wrapped
-// backend has one; like MkdirTemp it is never faulted.
-func (b *FaultBackend) EnsureDir(path string) error {
-	if dm, ok := b.inner.(dirMaker); ok {
-		return dm.EnsureDir(path)
-	}
-	return nil
-}
-
 // RemoveAll implements Backend; never faulted so cleanup always proceeds.
 func (b *FaultBackend) RemoveAll(path string) error { return b.inner.RemoveAll(path) }
 

@@ -48,11 +48,6 @@ func (osBackend) MkdirTemp(parent, pattern string) (string, error) {
 	return os.MkdirTemp(parent, pattern)
 }
 
-// EnsureDir implements the sharded backend's dirMaker hook: OS files live
-// under real directories, so a fabricated sharded run directory must be
-// materialised before files route here.
-func (osBackend) EnsureDir(path string) error { return os.MkdirAll(path, 0o755) }
-
 func (osBackend) List(dir string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {

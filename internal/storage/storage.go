@@ -10,8 +10,8 @@
 //
 // Two backends ship today: the OS backend (local files, the historical
 // behaviour) and the in-memory backend (a lock-protected block store for
-// tests, diskless serving and benchmarks).  Sharded and remote stores plug
-// in by implementing Backend.
+// tests, diskless serving and benchmarks).  Remote stores plug in by
+// implementing Backend.
 package storage
 
 import (
@@ -20,7 +20,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"strings"
 	"sync"
 )
 
@@ -148,63 +147,22 @@ func ByName(name string) (Backend, error) {
 // the EXTSCC_STORAGE environment variable and the -storage flag of all
 // CLIs:
 //
-//	os                    the local filesystem (the default)
-//	mem                   the process-shared in-memory store
-//	shard=child,child,..  one namespace sharded across the listed children,
-//	                      where each child is "os" (the local filesystem),
-//	                      "os:DIR" (an OS store rooted at DIR — e.g. one
-//	                      directory per volume), or "mem" (a fresh private
-//	                      in-memory store per occurrence)
+//	os   the local filesystem (the default)
+//	mem  the process-shared in-memory store
 //
-// "memory" is accepted as an alias for "mem".  Inside shard=, "mem" means a
-// fresh store per occurrence (not the process-shared one): sharding the
-// same store N times would collapse back into one namespace.  When the
-// EXTSCC_FAULT variable is set, the resolved backend is wrapped in its
-// fault plan at the top level, so injected faults see the routed operations
-// exactly once.
+// When the EXTSCC_FAULT variable is set, the resolved backend is wrapped in
+// its fault plan.
 func Parse(spec string) (Backend, error) {
-	if rest, ok := strings.CutPrefix(spec, "shard="); ok {
-		parts := strings.Split(rest, ",")
-		children := make([]Backend, 0, len(parts))
-		for _, part := range parts {
-			child, err := parseChild(strings.TrimSpace(part))
-			if err != nil {
-				return nil, fmt.Errorf("storage: invalid spec %q: %w", spec, err)
-			}
-			children = append(children, child)
-		}
-		return withEnvFault(NewSharded(children...))
-	}
 	switch spec {
 	case "os":
 		return withEnvFault(OS())
-	case "mem", "memory":
+	case "mem":
 		return withEnvFault(SharedMem())
 	default:
 		// The backend must be nil on error: returning a usable fallback next
 		// to the error let callers that dropped the error silently run the
 		// wrong backend (and report its name as green).
-		return nil, errors.New("storage: unknown backend " + spec + " (known: os, mem, shard=child,child,...)")
-	}
-}
-
-// parseChild resolves one child of a shard= spec.
-func parseChild(spec string) (Backend, error) {
-	if dir, ok := strings.CutPrefix(spec, "os:"); ok {
-		if dir == "" {
-			return nil, errors.New(`child "os:" has an empty directory`)
-		}
-		return OSAt(dir), nil
-	}
-	switch spec {
-	case "os":
-		return OS(), nil
-	case "mem", "memory":
-		return NewMem(), nil
-	case "":
-		return nil, errors.New("empty shard child")
-	default:
-		return nil, fmt.Errorf("unknown shard child %q (known: os, os:DIR, mem)", spec)
+		return nil, errors.New("storage: unknown backend " + spec + " (known: os, mem)")
 	}
 }
 

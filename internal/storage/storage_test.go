@@ -3,21 +3,17 @@ package storage
 import (
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// backends returns one instance of every backend, with OS paths rooted in a
-// per-test temp directory so the contract cases can use absolute paths on
-// both.
+// backends returns one instance of every backend; root gives each contract
+// case a scratch directory valid for it.
 func backends(t *testing.T) map[string]Backend {
 	t.Helper()
 	return map[string]Backend{
 		"os":  OS(),
 		"mem": NewMem(),
-		// A heterogeneous sharded namespace: one rooted-OS child and two
-		// fresh memory children, so the contract cases exercise routing,
-		// fan-out and the lazily materialised directories together.
-		"shard": NewSharded(OSAt(t.TempDir()), NewMem(), NewMem()),
 	}
 }
 
@@ -54,6 +50,7 @@ func TestBackendContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertName(t, "Create", f, p)
 			if _, err := f.Write([]byte("hello ")); err != nil {
 				t.Fatal(err)
 			}
@@ -71,6 +68,7 @@ func TestBackendContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertName(t, "Open", r, p)
 			buf := make([]byte, 5)
 			if _, err := r.ReadAt(buf, 6); err != nil && err != io.EOF {
 				t.Fatal(err)
@@ -114,10 +112,37 @@ func TestBackendContract(t *testing.T) {
 			}
 			f2.Close()
 
+			// The fault wrapper reports the same names as the backend it
+			// wraps.
+			fb := NewFault(b, nil)
+			wf, err := fb.Create(p2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertName(t, "faulted Create", wf, p2)
+			wf.Close()
+			wr, err := fb.Open(p2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertName(t, "faulted Open", wr, p2)
+			wr.Close()
+
 			if err := b.Remove(p2); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// assertName pins the File.Name contract: a handle reports the path it was
+// created or opened under.  recio.Reader.loadFooter reopens a file by its
+// reader's Name to read the footer, so a handle naming any other path (a
+// resolved or rooted one, say) fails every framed read.
+func assertName(t *testing.T, op string, f File, p string) {
+	t.Helper()
+	if got := f.Name(); got != p {
+		t.Fatalf("%s(%q).Name() = %q, want the path it was opened under", op, p, got)
 	}
 }
 
@@ -381,4 +406,45 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("tape"); err == nil {
 		t.Fatal("ByName(tape) should fail")
 	}
+	// The retired striping specs and the "memory" alias fail loudly rather
+	// than resolve to some other backend.
+	for _, spec := range []string{"shard=mem,mem", "shard=os:/x", "memory", "os:/x"} {
+		b, err := ByName(spec)
+		if err == nil || b != nil {
+			t.Errorf("ByName(%q) = %v, %v; want nil backend and an error", spec, b, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "(known: os, mem)") {
+			t.Errorf("ByName(%q) error %q does not list the known backends", spec, err)
+		}
+	}
+}
+
+func TestParse(t *testing.T) {
+	t.Run("os", func(t *testing.T) {
+		b, err := Parse("os")
+		if err != nil || b.Name() != "os" {
+			t.Fatalf("Parse(os) = %v, %v", b, err)
+		}
+	})
+	t.Run("mem is the shared store", func(t *testing.T) {
+		b, err := Parse("mem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != Backend(SharedMem()) {
+			t.Fatal("mem should resolve to the process-shared store")
+		}
+	})
+	t.Run("errors keep the backend nil", func(t *testing.T) {
+		for _, spec := range []string{"bogus", "", "OS", "mem "} {
+			b, err := Parse(spec)
+			if err == nil || b != nil {
+				t.Errorf("Parse(%q) = %v, %v; want nil backend and an error", spec, b, err)
+			}
+			if err != nil && !strings.Contains(err.Error(), "storage:") {
+				t.Errorf("Parse(%q) error %q not from storage", spec, err)
+			}
+		}
+	})
 }
