@@ -110,17 +110,18 @@ serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
 # Mirrors the `faultsweep` job: the systematic fault-injection sweep (every
-# storage backend x both codecs, sampled fault positions), the corruption
-# smoke (every flipped payload byte of a v2 frame must surface as
-# ErrCorrupt), and end-to-end CLI runs under an EXTSCC_FAULT plan — a torn
-# write plus a transient read must be absorbed by -retry on both backends
-# (the torn flavor on the os leg pins the truncate-and-rewrite recovery
-# against real seek-offset semantics), and a corrupting plan must fail the
-# run with a typed corruption message, never a wrong answer.  The run makes
-# 30 reads under its run directory, so the read rule's n=15 lands mid-run;
-# each retry leg fails unless sccrun reports both faults recovered.
+# storage backend x both codecs, sampled fault positions) and its leg over
+# serve.New's DAG and index build, the corruption smoke (every flipped
+# payload byte of a v2 frame must surface as ErrCorrupt), and end-to-end
+# CLI runs under an EXTSCC_FAULT plan — a torn write plus a transient read
+# must be absorbed by -retry on both backends (the torn flavor on the os leg
+# pins the truncate-and-rewrite recovery against real seek-offset
+# semantics), and a corrupting plan must fail the run with a typed
+# corruption message, never a wrong answer.  The run makes 22 reads under
+# its run directory, so the read rule's n=15 lands mid-run; each retry leg
+# fails unless sccrun reports both faults recovered.
 faultsweep:
-	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio \
+	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
 	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=15,mode=transient,path=extscc-engine-' \

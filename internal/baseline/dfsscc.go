@@ -135,7 +135,9 @@ func (s *dfsState) run() (*DFSResult, error) {
 
 	// Adjacency structure for the reversed graph.
 	reversedRaw := s.temp("dfs-reversed-raw")
-	if err := edgefile.ReverseEdges(s.g.EdgePath, reversedRaw, s.cfg); err != nil {
+	if _, err := recio.WriteFile(reversedRaw, record.EdgeCodec{}, s.cfg, func(w recio.Sink[record.Edge]) error {
+		return edgefile.ReverseEdges(s.g.EdgePath, w, s.cfg)
+	}); err != nil {
 		return nil, err
 	}
 	reversed := s.temp("dfs-reversed")

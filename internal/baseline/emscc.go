@@ -264,7 +264,12 @@ func emApplyRelabel(edgePath, relabelPath string, outPath string, temp func(stri
 	if err := edgefile.SortEdges(relabeledV, sorted, record.EdgeBySource, cfg); err != nil {
 		return 0, err
 	}
-	return edgefile.DedupeEdges(sorted, outPath, true, cfg)
+	r, err := recio.NewReader(sorted, record.EdgeCodec{}, cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer r.Close()
+	return edgefile.DedupeEdges(r.Iter(), outPath, true, cfg)
 }
 
 // emComposeMapping updates the cumulative mapping: every representative that

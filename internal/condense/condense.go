@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"extscc/internal/blockio"
+	"extscc/internal/edgefile"
 	"extscc/internal/extsort"
 	"extscc/internal/iomodel"
 	"extscc/internal/recio"
@@ -140,28 +141,33 @@ func FromMemory(labelOf map[record.NodeID]record.SCCID, edges []record.Edge) *DA
 // The construction is the classic pair of sort-merge joins: sort the edges
 // by source and merge against the labels to map u -> scc(u), re-sort by
 // target and merge again to map v -> scc(v), then sort the component pairs
-// and deduplicate on the final scan.  Everything runs through the
-// external-sort substrate under cfg's memory budget, storage backend and
-// codec, so the DAG build carries the same I/O accounting as the SCC
-// computation itself.  Intermediate files live in cfg.TempDir and are
-// removed as the build progresses.  The returned count is the number of DAG
-// edges written.
+// and deduplicate on the final scan.  Each sort streams into its join or
+// deduplication, and each join writes a file that the next sort reads.
+// Everything runs through the external-sort substrate under cfg's memory
+// budget, storage backend and codec, so the DAG build carries the same I/O
+// accounting as the SCC computation itself.  Intermediate files live in
+// cfg.TempDir and are removed as the build progresses.  The returned count is
+// the number of DAG edges written.
 func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel.Config) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sortPath := func(path string, key func(record.Edge) record.Key) (*extsort.Stream[record.Edge], error) {
+		return extsort.NewContext(ctx, record.EdgeCodec{}, key, cfg).SortPath(path)
+	}
+
 	// Pass 1: sort edges by source and replace U with its SCC label.
-	byU := blockio.TempFile(cfg.TempDir, "condense-byu", cfg.Stats)
-	if err := extsort.NewContext(ctx, record.EdgeCodec{}, record.EdgeBySource, cfg).SortFile(edgePath, byU); err != nil {
+	byU, err := sortPath(edgePath, record.EdgeBySource)
+	if err != nil {
 		return 0, fmt.Errorf("condense: sort edges by source: %w", err)
 	}
 	mappedU := blockio.TempFile(cfg.TempDir, "condense-mapu", cfg.Stats)
-	err := mapEndpoint(ctx, byU, labelPath, mappedU, cfg,
+	err = mapEndpoint(byU, labelPath, mappedU, cfg,
 		func(e record.Edge) record.NodeID { return e.U },
 		func(e record.Edge, scc record.SCCID) (record.Edge, bool) {
 			return record.Edge{U: scc, V: e.V}, true
 		})
-	blockio.Remove(byU, cfg)
+	byU.Close()
 	if err != nil {
 		blockio.Remove(mappedU, cfg)
 		return 0, err
@@ -169,15 +175,13 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 
 	// Pass 2: sort by target and replace V with its SCC label, dropping
 	// intra-component edges as soon as both labels are known.
-	byV := blockio.TempFile(cfg.TempDir, "condense-byv", cfg.Stats)
-	err = extsort.NewContext(ctx, record.EdgeCodec{}, record.EdgeByTarget, cfg).SortFile(mappedU, byV)
+	byV, err := sortPath(mappedU, record.EdgeByTarget)
 	blockio.Remove(mappedU, cfg)
 	if err != nil {
-		blockio.Remove(byV, cfg)
 		return 0, fmt.Errorf("condense: sort edges by target: %w", err)
 	}
 	mappedV := blockio.TempFile(cfg.TempDir, "condense-mapv", cfg.Stats)
-	err = mapEndpoint(ctx, byV, labelPath, mappedV, cfg,
+	err = mapEndpoint(byV, labelPath, mappedV, cfg,
 		func(e record.Edge) record.NodeID { return e.V },
 		func(e record.Edge, scc record.SCCID) (record.Edge, bool) {
 			if e.U == scc {
@@ -185,22 +189,20 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 			}
 			return record.Edge{U: e.U, V: scc}, true
 		})
-	blockio.Remove(byV, cfg)
+	byV.Close()
 	if err != nil {
 		blockio.Remove(mappedV, cfg)
 		return 0, err
 	}
 
 	// Pass 3: sort the component pairs and deduplicate into the output.
-	sorted := blockio.TempFile(cfg.TempDir, "condense-pairs", cfg.Stats)
-	err = extsort.NewContext(ctx, record.EdgeCodec{}, record.EdgeBySource, cfg).SortFile(mappedV, sorted)
+	pairs, err := sortPath(mappedV, record.EdgeBySource)
 	blockio.Remove(mappedV, cfg)
 	if err != nil {
-		blockio.Remove(sorted, cfg)
 		return 0, fmt.Errorf("condense: sort component pairs: %w", err)
 	}
-	n, err := dedupFile(ctx, sorted, outPath, cfg)
-	blockio.Remove(sorted, cfg)
+	n, err := edgefile.DedupeEdges(pairs, outPath, false, cfg)
+	pairs.Close()
 	if err != nil {
 		blockio.Remove(outPath, cfg)
 		return 0, err
@@ -208,112 +210,42 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 	return n, nil
 }
 
-// mapEndpoint merge-joins an edge file sorted by the chosen endpoint with
+// mapEndpoint merge-joins an edge stream sorted by the chosen endpoint with
 // the node-sorted label file, rewriting each edge through rewrite (which may
 // drop it) into outPath.
-func mapEndpoint(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel.Config,
+func mapEndpoint(edges recio.Iterator[record.Edge], labelPath, outPath string, cfg iomodel.Config,
 	key func(record.Edge) record.NodeID,
 	rewrite func(record.Edge, record.SCCID) (record.Edge, bool)) error {
-	er, err := recio.NewReader(edgePath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	defer er.Close()
 	lr, err := recio.NewReader(labelPath, record.LabelCodec{}, cfg)
 	if err != nil {
 		return err
 	}
 	defer lr.Close()
-	w, err := recio.NewWriter(outPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-
 	labels := recio.NewPeekable(lr.Iter())
-	n := 0
-	for {
-		e, err := er.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Close()
-			return err
-		}
-		if n++; n%8192 == 0 {
-			if err := ctx.Err(); err != nil {
-				w.Close()
+	_, err = recio.WriteFile(outPath, record.EdgeCodec{}, cfg, func(w recio.Sink[record.Edge]) error {
+		for {
+			e, ok, err := edges.Next()
+			if err != nil || !ok {
 				return err
 			}
-		}
-		k := key(e)
-		for labels.Valid() && labels.Peek().Node < k {
-			labels.Pop()
-		}
-		if err := labels.Err(); err != nil {
-			w.Close()
-			return err
-		}
-		if !labels.Valid() || labels.Peek().Node != k {
-			w.Close()
-			return fmt.Errorf("condense: node %d of %s has no label in %s", k, edgePath, labelPath)
-		}
-		out, keep := rewrite(e, labels.Peek().SCC)
-		if !keep {
-			continue
-		}
-		if err := w.Write(out); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
-}
-
-// dedupFile copies the (U, V)-sorted edge file at inPath to outPath dropping
-// consecutive duplicates, returning the number of records written.
-func dedupFile(ctx context.Context, inPath, outPath string, cfg iomodel.Config) (int64, error) {
-	r, err := recio.NewReader(inPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	w, err := recio.NewWriter(outPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	var prev record.Edge
-	first := true
-	n := 0
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		if n++; n%8192 == 0 {
-			if err := ctx.Err(); err != nil {
-				w.Close()
-				return 0, err
+			k := key(e)
+			for labels.Valid() && labels.Peek().Node < k {
+				labels.Pop()
+			}
+			if err := labels.Err(); err != nil {
+				return err
+			}
+			if !labels.Valid() || labels.Peek().Node != k {
+				return fmt.Errorf("condense: edge endpoint %d has no label in %s", k, labelPath)
+			}
+			if out, keep := rewrite(e, labels.Peek().SCC); keep {
+				if err := w.Write(out); err != nil {
+					return err
+				}
 			}
 		}
-		if !first && e == prev {
-			continue
-		}
-		first = false
-		prev = e
-		if err := w.Write(e); err != nil {
-			w.Close()
-			return 0, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
+	})
+	return err
 }
 
 // Load reads a DAG edge file written by Build into memory.

@@ -6,8 +6,8 @@
 // Type-2 node reduction, parallel-edge and self-loop elimination, and the
 // refined ">" operator) are enabled through Options.Optimized.
 //
-// Every step is a sequential scan, a merge join of sorted files, or an
-// external sort, so the phase performs no random I/O.
+// Every step is a sequential scan, a merge join of sorted files and sort
+// streams, or an external sort, so the phase performs no random I/O.
 package contraction
 
 import (
@@ -109,31 +109,31 @@ func (c *contractor) run() (Result, error) {
 	if err := c.ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	// Step 1: the two sorted edge lists E_out (by source) and E_in (by
-	// target) of Algorithms 3 and 4.  Parallel edges are always eliminated
-	// while the file is sorted (Example 5.1 removes them when constructing
-	// G_{i+1}; doing it lazily here costs no extra I/O); the optimised
-	// variant additionally drops self-loops (Section VII edge reduction).
-	sorted := c.temp("eout-sorted")
-	if err := edgefile.SortEdgesContext(c.ctx, c.g.EdgePath, sorted, record.EdgeBySource, c.cfg); err != nil {
+	// Step 1: the edge list E_out of Algorithms 3 and 4, sorted by source.
+	// Parallel edges are always eliminated while the sorted edges stream
+	// past (Example 5.1 removes them when constructing G_{i+1}; doing it
+	// lazily here costs no extra I/O); the optimised variant additionally
+	// drops self-loops (Section VII edge reduction).
+	sorted, err := c.edgeSorter(record.EdgeBySource).SortPath(c.g.EdgePath)
+	if err != nil {
 		return Result{}, err
 	}
 	eout := c.temp("eout")
-	if _, err := edgefile.DedupeEdges(sorted, eout, c.opts.Optimized, c.cfg); err != nil {
-		return Result{}, err
-	}
-	ein := c.temp("ein")
-	if err := edgefile.SortEdgesContext(c.ctx, eout, ein, record.EdgeByTarget, c.cfg); err != nil {
+	_, err = edgefile.DedupeEdges(sorted, eout, c.opts.Optimized, c.cfg)
+	sorted.Close()
+	if err != nil {
 		return Result{}, err
 	}
 
-	// Step 2: the degree table V_d.  Type-1 node reduction keeps only nodes
-	// with both a positive in-degree and a positive out-degree.
+	// Step 2: the degree table V_d, from E_out and E_in, the same edges
+	// sorted by target.  Type-1 node reduction keeps only nodes with both a
+	// positive in-degree and a positive out-degree.
 	if err := c.ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	vd := c.temp("vd")
-	if _, err := edgefile.ComputeDegrees(eout, ein, vd, c.opts.Optimized, c.cfg); err != nil {
+	ein, err := c.computeDegrees(eout, vd)
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -204,143 +204,163 @@ func (c *contractor) run() (Result, error) {
 	}, nil
 }
 
+// edgeSorter returns a sorter of plain edges by key.
+func (c *contractor) edgeSorter(key func(record.Edge) record.Key) *extsort.Sorter[record.Edge] {
+	return extsort.NewContext(c.ctx, record.EdgeCodec{}, key, c.cfg)
+}
+
+// computeDegrees writes the degree table V_d of the edge file eout (sorted
+// by source) to vd and returns the path of E_in, the same edges sorted by
+// target.  In optimised mode nothing but the degree scan reads E_in, so its
+// sort streams into the scan and the returned path is empty.
+func (c *contractor) computeDegrees(eout, vd string) (string, error) {
+	var ein string
+	var in recio.Iterator[record.Edge]
+	if c.opts.Optimized {
+		st, err := c.edgeSorter(record.EdgeByTarget).SortPath(eout)
+		if err != nil {
+			return "", err
+		}
+		defer st.Close()
+		in = st
+	} else {
+		ein = c.temp("ein")
+		if err := edgefile.SortEdgesContext(c.ctx, eout, ein, record.EdgeByTarget, c.cfg); err != nil {
+			return "", err
+		}
+		inR, err := recio.NewReader(ein, record.EdgeCodec{}, c.cfg)
+		if err != nil {
+			return "", err
+		}
+		defer inR.Close()
+		in = inR.Iter()
+	}
+	outR, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
+	if err != nil {
+		return "", err
+	}
+	defer outR.Close()
+	_, err = edgefile.ComputeDegrees(outR.Iter(), in, vd, c.opts.Optimized, c.cfg)
+	return ein, err
+}
+
 // buildEd produces E_d: every edge augmented with the comparison keys of both
 // endpoints (lines 5-7 of Algorithm 3), sorted by (target, source).  Edges
 // with an endpoint missing from V_d (possible only under Type-1 reduction)
-// are dropped.
+// are dropped.  The join on the source pushes its output straight into the
+// re-sort by target, whose stream feeds the join on the target.
 func (c *contractor) buildEd(eout, vd string) (string, error) {
 	refined := c.opts.Optimized
-
-	// Join on the source endpoint.
-	bySource := c.temp("ed-by-source")
-	if err := c.joinEdgesWithDegrees(eout, vd, bySource, false, refined); err != nil {
+	rw, err := extsort.NewContext(c.ctx, record.EdgeAugCodec{}, record.EdgeAugByTarget, c.cfg).RunWriter()
+	if err != nil {
 		return "", err
 	}
-	// Re-sort by target.
-	byTarget := c.temp("ed-by-target")
-	sorter := extsort.NewContext[record.EdgeAug](c.ctx, record.EdgeAugCodec{}, record.EdgeAugByTarget, c.cfg)
-	if err := sorter.SortFile(bySource, byTarget); err != nil {
+	defer rw.Abort()
+	r, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
+	if err != nil {
 		return "", err
 	}
-	// Join on the target endpoint.
+	err = joinEdgesWithDegrees(augmented{r.Iter()}, vd, rw, false, refined, c.cfg)
+	r.Close()
+	if err != nil {
+		return "", err
+	}
+	byTarget, err := rw.Sort()
+	if err != nil {
+		return "", err
+	}
+	defer byTarget.Close()
 	ed := c.temp("ed")
-	if err := c.joinEdgesWithDegrees(byTarget, vd, ed, true, refined); err != nil {
-		return "", err
-	}
-	return ed, nil
+	_, err = recio.WriteFile(ed, record.EdgeAugCodec{}, c.cfg, func(w recio.Sink[record.EdgeAug]) error {
+		return joinEdgesWithDegrees(byTarget, vd, w, true, refined, c.cfg)
+	})
+	return ed, err
+}
+
+// augmented lifts a plain edge stream to augmented edges with both keys
+// unset.
+type augmented struct{ edges recio.Iterator[record.Edge] }
+
+func (a augmented) Next() (record.EdgeAug, bool, error) {
+	e, ok, err := a.edges.Next()
+	return record.EdgeAug{U: e.U, V: e.V}, ok, err
 }
 
 // joinEdgesWithDegrees merge-joins an augmented-edge stream with the degree
-// table, filling the key of the source endpoint (byTarget=false, input sorted
-// by source) or of the target endpoint (byTarget=true, input sorted by
-// target).  For the first join the input is a plain edge file.
-func (c *contractor) joinEdgesWithDegrees(edgePath, vdPath, outPath string, byTarget, refined bool) error {
-	vdR, err := recio.NewReader(vdPath, record.NodeDegreeCodec{}, c.cfg)
+// table at vdPath and writes the joined edges to out, filling the key of the
+// source endpoint (byTarget=false, input sorted by source) or of the target
+// endpoint (byTarget=true, input sorted by target).
+func joinEdgesWithDegrees(in recio.Iterator[record.EdgeAug], vdPath string, out recio.Sink[record.EdgeAug], byTarget, refined bool, cfg iomodel.Config) error {
+	vdR, err := recio.NewReader(vdPath, record.NodeDegreeCodec{}, cfg)
 	if err != nil {
 		return err
 	}
 	defer vdR.Close()
 	degrees := recio.NewPeekable[record.NodeDegree](vdR.Iter())
-
-	w, err := recio.NewWriter(outPath, record.EdgeAugCodec{}, c.cfg)
-	if err != nil {
-		return err
-	}
-
-	lookup := func(node record.NodeID) (record.NodeKey, bool) {
+	for {
+		rec, ok, err := in.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return degrees.Err()
+		}
+		node := rec.U
+		if byTarget {
+			node = rec.V
+		}
 		for degrees.Valid() && degrees.Peek().Node < node {
 			degrees.Pop()
 		}
-		if degrees.Valid() && degrees.Peek().Node == node {
-			return degrees.Peek().Key(refined), true
-		}
-		return record.NodeKey{}, false
-	}
-
-	emit := func(rec record.EdgeAug) error {
-		var key record.NodeID
-		if byTarget {
-			key = rec.V
-		} else {
-			key = rec.U
-		}
-		k, ok := lookup(key)
-		if !ok {
-			return nil // endpoint trimmed by Type-1 reduction
+		if !degrees.Valid() || degrees.Peek().Node != node {
+			continue // endpoint trimmed by Type-1 reduction
 		}
 		if byTarget {
-			rec.KeyV = k
+			rec.KeyV = degrees.Peek().Key(refined)
 		} else {
-			rec.KeyU = k
+			rec.KeyU = degrees.Peek().Key(refined)
 		}
-		return w.Write(rec)
-	}
-
-	if byTarget {
-		r, err := recio.NewReader(edgePath, record.EdgeAugCodec{}, c.cfg)
-		if err != nil {
-			w.Close()
+		if err := out.Write(rec); err != nil {
 			return err
 		}
-		defer r.Close()
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				w.Close()
-				return err
-			}
-			if err := emit(rec); err != nil {
-				w.Close()
-				return err
-			}
-		}
-	} else {
-		r, err := recio.NewReader(edgePath, record.EdgeCodec{}, c.cfg)
-		if err != nil {
-			w.Close()
-			return err
-		}
-		defer r.Close()
-		for {
-			e, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				w.Close()
-				return err
-			}
-			if err := emit(record.EdgeAug{U: e.U, V: e.V}); err != nil {
-				w.Close()
-				return err
-			}
-		}
 	}
-	if err := degrees.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // buildCover scans E_d once, adds the greater endpoint of every edge to the
 // cover (lines 8-9 of Algorithm 3, with the Type-2 dictionary of Section VII
-// in optimised mode), then sorts and deduplicates the cover node list.  It
-// returns the cover file and |V_{i+1}|.
+// in optimised mode), then sorts and deduplicates the cover node list.  The
+// scan pushes the cover nodes straight into the sort, whose stream feeds the
+// deduplication.  It returns the cover file and |V_{i+1}|.
 func (c *contractor) buildCover(ed string) (string, int64, error) {
+	rw, err := extsort.NewContext(c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg).RunWriter()
+	if err != nil {
+		return "", 0, err
+	}
+	defer rw.Abort()
+	if err := c.scanCover(ed, rw); err != nil {
+		return "", 0, err
+	}
+	sorted, err := rw.Sort()
+	if err != nil {
+		return "", 0, err
+	}
+	defer sorted.Close()
+	cover := c.temp("cover")
+	numCover, err := edgefile.DedupeNodes(sorted, cover, c.cfg)
+	if err != nil {
+		return "", 0, err
+	}
+	return cover, numCover, nil
+}
+
+// scanCover writes to out the cover node of every edge of the E_d file at
+// ed that the Type-2 dictionary does not already cover.
+func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID]) error {
 	r, err := recio.NewReader(ed, record.EdgeAugCodec{}, c.cfg)
 	if err != nil {
-		return "", 0, err
+		return err
 	}
 	defer r.Close()
-	raw := c.temp("cover-raw")
-	w, err := recio.NewWriter(raw, record.NodeCodec{}, c.cfg)
-	if err != nil {
-		return "", 0, err
-	}
 
 	var dict *type2Dict
 	if c.opts.Optimized {
@@ -355,20 +375,17 @@ func (c *contractor) buildCover(ed string) (string, int64, error) {
 		dict = newType2Dict(size)
 	}
 
-	scanned := 0
-	for {
+	for scanned := 1; ; scanned++ {
 		rec, err := r.Read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			w.Close()
-			return "", 0, err
+			return err
 		}
-		if scanned++; scanned%checkEvery == 0 {
+		if scanned%checkEvery == 0 {
 			if err := c.ctx.Err(); err != nil {
-				w.Close()
-				return "", 0, err
+				return err
 			}
 		}
 		if rec.U == rec.V {
@@ -394,26 +411,10 @@ func (c *contractor) buildCover(ed string) (string, int64, error) {
 			}
 			dict.insert(cover, coverKey)
 		}
-		if err := w.Write(cover); err != nil {
-			w.Close()
-			return "", 0, err
+		if err := out.Write(cover); err != nil {
+			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return "", 0, err
-	}
-
-	sorted := c.temp("cover-sorted")
-	sorter := extsort.NewContext[record.NodeID](c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg)
-	if err := sorter.SortFile(raw, sorted); err != nil {
-		return "", 0, err
-	}
-	cover := c.temp("cover")
-	numCover, err := edgefile.DedupeNodes(sorted, cover, c.cfg)
-	if err != nil {
-		return "", 0, err
-	}
-	return cover, numCover, nil
 }
 
 // projectTrimmed projects E_d back to plain edges, producing the trimmed edge
@@ -458,18 +459,33 @@ func (c *contractor) projectTrimmed(ed string) (einT, eoutT string, err error) {
 }
 
 // buildEpre keeps the edges of G_i whose both endpoints are in the cover
-// (lines 9-11 of Algorithm 4).
+// (lines 9-11 of Algorithm 4).  The filter on the source pushes its output
+// straight into the re-sort by target, whose stream feeds the filter on the
+// target.
 func (c *contractor) buildEpre(baseEout, coverPath string) (string, int64, error) {
-	bySource := c.temp("epre-by-source")
-	if _, err := edgefile.MembershipFilter(baseEout, coverPath, bySource, false, true, c.cfg); err != nil {
+	rw, err := c.edgeSorter(record.EdgeByTarget).RunWriter()
+	if err != nil {
 		return "", 0, err
 	}
-	byTarget := c.temp("epre-by-target")
-	if err := edgefile.SortEdgesContext(c.ctx, bySource, byTarget, record.EdgeByTarget, c.cfg); err != nil {
+	defer rw.Abort()
+	r, err := recio.NewReader(baseEout, record.EdgeCodec{}, c.cfg)
+	if err != nil {
 		return "", 0, err
 	}
+	err = edgefile.MembershipFilter(r.Iter(), coverPath, rw, false, true, c.cfg)
+	r.Close()
+	if err != nil {
+		return "", 0, err
+	}
+	byTarget, err := rw.Sort()
+	if err != nil {
+		return "", 0, err
+	}
+	defer byTarget.Close()
 	epre := c.temp("epre")
-	n, err := edgefile.MembershipFilter(byTarget, coverPath, epre, true, true, c.cfg)
+	n, err := recio.WriteFile(epre, record.EdgeCodec{}, c.cfg, func(w recio.Sink[record.Edge]) error {
+		return edgefile.MembershipFilter(byTarget, coverPath, w, true, true, c.cfg)
+	})
 	if err != nil {
 		return "", 0, err
 	}
@@ -481,15 +497,24 @@ func (c *contractor) buildEpre(baseEout, coverPath string) (string, int64, error
 // Algorithm 4).  The out-neighbour list of one removed node is buffered in
 // memory; Theorem 5.3 bounds its size by sqrt(2|E_i|).
 func (c *contractor) buildEadd(baseEin, baseEout, coverPath string) (string, int64, uint64, error) {
-	// E_del: incoming edges of removed nodes, sorted by (target, source).
-	edel := c.temp("edel")
-	if _, err := edgefile.MembershipFilter(baseEin, coverPath, edel, true, false, c.cfg); err != nil {
-		return "", 0, 0, err
-	}
-	// Out-going edges of removed nodes, sorted by (source, target).
-	eoutDel := c.temp("eout-del")
-	if _, err := edgefile.MembershipFilter(baseEout, coverPath, eoutDel, false, false, c.cfg); err != nil {
-		return "", 0, 0, err
+	// E_del: incoming edges of removed nodes, sorted by (target, source), and
+	// the out-going edges of removed nodes, sorted by (source, target).
+	edel, eoutDel := c.temp("edel"), c.temp("eout-del")
+	for _, f := range []struct {
+		in, out  string
+		byTarget bool
+	}{{baseEin, edel, true}, {baseEout, eoutDel, false}} {
+		r, err := recio.NewReader(f.in, record.EdgeCodec{}, c.cfg)
+		if err != nil {
+			return "", 0, 0, err
+		}
+		_, err = recio.WriteFile(f.out, record.EdgeCodec{}, c.cfg, func(w recio.Sink[record.Edge]) error {
+			return edgefile.MembershipFilter(r.Iter(), coverPath, w, f.byTarget, false, c.cfg)
+		})
+		r.Close()
+		if err != nil {
+			return "", 0, 0, err
+		}
 	}
 
 	delR, err := recio.NewReader(edel, record.EdgeCodec{}, c.cfg)

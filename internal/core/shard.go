@@ -24,6 +24,7 @@ import (
 	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
 	"extscc/internal/iomodel"
+	"extscc/internal/recio"
 	"extscc/internal/record"
 )
 
@@ -209,8 +210,14 @@ func condenseByMapping(ctx context.Context, g edgefile.Graph, mappingPath, dir s
 	if err != nil {
 		return fail(err)
 	}
+	sr, err := recio.NewReader(sorted, record.EdgeCodec{}, cfg)
+	if err != nil {
+		blockio.Remove(sorted, cfg)
+		return fail(err)
+	}
 	edgePath := temp("condensed-edges")
-	numEdges, err := edgefile.DedupeEdges(sorted, edgePath, true, cfg)
+	numEdges, err := edgefile.DedupeEdges(sr.Iter(), edgePath, true, cfg)
+	sr.Close()
 	blockio.Remove(sorted, cfg)
 	if err != nil {
 		return fail(err)

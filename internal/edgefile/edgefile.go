@@ -79,25 +79,13 @@ func WriteGraph(dir string, edges []record.Edge, nodes []record.NodeID, cfg iomo
 		// counts order-sensitive, and cross-backend tests compare them).
 		slices.Sort(nodes)
 	}
-	tmp := blockio.TempFile(dir, "graph-nodes-unsorted", cfg.Stats)
-	if err := recio.WriteSlice(tmp, record.NodeCodec{}, cfg, nodes); err != nil {
-		return Graph{}, err
-	}
-	defer blockio.Remove(tmp, cfg)
-	sorter := extsort.New[record.NodeID](record.NodeCodec{}, record.NodeByID, cfg)
-	sortedTmp := blockio.TempFile(dir, "graph-nodes-sorted", cfg.Stats)
-	if err := sorter.SortFile(tmp, sortedTmp); err != nil {
-		return Graph{}, err
-	}
-	defer blockio.Remove(sortedTmp, cfg)
-	n, err := DedupeNodes(sortedTmp, nodePath, cfg)
-	if err != nil {
+	if err := recio.WriteSlice(nodePath, record.NodeCodec{}, cfg, nodes); err != nil {
 		return Graph{}, err
 	}
 	return Graph{
 		EdgePath: edgePath,
 		NodePath: nodePath,
-		NumNodes: n,
+		NumNodes: int64(len(nodes)),
 		NumEdges: int64(len(edges)),
 	}, nil
 }
@@ -161,8 +149,13 @@ func GraphFromEdgeFile(edgePath, dir string, extraNodes []record.NodeID, cfg iom
 	}
 	defer blockio.Remove(sorted, cfg)
 
+	sr, err := recio.NewReader(sorted, record.NodeCodec{}, cfg)
+	if err != nil {
+		return Graph{}, err
+	}
+	defer sr.Close()
 	nodePath := blockio.TempFile(dir, "graph-nodes", cfg.Stats)
-	numNodes, err := DedupeNodes(sorted, nodePath, cfg)
+	numNodes, err := DedupeNodes(sr.Iter(), nodePath, cfg)
 	if err != nil {
 		return Graph{}, err
 	}
@@ -176,144 +169,90 @@ func SortEdges(in, out string, key func(record.Edge) record.Key, cfg iomodel.Con
 }
 
 // SortEdgesContext is SortEdges under a cancellation context: cancelling ctx
-// aborts the sort (including its worker pool) and removes its temporaries.
+// aborts the sort and removes its temporaries.
 func SortEdgesContext(ctx context.Context, in, out string, key func(record.Edge) record.Key, cfg iomodel.Config) error {
 	return extsort.NewContext[record.Edge](ctx, record.EdgeCodec{}, key, cfg).SortFile(in, out)
 }
 
-// DedupeEdges copies the sorted edge file at in to out, dropping consecutive
+// DedupeEdges writes the sorted edge stream in to out, dropping consecutive
 // duplicates (parallel edges), and returns the number of surviving edges.
 // If dropSelfLoops is set, edges (u, u) are dropped as well.
-func DedupeEdges(in, out string, dropSelfLoops bool, cfg iomodel.Config) (int64, error) {
-	r, err := recio.NewReader(in, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	w, err := recio.NewWriter(out, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	var prev record.Edge
-	first := true
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			break
+func DedupeEdges(in recio.Iterator[record.Edge], out string, dropSelfLoops bool, cfg iomodel.Config) (int64, error) {
+	return recio.WriteFile(out, record.EdgeCodec{}, cfg, func(w recio.Sink[record.Edge]) error {
+		var prev record.Edge
+		first := true
+		for {
+			e, ok, err := in.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if dropSelfLoops && e.U == e.V || !first && e == prev {
+				continue
+			}
+			if err := w.Write(e); err != nil {
+				return err
+			}
+			prev, first = e, false
 		}
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		if dropSelfLoops && e.U == e.V {
-			continue
-		}
-		if !first && e == prev {
-			continue
-		}
-		if err := w.Write(e); err != nil {
-			w.Close()
-			return 0, err
-		}
-		prev = e
-		first = false
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
+	})
 }
 
-// DedupeNodes copies the sorted node file at in to out, dropping duplicates,
+// DedupeNodes writes the sorted node stream in to out, dropping duplicates,
 // and returns the number of surviving nodes.
-func DedupeNodes(in, out string, cfg iomodel.Config) (int64, error) {
-	r, err := recio.NewReader(in, record.NodeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	w, err := recio.NewWriter(out, record.NodeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	var prev record.NodeID
-	first := true
-	for {
-		n, err := r.Read()
-		if err == io.EOF {
-			break
+func DedupeNodes(in recio.Iterator[record.NodeID], out string, cfg iomodel.Config) (int64, error) {
+	return recio.WriteFile(out, record.NodeCodec{}, cfg, func(w recio.Sink[record.NodeID]) error {
+		var prev record.NodeID
+		first := true
+		for {
+			n, ok, err := in.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if !first && n == prev {
+				continue
+			}
+			if err := w.Write(n); err != nil {
+				return err
+			}
+			prev, first = n, false
 		}
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		if !first && n == prev {
-			continue
-		}
-		if err := w.Write(n); err != nil {
-			w.Close()
-			return 0, err
-		}
-		prev = n
-		first = false
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
+	})
 }
 
-// ReverseEdges writes every edge of in reversed to out.
-func ReverseEdges(in, out string, cfg iomodel.Config) error {
+// ReverseEdges writes every edge of the edge file at in, reversed, to out.
+func ReverseEdges(in string, out recio.Sink[record.Edge], cfg iomodel.Config) error {
 	r, err := recio.NewReader(in, record.EdgeCodec{}, cfg)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	w, err := recio.NewWriter(out, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return err
-	}
 	for {
 		e, err := r.Read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			w.Close()
 			return err
 		}
-		if err := w.Write(e.Reverse()); err != nil {
-			w.Close()
+		if err := out.Write(e.Reverse()); err != nil {
 			return err
 		}
 	}
-	return w.Close()
 }
 
-// ComputeDegrees builds the degree table V_d of Algorithm 3.  eoutPath must
-// be sorted by source and einPath by target; the result is one NodeDegree
-// record per node that has at least one incident edge, sorted by node id.
-// When requireBoth is set (the Type-1 node-reduction of Section VII), nodes
-// with zero in-degree or zero out-degree are omitted.
-func ComputeDegrees(eoutPath, einPath, outPath string, requireBoth bool, cfg iomodel.Config) (int64, error) {
-	outR, err := recio.NewReader(eoutPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer outR.Close()
-	inR, err := recio.NewReader(einPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer inR.Close()
+// ComputeDegrees builds the degree table V_d of Algorithm 3.  eout must be
+// sorted by source and ein by target; the result is one NodeDegree record
+// per node that has at least one incident edge, sorted by node id.  When
+// requireBoth is set (the Type-1 node-reduction of Section VII), nodes with
+// zero in-degree or zero out-degree are omitted.
+func ComputeDegrees(eout, ein recio.Iterator[record.Edge], outPath string, requireBoth bool, cfg iomodel.Config) (int64, error) {
 	w, err := recio.NewWriter(outPath, record.NodeDegreeCodec{}, cfg)
 	if err != nil {
 		return 0, err
 	}
 
-	outIt := recio.NewPeekable[record.Edge](outR.Iter())
-	inIt := recio.NewPeekable[record.Edge](inR.Iter())
+	outIt := recio.NewPeekable(eout)
+	inIt := recio.NewPeekable(ein)
 
 	// nextOutGroup returns the next (node, out-degree) pair from the edge file
 	// sorted by source.
@@ -431,57 +370,36 @@ func SubtractNodes(aPath, bPath, outPath string, cfg iomodel.Config) (int64, err
 	return w.Count(), nil
 }
 
-// MembershipFilter streams the edge file at edgePath (sorted by the join key
-// selected with byTarget) against the sorted node file at nodePath and writes
-// to outPath the edges whose key is (keep=true) or is not (keep=false) a
-// member of the node file.  It is the semi-join / anti-join primitive of
-// Algorithms 4 and 5 (V_{i+1} ✶ E).
-func MembershipFilter(edgePath, nodePath, outPath string, byTarget, keep bool, cfg iomodel.Config) (int64, error) {
-	eR, err := recio.NewReader(edgePath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer eR.Close()
+// MembershipFilter streams the edges of in (sorted by the join key selected
+// with byTarget) against the sorted node file at nodePath and writes to out
+// the edges whose key is (keep=true) or is not (keep=false) a member of the
+// node file.  It is the semi-join / anti-join primitive of Algorithms 4 and
+// 5 (V_{i+1} ✶ E).
+func MembershipFilter(in recio.Iterator[record.Edge], nodePath string, out recio.Sink[record.Edge], byTarget, keep bool, cfg iomodel.Config) error {
 	nR, err := recio.NewReader(nodePath, record.NodeCodec{}, cfg)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer nR.Close()
-	w, err := recio.NewWriter(outPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	edges := recio.NewPeekable[record.Edge](eR.Iter())
 	nodes := recio.NewPeekable[record.NodeID](nR.Iter())
-	key := func(e record.Edge) record.NodeID {
-		if byTarget {
-			return e.V
+	for {
+		e, ok, err := in.Next()
+		if err != nil || !ok {
+			return firstErr(err, nodes.Err())
 		}
-		return e.U
-	}
-	for edges.Valid() {
-		e := edges.Peek()
-		k := key(e)
+		k := e.U
+		if byTarget {
+			k = e.V
+		}
 		for nodes.Valid() && nodes.Peek() < k {
 			nodes.Pop()
 		}
-		member := nodes.Valid() && nodes.Peek() == k
-		if member == keep {
-			if err := w.Write(e); err != nil {
-				w.Close()
-				return 0, err
+		if member := nodes.Valid() && nodes.Peek() == k; member == keep {
+			if err := out.Write(e); err != nil {
+				return err
 			}
 		}
-		edges.Pop()
 	}
-	if err := firstErr(edges.Err(), nodes.Err()); err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
 }
 
 // ConcatEdges appends the edge files at parts into a single edge file at

@@ -34,6 +34,25 @@ func writeNodes(t *testing.T, cfg iomodel.Config, nodes []record.NodeID) string 
 	return path
 }
 
+// edgeIter opens the edge file at path for one pass.
+func edgeIter(t *testing.T, cfg iomodel.Config, path string) recio.Iterator[record.Edge] {
+	t.Helper()
+	r, err := recio.NewReader(path, record.EdgeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r.Iter()
+}
+
+// edgeSink collects the edges an operator writes.
+type edgeSink []record.Edge
+
+func (s *edgeSink) Write(e record.Edge) error {
+	*s = append(*s, e)
+	return nil
+}
+
 func TestWriteGraphDerivesNodes(t *testing.T) {
 	cfg := testConfig(t)
 	g, err := WriteGraph(cfg.TempDir, []record.Edge{{U: 5, V: 2}, {U: 2, V: 5}, {U: 9, V: 5}}, nil, cfg)
@@ -82,7 +101,7 @@ func TestSortAndDedupeEdges(t *testing.T) {
 	}
 	// Keep self-loops.
 	out := filepath.Join(t.TempDir(), "dedup.bin")
-	n, err := DedupeEdges(sorted, out, false, cfg)
+	n, err := DedupeEdges(edgeIter(t, cfg, sorted), out, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +110,7 @@ func TestSortAndDedupeEdges(t *testing.T) {
 	}
 	// Drop self-loops as well.
 	out2 := filepath.Join(t.TempDir(), "dedup2.bin")
-	n2, err := DedupeEdges(sorted, out2, true, cfg)
+	n2, err := DedupeEdges(edgeIter(t, cfg, sorted), out2, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +121,7 @@ func TestSortAndDedupeEdges(t *testing.T) {
 
 func TestDedupeNodes(t *testing.T) {
 	cfg := testConfig(t)
-	in := writeNodes(t, cfg, []record.NodeID{1, 1, 2, 2, 2, 5})
+	in := recio.NewSliceIterator([]record.NodeID{1, 1, 2, 2, 2, 5})
 	out := filepath.Join(t.TempDir(), "out.bin")
 	n, err := DedupeNodes(in, out, cfg)
 	if err != nil {
@@ -116,15 +135,11 @@ func TestDedupeNodes(t *testing.T) {
 func TestReverseEdges(t *testing.T) {
 	cfg := testConfig(t)
 	in := writeEdges(t, cfg, []record.Edge{{U: 1, V: 2}, {U: 3, V: 4}})
-	out := filepath.Join(t.TempDir(), "rev.bin")
-	if err := ReverseEdges(in, out, cfg); err != nil {
+	var got edgeSink
+	if err := ReverseEdges(in, &got, cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := recio.ReadAll(out, record.EdgeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != (record.Edge{U: 2, V: 1}) || got[1] != (record.Edge{U: 4, V: 3}) {
+	if len(got) != 2 || got[0] != (record.Edge{U: 2, V: 1}) || got[1] != (record.Edge{U: 4, V: 3}) {
 		t.Fatalf("reversed = %v", got)
 	}
 }
@@ -144,7 +159,7 @@ func TestComputeDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	vd := filepath.Join(t.TempDir(), "vd.bin")
-	n, err := ComputeDegrees(eout, ein, vd, false, cfg)
+	n, err := ComputeDegrees(edgeIter(t, cfg, eout), edgeIter(t, cfg, ein), vd, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +195,7 @@ func TestComputeDegrees(t *testing.T) {
 
 	// Type-1 filter drops nodes 5 and 6.
 	vd2 := filepath.Join(t.TempDir(), "vd2.bin")
-	n2, err := ComputeDegrees(eout, ein, vd2, true, cfg)
+	n2, err := ComputeDegrees(edgeIter(t, cfg, eout), edgeIter(t, cfg, ein), vd2, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,34 +238,31 @@ func TestMembershipFilter(t *testing.T) {
 	if err := SortEdges(in, byTarget, record.EdgeByTarget, cfg); err != nil {
 		t.Fatal(err)
 	}
-	keep := filepath.Join(t.TempDir(), "keep.bin")
-	n, err := MembershipFilter(byTarget, nodes, keep, true, true, cfg)
-	if err != nil {
+	var keep edgeSink
+	if err := MembershipFilter(edgeIter(t, cfg, byTarget), nodes, &keep, true, true, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 { // edges into 2 (two of them) and into 4
-		t.Fatalf("kept %d edges, want 3", n)
+	if len(keep) != 3 { // edges into 2 (two of them) and into 4
+		t.Fatalf("kept %d edges, want 3", len(keep))
 	}
-	drop := filepath.Join(t.TempDir(), "drop.bin")
-	n, err = MembershipFilter(byTarget, nodes, drop, true, false, cfg)
-	if err != nil {
+	var drop edgeSink
+	if err := MembershipFilter(edgeIter(t, cfg, byTarget), nodes, &drop, true, false, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 { // only 2->3 has a target outside {2,4}
-		t.Fatalf("dropped-side has %d edges, want 1", n)
+	if len(drop) != 1 { // only 2->3 has a target outside {2,4}
+		t.Fatalf("dropped-side has %d edges, want 1", len(drop))
 	}
 
 	bySource := filepath.Join(t.TempDir(), "bs.bin")
 	if err := SortEdges(in, bySource, record.EdgeBySource, cfg); err != nil {
 		t.Fatal(err)
 	}
-	keepSrc := filepath.Join(t.TempDir(), "keepsrc.bin")
-	n, err = MembershipFilter(bySource, nodes, keepSrc, false, true, cfg)
-	if err != nil {
+	var keepSrc edgeSink
+	if err := MembershipFilter(edgeIter(t, cfg, bySource), nodes, &keepSrc, false, true, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 { // sources 2 and 4
-		t.Fatalf("kept %d edges by source, want 2", n)
+	if len(keepSrc) != 2 { // sources 2 and 4
+		t.Fatalf("kept %d edges by source, want 2", len(keepSrc))
 	}
 }
 
@@ -273,19 +285,15 @@ func TestMembershipFilterPartition(t *testing.T) {
 		}
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 
-		in := writeEdges(t, cfg, edges)
 		np := writeNodes(t, cfg, nodes)
-		a := filepath.Join(t.TempDir(), "a.bin")
-		b := filepath.Join(t.TempDir(), "b.bin")
-		na, err := MembershipFilter(in, np, a, true, true, cfg)
-		if err != nil {
+		var a, b edgeSink
+		if err := MembershipFilter(recio.NewSliceIterator(edges), np, &a, true, true, cfg); err != nil {
 			return false
 		}
-		nb, err := MembershipFilter(in, np, b, true, false, cfg)
-		if err != nil {
+		if err := MembershipFilter(recio.NewSliceIterator(edges), np, &b, true, false, cfg); err != nil {
 			return false
 		}
-		return na+nb == int64(len(edges))
+		return len(a)+len(b) == len(edges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

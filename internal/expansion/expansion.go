@@ -49,8 +49,8 @@ func Expand(in Input, dir string, cfg iomodel.Config) (Result, error) {
 }
 
 // ExpandContext is Expand under a cancellation context: cancelling ctx aborts
-// the step inside its external sorts (including their worker pools) and
-// removes every intermediate file the step created.
+// the step inside its external sorts and removes every intermediate file the
+// step created.
 func ExpandContext(ctx context.Context, in Input, dir string, cfg iomodel.Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,24 +95,29 @@ func (e *expander) cleanup() {
 
 func (e *expander) run() (Result, error) {
 	// E'_in: for every removed node, its in-neighbours annotated with their
-	// SCC (augment(E_i), lines 2 and 8-14 of Algorithm 5).
-	ein, err := e.augment(e.in.EdgePath, false)
+	// SCC (augment(E_i), lines 2 and 8-14 of Algorithm 5).  The intersection
+	// reads it next to E'_out, so it is written to a file.
+	ins, err := e.augment(false)
 	if err != nil {
 		return Result{}, err
 	}
-	// E'_out: the same over the reversed edges, yielding the out-neighbours.
-	reversed := e.temp("edges-reversed")
-	if err := edgefile.ReverseEdges(e.in.EdgePath, reversed, e.cfg); err != nil {
+	ein := e.temp("aug-in")
+	_, err = recio.WriteAll(ein, record.EdgeSCCCodec{}, e.cfg, ins)
+	ins.Close()
+	if err != nil {
 		return Result{}, err
 	}
-	eout, err := e.augment(reversed, true)
+	// E'_out: the same over the reversed edges, yielding the out-neighbours;
+	// its sort streams into the intersection.
+	outs, err := e.augment(true)
 	if err != nil {
 		return Result{}, err
 	}
 
 	// SCC_del: one label per removed node (line 4 of Algorithm 5).
 	removedLabels := e.temp("removed-labels")
-	recovered, singletons, err := e.intersect(ein, eout, removedLabels)
+	recovered, singletons, err := e.intersect(ein, outs, removedLabels)
+	outs.Close()
 	if err != nil {
 		return Result{}, err
 	}
@@ -132,106 +137,111 @@ func (e *expander) run() (Result, error) {
 	}, nil
 }
 
-// augment implements the augment(E) procedure of Algorithm 5: it keeps the
-// edges whose target is a removed node, annotates the source endpoint with
-// its SCC in the contracted graph (edges from unlabelled, i.e. also-removed,
-// neighbours are dropped — such neighbours are trivial SCCs and can never
-// witness membership), and sorts the result by (target, SCC, source).
-func (e *expander) augment(edgePath string, reversedInput bool) (string, error) {
+// augment implements the augment(E) procedure of Algorithm 5 over the edges
+// of G_i, reversed when reversed is set: it keeps the edges whose target is a
+// removed node, annotates the source endpoint with its SCC in the contracted
+// graph (edges from unlabelled, i.e. also-removed, neighbours are dropped —
+// such neighbours are trivial SCCs and can never witness membership), and
+// returns the stream of the result sorted by (target, SCC, source).
+func (e *expander) augment(reversed bool) (*extsort.Stream[record.EdgeSCC], error) {
 	suffix := "in"
-	if reversedInput {
+	if reversed {
 		suffix = "out"
 	}
 
-	// Sort by target and keep only edges into removed nodes.
-	byTarget := e.temp("aug-" + suffix + "-by-target")
-	if err := edgefile.SortEdgesContext(e.ctx, edgePath, byTarget, record.EdgeByTarget, e.cfg); err != nil {
-		return "", err
+	// Sort by target, pushing reversed edges straight into the sort, and
+	// keep only edges into removed nodes.
+	byTarget, err := e.sortByTarget(reversed)
+	if err != nil {
+		return nil, err
 	}
 	toRemoved := e.temp("aug-" + suffix + "-to-removed")
-	if _, err := edgefile.MembershipFilter(byTarget, e.in.RemovedPath, toRemoved, true, true, e.cfg); err != nil {
-		return "", err
+	_, err = recio.WriteFile(toRemoved, record.EdgeCodec{}, e.cfg, func(w recio.Sink[record.Edge]) error {
+		return edgefile.MembershipFilter(byTarget, e.in.RemovedPath, w, true, true, e.cfg)
+	})
+	byTarget.Close()
+	if err != nil {
+		return nil, err
 	}
 
 	// Sort by source and annotate the source with its SCC label.
-	bySource := e.temp("aug-" + suffix + "-by-source")
-	if err := edgefile.SortEdgesContext(e.ctx, toRemoved, bySource, record.EdgeBySource, e.cfg); err != nil {
-		return "", err
+	bySource, err := extsort.NewContext(e.ctx, record.EdgeCodec{}, record.EdgeBySource, e.cfg).SortPath(toRemoved)
+	if err != nil {
+		return nil, err
 	}
 	annotated := e.temp("aug-" + suffix + "-annotated")
-	if err := e.annotateWithLabels(bySource, annotated); err != nil {
-		return "", err
+	err = e.annotateWithLabels(bySource, annotated)
+	bySource.Close()
+	if err != nil {
+		return nil, err
 	}
 
 	// Final order: (target, SCC, source), so the SCC sets of each removed
 	// node are grouped and sorted for a linear intersection.
-	out := e.temp("aug-" + suffix)
-	sorter := extsort.NewContext[record.EdgeSCC](e.ctx, record.EdgeSCCCodec{}, record.EdgeSCCByTargetSCC, e.cfg)
-	if err := sorter.SortFile(annotated, out); err != nil {
-		return "", err
-	}
-	return out, nil
+	return extsort.NewContext(e.ctx, record.EdgeSCCCodec{}, record.EdgeSCCByTargetSCC, e.cfg).SortPath(annotated)
 }
 
-// annotateWithLabels merge-joins the edge file at edgePath (sorted by source)
-// with the kept-label file (sorted by node), writing EdgeSCC records; edges
-// whose source has no label are dropped.
-func (e *expander) annotateWithLabels(edgePath, outPath string) error {
-	eR, err := recio.NewReader(edgePath, record.EdgeCodec{}, e.cfg)
-	if err != nil {
-		return err
+// sortByTarget returns the stream of G_i's edges, reversed when reversed is
+// set, sorted by target.
+func (e *expander) sortByTarget(reversed bool) (*extsort.Stream[record.Edge], error) {
+	sorter := extsort.NewContext(e.ctx, record.EdgeCodec{}, record.EdgeByTarget, e.cfg)
+	if !reversed {
+		return sorter.SortPath(e.in.EdgePath)
 	}
-	defer eR.Close()
+	rw, err := sorter.RunWriter()
+	if err != nil {
+		return nil, err
+	}
+	if err := edgefile.ReverseEdges(e.in.EdgePath, rw, e.cfg); err != nil {
+		rw.Abort()
+		return nil, err
+	}
+	return rw.Sort()
+}
+
+// annotateWithLabels merge-joins the edge stream edges (sorted by source)
+// with the kept-label file (sorted by node), writing EdgeSCC records to
+// outPath; edges whose source has no label are dropped.
+func (e *expander) annotateWithLabels(edges recio.Iterator[record.Edge], outPath string) error {
 	lR, err := recio.NewReader(e.in.KeptLabelsPath, record.LabelCodec{}, e.cfg)
 	if err != nil {
 		return err
 	}
 	defer lR.Close()
-	w, err := recio.NewWriter(outPath, record.EdgeSCCCodec{}, e.cfg)
-	if err != nil {
-		return err
-	}
-	edges := recio.NewPeekable[record.Edge](eR.Iter())
 	labels := recio.NewPeekable[record.Label](lR.Iter())
-	for edges.Valid() {
-		edge := edges.Pop()
-		for labels.Valid() && labels.Peek().Node < edge.U {
-			labels.Pop()
-		}
-		if labels.Valid() && labels.Peek().Node == edge.U {
-			rec := record.EdgeSCC{U: edge.U, V: edge.V, SCC: labels.Peek().SCC}
-			if err := w.Write(rec); err != nil {
-				w.Close()
+	_, err = recio.WriteFile(outPath, record.EdgeSCCCodec{}, e.cfg, func(w recio.Sink[record.EdgeSCC]) error {
+		for {
+			edge, ok, err := edges.Next()
+			if err != nil {
 				return err
 			}
+			if !ok {
+				return labels.Err()
+			}
+			for labels.Valid() && labels.Peek().Node < edge.U {
+				labels.Pop()
+			}
+			if labels.Valid() && labels.Peek().Node == edge.U {
+				if err := w.Write(record.EdgeSCC{U: edge.U, V: edge.V, SCC: labels.Peek().SCC}); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	if err := edges.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	if err := labels.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	})
+	return err
 }
 
-// intersect merge-joins E'_in, E'_out and the removed-node list on the
-// removed node, intersecting the two (sorted) SCC sets of each node.  A
-// non-empty intersection pins the node to that SCC (Lemma 6.2); otherwise the
-// node is a singleton SCC labelled with its own id (Lemma 6.3).
-func (e *expander) intersect(einPath, eoutPath, outPath string) (recovered, singletons int64, err error) {
+// intersect merge-joins E'_in (the file at einPath), E'_out (the stream
+// eout) and the removed-node list on the removed node, intersecting the two
+// (sorted) SCC sets of each node.  A non-empty intersection pins the node to
+// that SCC (Lemma 6.2); otherwise the node is a singleton SCC labelled with
+// its own id (Lemma 6.3).
+func (e *expander) intersect(einPath string, eout recio.Iterator[record.EdgeSCC], outPath string) (recovered, singletons int64, err error) {
 	inR, err := recio.NewReader(einPath, record.EdgeSCCCodec{}, e.cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer inR.Close()
-	outR, err := recio.NewReader(eoutPath, record.EdgeSCCCodec{}, e.cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer outR.Close()
 	remR, err := recio.NewReader(e.in.RemovedPath, record.NodeCodec{}, e.cfg)
 	if err != nil {
 		return 0, 0, err
@@ -243,7 +253,7 @@ func (e *expander) intersect(einPath, eoutPath, outPath string) (recovered, sing
 	}
 
 	ins := recio.NewPeekable[record.EdgeSCC](inR.Iter())
-	outs := recio.NewPeekable[record.EdgeSCC](outR.Iter())
+	outs := recio.NewPeekable(eout)
 	removed := recio.NewPeekable[record.NodeID](remR.Iter())
 
 	for removed.Valid() {

@@ -14,10 +14,37 @@
 // sorts a record's key determines the record (see the orders of package
 // record), so the sorted output depends on the input's records alone.
 //
-// A sort runs entirely on its caller's goroutine.  Run formation holds one
-// batch of at most M/2 bytes of records, and a merge holds at most M/B block
-// buffers (SortFanIn inputs plus its output), so the sort keeps to the
-// memory budget M whatever else the run is configured with.
+// A sort is pipelined at both ends, as in STXXL (Dementiev, Kettner &
+// Sanders, SPE 38(6), 2008).  On the push side a producer writes its records
+// into a RunWriter, straight into run formation, so the sort's input is never
+// a file; Sort(in) is a RunWriter fed from an iterator.  On the pull side the
+// sort returns a Stream over its last merge, which its one consumer drives,
+// so the sorted output is never a file either.  A sort whose input fits one
+// run is served from memory and writes nothing.  Merge passes before the last
+// still write files.  SortFile is Sort followed by writing the stream, for
+// outputs that several operators read.
+//
+// The memory rule.  A sort runs entirely on its caller's goroutine and keeps
+// to the budget M:
+//   - run formation holds one batch of at most M/2 bytes of records,
+//     allocated up front, plus the block buffer of the run it writes;
+//   - a merge pass that writes a file holds at most M/B block buffers
+//     (SortFanIn inputs plus its output);
+//   - a Stream holds either the single run in memory (at most M/2 bytes) or
+//     the input buffers of the final merge, at most M/B - consumerBlocks of
+//     them, and its consumer may hold consumerBlocks more; both stay within M
+//     whenever M >= 2*consumerBlocks*B (below that, down to the model's
+//     minimum M = 2B, the fan-in floor of two exceeds it by a few blocks);
+//   - at most one sort holds its memory at any time.  A stream never feeds
+//     another sort's RunWriter: its consumer writes a file, and the next sort
+//     reads that file, so a chain of sorts alternates between a stream and a
+//     file.
+//
+// Profile spans: every sort opens one "sort" span, which covers run
+// formation from the RunWriter's creation to its last run, the producer's
+// time between pushed records included.  A "merge" span covers only the
+// merge passes that write files; the streamed final merge counts as its
+// consumer's time.
 package extsort
 
 import (
@@ -28,6 +55,7 @@ import (
 
 	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
+	"extscc/internal/prof"
 	"extscc/internal/recio"
 	"extscc/internal/record"
 )
@@ -35,6 +63,11 @@ import (
 // checkEvery is how many records the per-record loops process between two
 // cancellation checks.
 const checkEvery = 8192
+
+// consumerBlocks is the number of block buffers a Stream leaves to its
+// consumer.  The widest consumer, expansion's intersect, reads two files and
+// writes one besides the stream it pulls.
+const consumerBlocks = 3
 
 // Sorter sorts record files of type T by a fixed key function.
 type Sorter[T any] struct {
@@ -88,36 +121,70 @@ func (s *Sorter[T]) runCapacity() (int, error) {
 	return capRecords, nil
 }
 
+// Sort sorts every record in produces and returns the stream over the
+// result: a RunWriter fed from in.
+func (s *Sorter[T]) Sort(in recio.Iterator[T]) (*Stream[T], error) {
+	w, err := s.RunWriter()
+	if err != nil {
+		return nil, err
+	}
+	for {
+		rec, ok, err := in.Next()
+		if err != nil {
+			w.Abort()
+			return nil, err
+		}
+		if !ok {
+			return w.Sort()
+		}
+		if err := w.Write(rec); err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+}
+
+// SortPath sorts the record file at path and returns the stream over the
+// result.  The file is left untouched.
+func (s *Sorter[T]) SortPath(path string) (*Stream[T], error) {
+	r, err := recio.NewReader(path, s.codec, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return s.Sort(r.Iter())
+}
+
 // SortFile sorts the record file at inPath into a new file at outPath.
 // The input file is left untouched.
 func (s *Sorter[T]) SortFile(inPath, outPath string) error {
-	r, err := recio.NewReader(inPath, s.codec, s.cfg)
+	st, err := s.SortPath(inPath)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-	return s.SortStream(r.Iter(), outPath)
+	return s.write(st, outPath)
 }
 
 // SortStream sorts all records produced by in into a new file at outPath.
-// Run formation and run merging report to the run profile as the "sort" and
-// "merge" phases.
 func (s *Sorter[T]) SortStream(in recio.Iterator[T], outPath string) error {
-	sp := s.cfg.Prof.Start("sort")
-	runs, err := s.formRuns(in)
-	sp.End()
+	st, err := s.Sort(in)
 	if err != nil {
-		removeAll(runs, s.cfg)
 		return err
 	}
-	sp = s.cfg.Prof.Start("merge")
-	err = s.mergeRuns(runs, outPath)
-	sp.End()
-	if err != nil {
-		removeAll(runs, s.cfg)
-		return err
+	return s.write(st, outPath)
+}
+
+// write drains st into a new file at outPath and closes it.  On error the
+// partial output is removed.
+func (s *Sorter[T]) write(st *Stream[T], outPath string) error {
+	_, err := recio.WriteAll(outPath, s.codec, s.cfg, st)
+	if cerr := st.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err != nil {
+		blockio.Remove(outPath, s.cfg)
+	}
+	return err
 }
 
 // SortSlice sorts recs in memory by the Sorter's key with an in-place radix
@@ -125,53 +192,102 @@ func (s *Sorter[T]) SortStream(in recio.Iterator[T], outPath string) error {
 // may land in any order.
 func (s *Sorter[T]) SortSlice(recs []T) { radixSort(recs, s.key) }
 
-// formRuns splits the input stream into sorted runs, each at most
-// runCapacity() records, and writes every run to a temporary file.  The run
-// boundaries depend only on the input order and the memory budget.
-func (s *Sorter[T]) formRuns(in recio.Iterator[T]) ([]string, error) {
+// RunWriter is the push side of a sort: a producer writes its records
+// straight into run formation, so they never pass through an input file.
+// Write the records, then call Sort for the stream over the result, or Abort
+// to drop them.  A RunWriter is not safe for concurrent use, and neither
+// Write nor Sort may follow Sort or Abort.
+type RunWriter[T any] struct {
+	s       *Sorter[T]
+	buf     []T
+	runs    []string
+	written int
+	span    prof.Span
+	done    bool
+}
+
+// RunWriter starts a sort fed through Write.  It allocates the M/2 run
+// buffer up front and opens the sort's "sort" span, which the producer's
+// time between records counts towards until Sort or Abort ends it.
+func (s *Sorter[T]) RunWriter() (*RunWriter[T], error) {
 	capRecords, err := s.runCapacity()
 	if err != nil {
 		return nil, err
 	}
-	var runs []string
-	buf := make([]T, 0, capRecords)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		path, err := s.writeRun(buf)
-		if err != nil {
+	return &RunWriter[T]{s: s, buf: make([]T, 0, capRecords), span: s.cfg.Prof.Start("sort")}, nil
+}
+
+// Write adds one record to the sort.  A full run buffer is sorted and
+// written as a run file.
+func (w *RunWriter[T]) Write(rec T) error {
+	if w.written++; w.written%checkEvery == 0 {
+		if err := w.s.ctxErr(); err != nil {
 			return err
 		}
-		runs = append(runs, path)
-		buf = buf[:0]
-		return nil
 	}
-	scanned := 0
-	for {
-		rec, ok, err := in.Next()
-		if err != nil {
-			return runs, err
+	w.buf = append(w.buf, rec)
+	if len(w.buf) == cap(w.buf) {
+		return w.flush()
+	}
+	return nil
+}
+
+// flush writes the buffered records as one sorted run file.
+func (w *RunWriter[T]) flush() error {
+	path, err := w.s.writeRun(w.buf)
+	if err != nil {
+		return err
+	}
+	w.runs = append(w.runs, path)
+	w.buf = w.buf[:0]
+	return nil
+}
+
+// Sort ends run formation and returns the stream over the sorted records.
+// When every record fit the run buffer, the stream serves that run from
+// memory and nothing is written.  Otherwise the last run is written, merge
+// passes that write files reduce the runs to at most finalFanIn, and the
+// stream is the merge of those.  On error every run is removed.
+func (w *RunWriter[T]) Sort() (*Stream[T], error) {
+	s := w.s
+	if len(w.runs) == 0 {
+		recs := w.buf
+		if err := s.ctxErr(); err != nil {
+			w.finish()
+			return nil, err
 		}
-		if !ok {
-			break
+		s.SortSlice(recs)
+		if len(recs) > 0 {
+			s.cfg.Stats.CountSortRun(int64(len(recs)))
 		}
-		if scanned++; scanned%checkEvery == 0 {
-			if err := s.ctxErr(); err != nil {
-				return runs, err
-			}
-		}
-		buf = append(buf, rec)
-		if len(buf) == capRecords {
-			if err := flush(); err != nil {
-				return runs, err
-			}
+		w.finish()
+		return &Stream[T]{ctx: s.ctx, src: recio.NewSliceIterator(recs)}, nil
+	}
+	if len(w.buf) > 0 {
+		if err := w.flush(); err != nil {
+			w.Abort()
+			return nil, err
 		}
 	}
-	if err := flush(); err != nil {
-		return runs, err
+	runs := w.runs
+	w.finish()
+	return s.merge(runs)
+}
+
+// Abort ends run formation without sorting and removes every run written so
+// far.  It is a no-op after Sort, so a producer can defer it.
+func (w *RunWriter[T]) Abort() {
+	if w.done {
+		return
 	}
-	return runs, nil
+	removeAll(w.runs, w.s.cfg)
+	w.finish()
+}
+
+// finish releases the run buffer and closes the "sort" span.
+func (w *RunWriter[T]) finish() {
+	w.buf, w.runs, w.done = nil, nil, true
+	w.span.End()
 }
 
 // writeRun sorts one batch and writes it as a run file.
@@ -189,76 +305,81 @@ func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 	return path, nil
 }
 
-// mergeRuns repeatedly merges groups of at most SortFanIn() runs until a
-// single sorted file remains, then renames/copies it to outPath.  On error
-// every intermediate file the merge created is removed, including a
-// partially written outPath.
-func (s *Sorter[T]) mergeRuns(runs []string, outPath string) error {
-	if len(runs) == 0 {
-		// An empty input still produces an (empty) output file.
-		w, err := recio.NewWriter(outPath, s.codec, s.cfg)
-		if err != nil {
-			return err
-		}
-		return w.Close()
-	}
-	fanIn := s.cfg.SortFanIn()
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	// Every path created below is collected so one error path can remove the
-	// whole in-flight state; Remove ignores files already consumed.
-	var created []string
-	fail := func(err error) error {
-		removeAll(created, s.cfg)
-		blockio.Remove(outPath, s.cfg)
-		return err
-	}
-	current := runs
-	for len(current) > 1 {
-		if err := s.ctxErr(); err != nil {
-			return fail(err)
-		}
-		s.cfg.Stats.CountMergePass()
-		numGroups := (len(current) + fanIn - 1) / fanIn
-		next := make([]string, numGroups)
-		for gi := range next {
-			if numGroups == 1 {
-				next[gi] = outPath
-			} else {
-				next[gi] = blockio.TempFile(s.cfg.TempDir, "extsort-merge", s.cfg.Stats)
-				created = append(created, next[gi])
-			}
-		}
-		if err := s.mergePass(current, next, fanIn); err != nil {
-			return fail(err)
-		}
-		current = next
-	}
-	if current[0] != outPath {
-		// Single run: stream-copy it to the destination (charged as one scan).
-		if err := s.copyFile(current[0], outPath); err != nil {
-			return fail(err)
-		}
-		removeAll(current, s.cfg)
-	}
-	return nil
+// finalFanIn returns how many runs the streamed final merge reads at once:
+// the M/B block buffers less the consumerBlocks left to the stream's
+// consumer, and never fewer than two.
+func (s *Sorter[T]) finalFanIn() int {
+	return max(2, int(s.cfg.Memory/int64(s.blockSize()))-consumerBlocks)
 }
 
-// mergePass merges current[gi*fanIn:(gi+1)*fanIn] into next[gi] for every
-// group, one group at a time, and removes each consumed group.
-func (s *Sorter[T]) mergePass(current, next []string, fanIn int) error {
-	for gi := range next {
-		if err := s.ctxErr(); err != nil {
-			return err
+// merge runs merge passes that write files until at most finalFanIn runs
+// remain, then returns the stream over their merge.  It owns runs: on error
+// every run and every intermediate file is removed.
+func (s *Sorter[T]) merge(runs []string) (*Stream[T], error) {
+	if final := s.finalFanIn(); len(runs) > final {
+		sp := s.cfg.Prof.Start("merge")
+		var err error
+		runs, err = s.mergePasses(runs, final)
+		sp.End()
+		if err != nil {
+			return nil, err
 		}
-		g := current[gi*fanIn : min((gi+1)*fanIn, len(current))]
-		if err := s.mergeGroup(g, next[gi]); err != nil {
-			return err
-		}
-		removeAll(g, s.cfg)
 	}
-	return nil
+	if err := s.ctxErr(); err != nil {
+		removeAll(runs, s.cfg)
+		return nil, err
+	}
+	m, err := s.openMerge(runs)
+	if err != nil {
+		removeAll(runs, s.cfg)
+		return nil, err
+	}
+	s.cfg.Stats.CountMergePass()
+	return &Stream[T]{ctx: s.ctx, src: m, merge: m, runs: runs, cfg: s.cfg}, nil
+}
+
+// mergePasses merges groups of at most SortFanIn runs into new run files,
+// pass after pass, until at most final runs remain.  A pass merges only as
+// many groups as it takes to get there, so the last pass leaves the other
+// runs untouched.  On error every file in flight is removed.
+func (s *Sorter[T]) mergePasses(runs []string, final int) ([]string, error) {
+	fanIn := max(2, s.cfg.SortFanIn())
+	for len(runs) > final {
+		s.cfg.Stats.CountMergePass()
+		var next []string
+		for len(runs) > 1 && len(runs)+len(next) > final {
+			if err := s.ctxErr(); err != nil {
+				removeAll(runs, s.cfg)
+				removeAll(next, s.cfg)
+				return nil, err
+			}
+			// Merging g runs into one removes g-1 of them.
+			g := runs[:min(fanIn, len(runs), len(runs)+len(next)-final+1)]
+			out := blockio.TempFile(s.cfg.TempDir, "extsort-merge", s.cfg.Stats)
+			next = append(next, out)
+			if err := s.mergeGroup(g, out); err != nil {
+				removeAll(runs, s.cfg)
+				removeAll(next, s.cfg)
+				return nil, err
+			}
+			removeAll(g, s.cfg)
+			runs = runs[len(g):]
+		}
+		runs = append(next, runs...)
+	}
+	return runs, nil
+}
+
+// mergeGroup merges the sorted run files in group into a single sorted file
+// at target.
+func (s *Sorter[T]) mergeGroup(group []string, target string) error {
+	m, err := s.openMerge(group)
+	if err != nil {
+		return err
+	}
+	defer m.close()
+	_, err = recio.WriteAll(target, s.codec, s.cfg, &Stream[T]{ctx: s.ctx, src: m})
+	return err
 }
 
 // mergeItem is one heap entry of the k-way merge: a run's head record with
@@ -286,73 +407,123 @@ func (h *mergeHeap[T]) Pop() any {
 func (h *mergeHeap[T]) peek() mergeItem[T]  { return h.items[0] }
 func (h *mergeHeap[T]) fix(it mergeItem[T]) { h.items[0] = it; heap.Fix(h, 0) }
 
-// mergeGroup merges the sorted run files in group into a single sorted file
-// at target.
-func (s *Sorter[T]) mergeGroup(group []string, target string) error {
-	readers := make([]*recio.Reader[T], len(group))
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-	h := &mergeHeap[T]{}
-	for i, path := range group {
+// merger is a k-way merge over sorted run files: an Iterator that yields
+// their records in key order.
+type merger[T any] struct {
+	key     func(T) record.Key
+	readers []*recio.Reader[T]
+	h       mergeHeap[T]
+}
+
+// openMerge opens a reader on every run and reads each run's head record.
+// On error it closes the readers it opened; the files stay the caller's.
+func (s *Sorter[T]) openMerge(runs []string) (*merger[T], error) {
+	m := &merger[T]{key: s.key}
+	for i, path := range runs {
 		r, err := recio.NewReader(path, s.codec, s.cfg)
 		if err != nil {
-			return err
+			m.close()
+			return nil, err
 		}
-		readers[i] = r
+		m.readers = append(m.readers, r)
 		rec, err := r.Read()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
-			return err
+			m.close()
+			return nil, err
 		}
-		h.items = append(h.items, mergeItem[T]{key: s.key(rec), rec: rec, src: i})
+		m.h.items = append(m.h.items, mergeItem[T]{key: s.key(rec), rec: rec, src: i})
 	}
-	heap.Init(h)
-	w, err := recio.NewWriter(target, s.codec, s.cfg)
-	if err != nil {
-		return err
-	}
-	written := 0
-	for h.Len() > 0 {
-		top := h.peek()
-		if written++; written%checkEvery == 0 {
-			if err := s.ctxErr(); err != nil {
-				w.Close()
-				return err
-			}
-		}
-		if err := w.Write(top.rec); err != nil {
-			w.Close()
-			return err
-		}
-		rec, err := readers[top.src].Read()
-		if err == io.EOF {
-			heap.Pop(h)
-			continue
-		}
-		if err != nil {
-			w.Close()
-			return err
-		}
-		h.fix(mergeItem[T]{key: s.key(rec), rec: rec, src: top.src})
-	}
-	return w.Close()
+	heap.Init(&m.h)
+	return m, nil
 }
 
-// copyFile streams the record file at src to dst.
-func (s *Sorter[T]) copyFile(src, dst string) error {
-	r, err := recio.NewReader(src, s.codec, s.cfg)
-	if err != nil {
-		return err
+// Next implements recio.Iterator: it returns the smallest head record and
+// refills its run's slot in the heap.
+func (m *merger[T]) Next() (T, bool, error) {
+	if m.h.Len() == 0 {
+		var zero T
+		return zero, false, nil
 	}
-	defer r.Close()
-	_, err = recio.WriteAll(dst, s.codec, s.cfg, r.Iter())
+	top := m.h.peek()
+	rec, err := m.readers[top.src].Read()
+	switch {
+	case err == io.EOF:
+		heap.Pop(&m.h)
+	case err != nil:
+		var zero T
+		return zero, false, err
+	default:
+		m.h.fix(mergeItem[T]{key: m.key(rec), rec: rec, src: top.src})
+	}
+	return top.rec, true, nil
+}
+
+// close closes every run reader.
+func (m *merger[T]) close() {
+	for _, r := range m.readers {
+		r.Close()
+	}
+	m.readers = nil
+}
+
+// Stream is the pull side of a sort: an iterator over its last merge, which
+// the consumer drives.  It serves a sort that fit one run from memory and
+// otherwise merges at most finalFanIn run files.  Next checks the sort's
+// context every checkEvery records.  A stream releases its memory and
+// removes its runs once drained; Close does the same for a stream abandoned
+// early, failed or cancelled, and is idempotent.
+type Stream[T any] struct {
+	ctx   context.Context
+	src   recio.Iterator[T] // nil once released
+	merge *merger[T]        // non-nil when src merges run files
+	runs  []string          // the run files the stream owns
+	cfg   iomodel.Config
+	n     int
+	err   error
+}
+
+// Next implements recio.Iterator.
+func (st *Stream[T]) Next() (T, bool, error) {
+	var zero T
+	if st.src == nil {
+		return zero, false, st.err
+	}
+	if st.n++; st.n%checkEvery == 0 {
+		if err := st.ctx.Err(); err != nil {
+			st.err = err
+			st.Close()
+			return zero, false, err
+		}
+	}
+	rec, ok, err := st.src.Next()
+	if err != nil || !ok {
+		st.err = err
+		st.Close()
+		return zero, false, err
+	}
+	return rec, true, nil
+}
+
+// Close releases the stream's memory and removes its runs.
+func (st *Stream[T]) Close() error {
+	if st.src == nil {
+		return nil
+	}
+	st.src = nil
+	if st.merge != nil {
+		st.merge.close()
+		st.merge = nil
+	}
+	var err error
+	for _, p := range st.runs {
+		if rerr := blockio.Remove(p, st.cfg); rerr != nil && err == nil {
+			err = rerr
+		}
+	}
+	st.runs = nil
 	return err
 }
 

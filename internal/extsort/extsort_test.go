@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -57,10 +57,7 @@ func sortAndVerify(t *testing.T, cfg iomodel.Config, edges []record.Edge) {
 	if len(got) != len(edges) {
 		t.Fatalf("output has %d records, want %d", len(got), len(edges))
 	}
-	want := slices.Clone(edges)
-	slices.SortFunc(want, func(a, b record.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
+	want := sortedEdges(edges)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
@@ -315,8 +312,6 @@ func TestSortRunsOnCallerGoroutine(t *testing.T) {
 func TestTinyMemoryBudgetError(t *testing.T) {
 	for _, memory := range []int64{0, 1, 64, 127} {
 		cfg := testConfig(t, memory) // BlockSize 64 => needs >= 128
-		dir := t.TempDir()
-		cfg.TempDir = dir
 		in := filepath.Join(t.TempDir(), "in.bin")
 		out := filepath.Join(t.TempDir(), "out.bin")
 		if err := recio.WriteSlice(in, record.EdgeCodec{}, cfg, randomEdges(64, rand.New(rand.NewSource(6)))); err != nil {
@@ -330,13 +325,7 @@ func TestTinyMemoryBudgetError(t *testing.T) {
 		if !strings.Contains(err.Error(), "memory budget") {
 			t.Fatalf("memory=%d: error should explain the budget problem, got: %v", memory, err)
 		}
-		entries, rerr := os.ReadDir(dir)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if len(entries) != 0 {
-			t.Fatalf("memory=%d: rejected sort left temp files: %v", memory, entries)
-		}
+		assertEmpty(t, cfg, fmt.Sprintf("memory=%d: rejected sort", memory))
 	}
 }
 
@@ -356,13 +345,12 @@ func (c *cancelAfterCalls) Err() error {
 	return nil
 }
 
-// TestParallelSortCancellationMidMerge cancels a sort while its merge passes
-// are running and verifies every temporary file (runs, merge intermediates,
-// the partial output) is removed.
-func TestParallelSortCancellationMidMerge(t *testing.T) {
+// TestSortCancellationMidMerge cancels a sort while its merge passes are
+// running, and a stream while its consumer pulls the final merge, and
+// verifies every temporary file (runs, merge intermediates, the partial
+// output) is removed.
+func TestSortCancellationMidMerge(t *testing.T) {
 	cfg := testConfig(t, 256)
-	tempDir := t.TempDir()
-	cfg.TempDir = tempDir
 	rng := rand.New(rand.NewSource(12))
 	edges := randomEdges(5000, rng) // ~313 runs at 16 records/run
 	ioDir := t.TempDir()
@@ -373,35 +361,71 @@ func TestParallelSortCancellationMidMerge(t *testing.T) {
 	}
 
 	// Run formation performs one Err check per run (~313); cancelling a few
-	// hundred checks later lands inside the merge phase.
+	// hundred checks later lands inside the merge passes.
 	ctx := &cancelAfterCalls{Context: context.Background(), after: 330}
 	s := NewContext[record.Edge](ctx, record.EdgeCodec{}, record.EdgeBySource, cfg)
 	err := s.SortFile(in, out)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	entries, rerr := os.ReadDir(tempDir)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if len(entries) != 0 {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("cancelled sort left %d temp files: %v", len(names), names)
-	}
+	assertEmpty(t, cfg, "cancelled sort")
 	if _, err := cfg.Backend().Open(out); !storage.IsNotExist(err) {
 		t.Fatalf("cancelled sort left a partial output file (open err: %v)", err)
 	}
+
+	// Cancelled mid-stream: Next reports the cancellation within checkEvery
+	// records, and the stream's runs are gone once it is closed.
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := NewContext[record.Edge](cctx, record.EdgeCodec{}, record.EdgeBySource, cfg).Sort(recio.NewSliceIterator(randomEdges(3*checkEvery, rng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := 0
+	for ; ; pulled++ {
+		if pulled == 10 {
+			cancel()
+		}
+		_, ok, err := st.Next()
+		if errors.Is(err, context.Canceled) {
+			break
+		}
+		if err != nil || !ok {
+			t.Fatalf("stream ended after %d records with err=%v; want context.Canceled", pulled, err)
+		}
+	}
+	if pulled > 10+checkEvery {
+		t.Fatalf("cancellation surfaced %d records after it happened", pulled-10)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertEmpty(t, cfg, "cancelled stream")
 }
 
-// TestParallelSortCancellationDuringRunFormation cancels while runs are still
-// being formed.
-func TestParallelSortCancellationDuringRunFormation(t *testing.T) {
+// tempFiles lists the files under cfg.TempDir on cfg's backend.
+func tempFiles(t *testing.T, cfg iomodel.Config) []string {
+	t.Helper()
+	files, err := cfg.Backend().List(cfg.TempDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// assertEmpty fails the test when cfg.TempDir holds any file.
+func assertEmpty(t *testing.T, cfg iomodel.Config, what string) {
+	t.Helper()
+	if files := tempFiles(t, cfg); len(files) != 0 {
+		t.Fatalf("%s left %d temp files: %v", what, len(files), files)
+	}
+}
+
+// TestSortCancellationDuringRunFormation cancels while runs are still being
+// formed, on the pull side (Sort of a file) and on the push side (a
+// RunWriter's Write).
+func TestSortCancellationDuringRunFormation(t *testing.T) {
 	cfg := testConfig(t, 256)
-	tempDir := t.TempDir()
-	cfg.TempDir = tempDir
 	rng := rand.New(rand.NewSource(13))
 	edges := randomEdges(4000, rng)
 	ioDir := t.TempDir()
@@ -415,19 +439,247 @@ func TestParallelSortCancellationDuringRunFormation(t *testing.T) {
 	if err := s.SortFile(in, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	if entries, _ := os.ReadDir(tempDir); len(entries) != 0 {
-		t.Fatalf("cancelled run formation left %d temp files", len(entries))
+	assertEmpty(t, cfg, "cancelled run formation")
+
+	ctx = &cancelAfterCalls{Context: context.Background(), after: 20}
+	w, err := NewContext[record.Edge](ctx, record.EdgeCodec{}, record.EdgeBySource, cfg).RunWriter()
+	if err != nil {
+		t.Fatal(err)
 	}
+	var werr error
+	for _, e := range edges {
+		if werr = w.Write(e); werr != nil {
+			break
+		}
+	}
+	if !errors.Is(werr, context.Canceled) {
+		t.Fatalf("Write: expected context.Canceled, got %v", werr)
+	}
+	w.Abort()
+	assertEmpty(t, cfg, "aborted run writer")
 }
 
-// TestParallelSortEmptyAndTinyInputs exercises the sorter's edge cases:
-// empty input, a few records, exactly one run, one record past it.
-func TestParallelSortEmptyAndTinyInputs(t *testing.T) {
+// TestSortEmptyAndTinyInputs exercises the sorter's edge cases: empty
+// input, a few records, exactly one run, one record past it; each through a
+// file and through a stream.
+func TestSortEmptyAndTinyInputs(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 16, 17} {
 		cfg := testConfig(t, 256)
 		rng := rand.New(rand.NewSource(int64(20 + n)))
-		sortAndVerify(t, cfg, randomEdges(n, rng))
+		edges := randomEdges(n, rng)
+		sortAndVerify(t, cfg, edges)
+		st, err := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg).Sort(recio.NewSliceIterator(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, st)
+		if want := sortedEdges(edges); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: stream = %v, want %v", n, got, want)
+		}
 	}
+}
+
+// drain reads every record of st and closes it.
+func drain[T any](t *testing.T, st *Stream[T]) []T {
+	t.Helper()
+	defer st.Close()
+	var out []T
+	for {
+		rec, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, rec)
+	}
+}
+
+// sortedEdges returns a sorted copy of edges, the reference result.
+func sortedEdges(edges []record.Edge) []record.Edge {
+	want := slices.Clone(edges)
+	slices.SortFunc(want, func(a, b record.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return want
+}
+
+// TestSortOneRunWritesNothing pins the single-run shortcut: a sort whose
+// input fits one run creates no file and writes no block of its own.
+// SortFile writes its output once and nothing else; Sort writes nothing.
+// The fixed layout makes a scan read exactly the file's blocks.
+func TestSortOneRunWritesNothing(t *testing.T) {
+	cfg := testConfig(t, 1<<20)
+	cfg.Codec = record.FamilyFixed
+	edges := randomEdges(1000, rand.New(rand.NewSource(30)))
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.bin")
+	out := filepath.Join(dir, "out.bin")
+	if err := recio.WriteSlice(in, record.EdgeCodec{}, cfg, edges); err != nil {
+		t.Fatal(err)
+	}
+	blocks := func(path string) int64 {
+		f, err := cfg.Backend().Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Blocks(size)
+	}
+	s := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg)
+	before := cfg.Stats.Snapshot()
+	if err := s.SortFile(in, out); err != nil {
+		t.Fatal(err)
+	}
+	d := cfg.Stats.Snapshot().Sub(before)
+	if d.FilesCreated != 0 || d.WriteBlocks != blocks(out) || d.ReadBlocks != blocks(in) {
+		t.Fatalf("one-run SortFile: %d files created, %d blocks written, %d read; want 0, %d (the output), %d (the input)",
+			d.FilesCreated, d.WriteBlocks, d.ReadBlocks, blocks(out), blocks(in))
+	}
+	assertEmpty(t, cfg, "one-run SortFile")
+
+	before = cfg.Stats.Snapshot()
+	st, err := s.Sort(recio.NewSliceIterator(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, st)
+	if d := cfg.Stats.Snapshot().Sub(before); d.FilesCreated != 0 || d.TotalIOs() != 0 {
+		t.Fatalf("one-run Sort: %d files created, %d I/Os; want none", d.FilesCreated, d.TotalIOs())
+	}
+	if !slices.Equal(got, sortedEdges(edges)) {
+		t.Fatal("one-run stream is not the sorted input")
+	}
+}
+
+// TestStreamMergeReadersBound checks the memory rule on a many-run input at
+// M = 8B: run formation holds at most M/2 bytes, and the streamed final merge
+// never holds more than M/B - consumerBlocks run readers, so its consumer's
+// consumerBlocks blocks still fit in M.  The stream is sorted and complete,
+// and its runs are gone once it is drained.
+func TestStreamMergeReadersBound(t *testing.T) {
+	tracker := &OpenTracker{Backend: storage.NewMem()}
+	cfg := iomodel.Config{BlockSize: 64, Memory: 8 * 64, TempDir: "/sort", Storage: tracker, Stats: &iomodel.Stats{}}
+	s := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg)
+	capRecords, err := s.runCapacity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(capRecords*record.EdgeCodec{}.Size()) > cfg.Memory/2 {
+		t.Fatalf("run buffer holds %d records of %d bytes, more than M/2 = %d", capRecords, record.EdgeCodec{}.Size(), cfg.Memory/2)
+	}
+	limit := int(cfg.Memory/int64(cfg.BlockSize)) - consumerBlocks
+	edges := randomEdges(5000, rand.New(rand.NewSource(31)))
+	before := cfg.Stats.Snapshot()
+	st, err := s.Sort(recio.NewSliceIterator(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := cfg.Stats.Snapshot().Sub(before).SortRuns; runs <= int64(limit) {
+		t.Fatalf("workload formed %d runs; the check needs more than %d", runs, limit)
+	}
+	tracker.Peak()
+	var got []record.Edge
+	for {
+		if n := tracker.Opened(); n > limit {
+			t.Fatalf("streamed merge holds %d run readers, more than M/B - %d = %d", n, consumerBlocks, limit)
+		}
+		rec, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, rec)
+	}
+	if peak := tracker.Peak(); peak < 2 {
+		t.Fatalf("the stream read %d runs at most; the check needs a merge", peak)
+	}
+	if !slices.Equal(got, sortedEdges(edges)) {
+		t.Fatal("streamed merge is not the sorted input")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := tracker.List(cfg.TempDir); err != nil || len(left) != 0 {
+		t.Fatalf("drained stream left %v (err %v)", left, err)
+	}
+}
+
+// TestStreamEarlyCloseRemovesRuns stops consuming a many-run stream after a
+// few records: Close removes every run, and a second Close is a no-op.
+func TestStreamEarlyCloseRemovesRuns(t *testing.T) {
+	cfg := testConfig(t, 512)
+	st, err := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg).Sort(recio.NewSliceIterator(randomEdges(3000, rand.New(rand.NewSource(32)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok, err := st.Next(); err != nil || !ok {
+			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if len(tempFiles(t, cfg)) == 0 {
+		t.Fatal("the stream holds no run files; the check needs a merge")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	assertEmpty(t, cfg, "abandoned stream")
+	if _, ok, err := st.Next(); ok || err != nil {
+		t.Fatalf("Next after Close: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestRunWriterMatchesSort pushes records through a RunWriter and checks the
+// stream equals Sort's over the same records; Abort drops the runs written
+// so far.
+func TestRunWriterMatchesSort(t *testing.T) {
+	cfg := testConfig(t, 512)
+	edges := randomEdges(2000, rand.New(rand.NewSource(33)))
+	s := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg)
+	w, err := s.RunWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := w.Sort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Abort() // a no-op after Sort: the stream keeps its runs
+	if !slices.Equal(drain(t, st), sortedEdges(edges)) {
+		t.Fatal("pushed records did not come back sorted")
+	}
+	assertEmpty(t, cfg, "drained stream")
+
+	w, err = s.RunWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tempFiles(t, cfg)) == 0 {
+		t.Fatal("no run written; the check needs several")
+	}
+	w.Abort()
+	assertEmpty(t, cfg, "aborted run writer")
 }
 
 // TestSortFileVarintCodec sorts under the varint codec family: runs and

@@ -665,6 +665,30 @@ func (p *Peekable[T]) Pop() T {
 	return rec
 }
 
+// Sink receives records one at a time.  A Writer appends them to a file and
+// an extsort.RunWriter hands them to run formation, so one producer loop can
+// feed either.
+type Sink[T any] interface {
+	Write(rec T) error
+}
+
+// WriteFile creates a record file at path, runs produce on its writer and
+// closes the file, returning the number of records written.
+func WriteFile[T any](path string, codec record.Codec[T], cfg iomodel.Config, produce func(Sink[T]) error) (int64, error) {
+	w, err := NewWriter(path, codec, cfg)
+	if err != nil {
+		return 0, err
+	}
+	if err := produce(w); err != nil {
+		w.Close()
+		return w.Count(), err
+	}
+	if err := w.Close(); err != nil {
+		return w.Count(), err
+	}
+	return w.Count(), nil
+}
+
 // WriteAll writes every record produced by it to a new file at path and
 // returns the number of records written.
 func WriteAll[T any](path string, codec record.Codec[T], cfg iomodel.Config, it Iterator[T]) (int64, error) {

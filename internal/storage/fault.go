@@ -136,6 +136,11 @@ type FaultRule struct {
 	matched atomic.Int64
 }
 
+// Matches returns how many operations have matched the rule so far, fired
+// or not.  A rule whose N is never reached thus measures the op budget of
+// the operations it selects.
+func (r *FaultRule) Matches() int64 { return r.matched.Load() }
+
 // mode returns the effective mode of the rule.
 func (r *FaultRule) mode() string {
 	if r.Mode == "" {
