@@ -7,7 +7,16 @@
 // refined ">" operator) are enabled through Options.Optimized.
 //
 // Every step is a sequential scan, a merge join of sorted files and sort
-// streams, or an external sort, so the phase performs no random I/O.
+// streams, or an external sort, so the phase performs no random I/O.  A step
+// writes each of its files once: eout (G_i's deduplicated edges by source),
+// ein (by target; unoptimised only), the degree table vd, E_d (ed), ein-trim
+// (E_d as plain edges, optimised only, which the cover scan writes as it
+// reads E_d), the cover, the removed nodes' in-edges edel and out-edges
+// eout-del (one split pass over the in-edge list cuts them off on its way to
+// E_pre), next-edges (E_pre, then E_add) and the removed-step file.
+// Expansion needs only E_del, the removed nodes' edges to kept neighbours
+// (Lemma 6.4), so the removed-step file hands those over and expansion never
+// reads G_i.
 package contraction
 
 import (
@@ -39,7 +48,19 @@ type Options struct {
 type Result struct {
 	// Next is the contracted graph G_{i+1}.
 	Next edgefile.Graph
-	// RemovedPath is the sorted node file of V_i - V_{i+1}.
+	// RemovedPath is the removed-step file: a plain edge file that holds
+	// one group per removed node v of V_i - V_{i+1}, in id order: the marker
+	// (v, v), then v's in-edges (u, v) in u order, then v's out-edges (v, w)
+	// in w order.  Self-loops of removed nodes are not written.  The cover
+	// is a vertex cover of every edge of E_d but self-loops, so every edge
+	// other than a marker has exactly one removed endpoint, its group's
+	// node, and the layout is unambiguous; a removed node without kept
+	// neighbours (an isolated or Type-1-trimmed node) still has its marker,
+	// so expansion makes it a singleton.  In the optimised variant the
+	// edges come from E_d, which Type-1 reduction trimmed; that gives the
+	// same labels, since a trimmed neighbour is removed and has no label in
+	// SCC_{i+1}, and a trimmed removed node lacks either in-edges or
+	// out-edges, so it is a singleton either way.
 	RemovedPath string
 	// NumRemoved is |V_i - V_{i+1}|.
 	NumRemoved int64
@@ -48,8 +69,7 @@ type Result struct {
 	// AddedEdges is |E_add|, the rewiring edges created by node removal.
 	AddedEdges int64
 	// MaxRemovedDegree is the largest number of distinct neighbours among
-	// removed nodes that had at least one incident edge; Theorem 5.3 bounds
-	// it by sqrt(2|E_i|).
+	// removed nodes; Theorem 5.3 bounds it by sqrt(2|E_i|).
 	MaxRemovedDegree uint64
 }
 
@@ -143,46 +163,49 @@ func (c *contractor) run() (Result, error) {
 		return Result{}, err
 	}
 
-	// Step 4: V_{i+1}, the vertex cover of (the Type-1-trimmed) G_i.
-	coverPath, numCover, err := c.buildCover(ed)
+	// Step 4: V_{i+1}, the vertex cover of (the Type-1-trimmed) G_i.  In
+	// optimised mode the rewiring operates on the trimmed edge list (the
+	// projection of E_d), so every created edge has both ends in V_{i+1};
+	// the cover scan writes it as it reads E_d.
+	baseEin, einTrim := ein, ""
+	if c.opts.Optimized {
+		einTrim = c.temp("ein-trim")
+		baseEin = einTrim
+	}
+	coverPath, numCover, err := c.buildCover(ed, einTrim)
 	if err != nil {
 		return Result{}, err
 	}
-
-	// Step 5: the removed nodes V_i - V_{i+1}.
-	removedPath := c.temp("removed")
-	numRemoved, err := edgefile.SubtractNodes(c.g.NodePath, coverPath, removedPath, c.cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if numRemoved == 0 {
+	numRemoved := c.g.NumNodes - numCover
+	if numRemoved <= 0 {
 		return Result{}, fmt.Errorf("contraction: no node removed from a graph with %d nodes and %d edges (contractible property violated)", c.g.NumNodes, c.g.NumEdges)
 	}
 
-	// Step 6: the edges of the contracted graph, E_{i+1} = E_pre ∪ E_add.
-	// In optimised mode the rewiring operates on the trimmed edge list (the
-	// projection of E_d), so every created edge has both ends in V_{i+1}.
+	// Step 5: the edges of the contracted graph, E_{i+1} = E_pre ∪ E_add,
+	// written once: the split streams E_pre into the file, then the
+	// rewiring pass appends E_add and writes the removed-step file.
 	if err := c.ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	baseEin, baseEout := ein, eout
-	if c.opts.Optimized {
-		baseEin, baseEout, err = c.projectTrimmed(ed)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	epre, preserved, err := c.buildEpre(baseEout, coverPath)
+	nextEdges, removedPath := c.temp("next-edges"), c.temp("removed")
+	next, err := recio.NewWriter(nextEdges, record.EdgeCodec{}, c.cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	eadd, added, maxRemovedDeg, err := c.buildEadd(baseEin, baseEout, coverPath)
+	defer next.Close()
+	edel, eoutDel, err := c.splitEdges(baseEin, coverPath, next)
 	if err != nil {
 		return Result{}, err
 	}
-	nextEdges := c.temp("next-edges")
-	numNextEdges, err := edgefile.ConcatEdges(nextEdges, c.cfg, epre, eadd)
+	preserved := next.Count()
+	markers, maxRemovedDeg, err := c.buildEadd(edel, eoutDel, coverPath, removedPath, next)
 	if err != nil {
+		return Result{}, err
+	}
+	if markers != numRemoved {
+		return Result{}, fmt.Errorf("contraction: wrote %d removed nodes, but |V_i| - |V_{i+1}| = %d - %d", markers, c.g.NumNodes, numCover)
+	}
+	if err := next.Close(); err != nil {
 		return Result{}, err
 	}
 
@@ -194,12 +217,12 @@ func (c *contractor) run() (Result, error) {
 			EdgePath: nextEdges,
 			NodePath: coverPath,
 			NumNodes: numCover,
-			NumEdges: numNextEdges,
+			NumEdges: next.Count(),
 		},
 		RemovedPath:      removedPath,
 		NumRemoved:       numRemoved,
 		PreservedEdges:   preserved,
-		AddedEdges:       added,
+		AddedEdges:       next.Count() - preserved,
 		MaxRemovedDegree: maxRemovedDeg,
 	}, nil
 }
@@ -330,14 +353,23 @@ func joinEdgesWithDegrees(in recio.Iterator[record.EdgeAug], vdPath string, out 
 // cover (lines 8-9 of Algorithm 3, with the Type-2 dictionary of Section VII
 // in optimised mode), then sorts and deduplicates the cover node list.  The
 // scan pushes the cover nodes straight into the sort, whose stream feeds the
-// deduplication.  It returns the cover file and |V_{i+1}|.
-func (c *contractor) buildCover(ed string) (string, int64, error) {
+// deduplication.  Unless einTrim is empty, the scan also projects E_d to
+// plain edges into the file at einTrim, which keeps E_d's (target, source)
+// order.  It returns the cover file and |V_{i+1}|.
+func (c *contractor) buildCover(ed, einTrim string) (string, int64, error) {
 	rw, err := extsort.NewContext(c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg).RunWriter()
 	if err != nil {
 		return "", 0, err
 	}
 	defer rw.Abort()
-	if err := c.scanCover(ed, rw); err != nil {
+	if einTrim != "" {
+		_, err = recio.WriteFile(einTrim, record.EdgeCodec{}, c.cfg, func(trim recio.Sink[record.Edge]) error {
+			return c.scanCover(ed, rw, trim)
+		})
+	} else {
+		err = c.scanCover(ed, rw, nil)
+	}
+	if err != nil {
 		return "", 0, err
 	}
 	sorted, err := rw.Sort()
@@ -354,8 +386,9 @@ func (c *contractor) buildCover(ed string) (string, int64, error) {
 }
 
 // scanCover writes to out the cover node of every edge of the E_d file at
-// ed that the Type-2 dictionary does not already cover.
-func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID]) error {
+// ed that the Type-2 dictionary does not already cover, and every edge of
+// E_d, projected to a plain edge, to trim unless it is nil.
+func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID], trim recio.Sink[record.Edge]) error {
 	r, err := recio.NewReader(ed, record.EdgeAugCodec{}, c.cfg)
 	if err != nil {
 		return err
@@ -388,6 +421,11 @@ func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID]) error {
 				return err
 			}
 		}
+		if trim != nil {
+			if err := trim.Write(rec.Edge()); err != nil {
+				return err
+			}
+		}
 		if rec.U == rec.V {
 			// A self-loop carries no inter-node connectivity, so it imposes no
 			// cover constraint; skipping it keeps the contractible property
@@ -417,209 +455,178 @@ func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID]) error {
 	}
 }
 
-// projectTrimmed projects E_d back to plain edges, producing the trimmed edge
-// list sorted by target and by source.  E_d is sorted by (target, source)
-// already, so the first projection is a single scan.
-func (c *contractor) projectTrimmed(ed string) (einT, eoutT string, err error) {
-	einT = c.temp("ein-trim")
-	r, err := recio.NewReader(ed, record.EdgeAugCodec{}, c.cfg)
+// splitEdges cuts the in-edge list at baseEin (sorted by target) three ways
+// in one pass over it (lines 3 and 9-11 of Algorithm 4).  The edges into
+// removed nodes go to the file edel, sorted by (target, source).  The rest
+// are pushed into a sort by source, whose stream is split on the source:
+// E_pre, the edges with both ends in the cover, goes to next, and the
+// out-edges of removed nodes go to the file eoutDel, sorted by (source,
+// target).
+func (c *contractor) splitEdges(baseEin, coverPath string, next recio.Sink[record.Edge]) (edel, eoutDel string, err error) {
+	rw, err := c.edgeSorter(record.EdgeBySource).RunWriter()
 	if err != nil {
 		return "", "", err
-	}
-	w, err := recio.NewWriter(einT, record.EdgeCodec{}, c.cfg)
-	if err != nil {
-		r.Close()
-		return "", "", err
-	}
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			r.Close()
-			w.Close()
-			return "", "", err
-		}
-		if err := w.Write(rec.Edge()); err != nil {
-			r.Close()
-			w.Close()
-			return "", "", err
-		}
-	}
-	r.Close()
-	if err := w.Close(); err != nil {
-		return "", "", err
-	}
-	eoutT = c.temp("eout-trim")
-	if err := edgefile.SortEdgesContext(c.ctx, einT, eoutT, record.EdgeBySource, c.cfg); err != nil {
-		return "", "", err
-	}
-	return einT, eoutT, nil
-}
-
-// buildEpre keeps the edges of G_i whose both endpoints are in the cover
-// (lines 9-11 of Algorithm 4).  The filter on the source pushes its output
-// straight into the re-sort by target, whose stream feeds the filter on the
-// target.
-func (c *contractor) buildEpre(baseEout, coverPath string) (string, int64, error) {
-	rw, err := c.edgeSorter(record.EdgeByTarget).RunWriter()
-	if err != nil {
-		return "", 0, err
 	}
 	defer rw.Abort()
-	r, err := recio.NewReader(baseEout, record.EdgeCodec{}, c.cfg)
+	r, err := recio.NewReader(baseEin, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return "", 0, err
+		return "", "", err
 	}
-	err = edgefile.MembershipFilter(r.Iter(), coverPath, rw, false, true, c.cfg)
+	edel = c.temp("edel")
+	_, err = recio.WriteFile(edel, record.EdgeCodec{}, c.cfg, func(del recio.Sink[record.Edge]) error {
+		return edgefile.SplitByMembership(r.Iter(), coverPath, rw, del, true, c.cfg)
+	})
 	r.Close()
 	if err != nil {
-		return "", 0, err
+		return "", "", err
 	}
-	byTarget, err := rw.Sort()
+	bySource, err := rw.Sort()
 	if err != nil {
-		return "", 0, err
+		return "", "", err
 	}
-	defer byTarget.Close()
-	epre := c.temp("epre")
-	n, err := recio.WriteFile(epre, record.EdgeCodec{}, c.cfg, func(w recio.Sink[record.Edge]) error {
-		return edgefile.MembershipFilter(byTarget, coverPath, w, true, true, c.cfg)
+	defer bySource.Close()
+	eoutDel = c.temp("eout-del")
+	_, err = recio.WriteFile(eoutDel, record.EdgeCodec{}, c.cfg, func(outDel recio.Sink[record.Edge]) error {
+		return edgefile.SplitByMembership(bySource, coverPath, next, outDel, false, c.cfg)
 	})
 	if err != nil {
-		return "", 0, err
+		return "", "", err
 	}
-	return epre, n, nil
+	return edel, eoutDel, nil
 }
 
-// buildEadd creates the rewiring edges: for every removed node v, every
-// in-neighbour u is connected to every out-neighbour w (lines 3-8 of
-// Algorithm 4).  The out-neighbour list of one removed node is buffered in
-// memory; Theorem 5.3 bounds its size by sqrt(2|E_i|).
-func (c *contractor) buildEadd(baseEin, baseEout, coverPath string) (string, int64, uint64, error) {
-	// E_del: incoming edges of removed nodes, sorted by (target, source), and
-	// the out-going edges of removed nodes, sorted by (source, target).
-	edel, eoutDel := c.temp("edel"), c.temp("eout-del")
-	for _, f := range []struct {
-		in, out  string
-		byTarget bool
-	}{{baseEin, edel, true}, {baseEout, eoutDel, false}} {
-		r, err := recio.NewReader(f.in, record.EdgeCodec{}, c.cfg)
-		if err != nil {
-			return "", 0, 0, err
-		}
-		_, err = recio.WriteFile(f.out, record.EdgeCodec{}, c.cfg, func(w recio.Sink[record.Edge]) error {
-			return edgefile.MembershipFilter(r.Iter(), coverPath, w, f.byTarget, false, c.cfg)
-		})
-		r.Close()
-		if err != nil {
-			return "", 0, 0, err
-		}
+// buildEadd walks the removed nodes, the node file of G_i minus the cover,
+// merged with their in-edges (edel) and out-edges (eoutDel).  For every
+// removed node v it writes v's group to the removed-step file at
+// removedPath (see Result.RemovedPath) and connects every in-neighbour u to
+// every out-neighbour w in next (lines 3-8 of Algorithm 4).  It returns the
+// number of removed nodes and the largest number of distinct neighbours
+// among them.  The neighbour lists of one removed node are buffered in
+// memory; Theorem 5.3 bounds their size by sqrt(2|E_i|).
+func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, next recio.Sink[record.Edge]) (int64, uint64, error) {
+	nodeR, err := recio.NewReader(c.g.NodePath, record.NodeCodec{}, c.cfg)
+	if err != nil {
+		return 0, 0, err
 	}
-
+	defer nodeR.Close()
+	coverR, err := recio.NewReader(coverPath, record.NodeCodec{}, c.cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer coverR.Close()
 	delR, err := recio.NewReader(edel, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	defer delR.Close()
 	outR, err := recio.NewReader(eoutDel, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	defer outR.Close()
 
-	eadd := c.temp("eadd")
-	w, err := recio.NewWriter(eadd, record.EdgeCodec{}, c.cfg)
-	if err != nil {
-		return "", 0, 0, err
-	}
-
+	nodes := recio.NewPeekable[record.NodeID](nodeR.Iter())
+	cover := recio.NewPeekable[record.NodeID](coverR.Iter())
 	inEdges := recio.NewPeekable[record.Edge](delR.Iter())
 	outEdges := recio.NewPeekable[record.Edge](outR.Iter())
+	var removed int64
 	var maxRemovedDeg uint64
+	var ins, outs []record.NodeID
 
-	// scanned counts written rewiring records, not removed nodes: one removed
-	// node can emit |ins|*|outs| edges, so counting nodes would leave the
+	// scanned counts nodes and written rewiring records: one removed node
+	// can emit |ins|*|outs| edges, so counting nodes alone would leave the
 	// quadratic inner loop running unbounded work between cancellation
 	// checks.
 	scanned := 0
-	for inEdges.Valid() {
+	tick := func() error {
 		if scanned++; scanned%checkEvery == 0 {
-			if err := c.ctx.Err(); err != nil {
-				w.Close()
-				return "", 0, 0, err
+			return c.ctx.Err()
+		}
+		return nil
+	}
+	_, err = recio.WriteFile(removedPath, record.EdgeCodec{}, c.cfg, func(w recio.Sink[record.Edge]) error {
+		for nodes.Valid() {
+			if err := tick(); err != nil {
+				return err
 			}
-		}
-		v := inEdges.Peek().V
-		// Collect the in-neighbours of v (self-loops carry no inter-node
-		// connectivity and are skipped).
-		var ins []record.NodeID
-		for inEdges.Valid() && inEdges.Peek().V == v {
-			e := inEdges.Pop()
-			if e.U != v {
-				ins = append(ins, e.U)
+			v := nodes.Pop()
+			for cover.Valid() && cover.Peek() < v {
+				cover.Pop()
 			}
-		}
-		// Advance to and collect the out-neighbours of v.
-		for outEdges.Valid() && outEdges.Peek().U < v {
-			outEdges.Pop()
-		}
-		var outs []record.NodeID
-		for outEdges.Valid() && outEdges.Peek().U == v {
-			e := outEdges.Pop()
-			if e.V != v {
-				outs = append(outs, e.V)
+			if cover.Valid() && cover.Peek() == v {
+				continue
 			}
-		}
-		// Theorem 5.3 bounds the number of distinct neighbours of a removed
-		// node by sqrt(2|E_i|); track the largest observed value.
-		distinct := map[record.NodeID]struct{}{}
-		for _, u := range ins {
-			distinct[u] = struct{}{}
-		}
-		for _, t := range outs {
-			distinct[t] = struct{}{}
-		}
-		if deg := uint64(len(distinct)); deg > maxRemovedDeg {
-			maxRemovedDeg = deg
-		}
-		for _, u := range ins {
-			for _, t := range outs {
-				if scanned++; scanned%checkEvery == 0 {
-					if err := c.ctx.Err(); err != nil {
-						w.Close()
-						return "", 0, 0, err
+			if err := w.Write(record.Edge{U: v, V: v}); err != nil {
+				return err
+			}
+			removed++
+			// Write v's in-edges, then its out-edges, to v's group, and
+			// collect its neighbours.  Self-loops carry no inter-node
+			// connectivity and are skipped.
+			ins, outs = ins[:0], outs[:0]
+			for inEdges.Valid() && inEdges.Peek().V == v {
+				if e := inEdges.Pop(); e.U != v {
+					if err := w.Write(e); err != nil {
+						return err
+					}
+					ins = append(ins, e.U)
+				}
+			}
+			// Theorem 5.3 bounds the number of distinct neighbours of a
+			// removed node by sqrt(2|E_i|); track the largest observed
+			// value, merging the out-neighbours with the ascending ins.
+			deg, i := len(ins), 0
+			for outEdges.Valid() && outEdges.Peek().U == v {
+				if e := outEdges.Pop(); e.V != v {
+					if err := w.Write(e); err != nil {
+						return err
+					}
+					outs = append(outs, e.V)
+					for i < len(ins) && ins[i] < e.V {
+						i++
+					}
+					if i == len(ins) || ins[i] != e.V {
+						deg++
 					}
 				}
-				if u == t {
-					// The rewiring of a 2-cycle through the removed node would
-					// be a self-loop; it carries no SCC information (u and v
-					// are already strongly connected via v, which the
-					// expansion phase recovers from the neighbour SCC sets),
-					// and keeping it would eventually block the contractible
-					// property.  The paper drops self circles when building
-					// G_{i+1} (Example 5.1).
-					continue
-				}
-				if err := w.Write(record.Edge{U: u, V: t}); err != nil {
-					w.Close()
-					return "", 0, 0, err
+			}
+			maxRemovedDeg = max(maxRemovedDeg, uint64(deg))
+			for _, u := range ins {
+				for _, t := range outs {
+					if err := tick(); err != nil {
+						return err
+					}
+					if u == t {
+						// The rewiring of a 2-cycle through the removed node
+						// would be a self-loop; it carries no SCC information
+						// (u and v are already strongly connected via v,
+						// which the expansion phase recovers from the
+						// neighbour SCC sets), and keeping it would
+						// eventually block the contractible property.  The
+						// paper drops self circles when building G_{i+1}
+						// (Example 5.1).
+						continue
+					}
+					if err := next.Write(record.Edge{U: u, V: t}); err != nil {
+						return err
+					}
 				}
 			}
 		}
+		for _, err := range []error{nodes.Err(), cover.Err(), inEdges.Err(), outEdges.Err()} {
+			if err != nil {
+				return err
+			}
+		}
+		if inEdges.Valid() || outEdges.Valid() {
+			return fmt.Errorf("contraction: an edge of E_del has no removed endpoint")
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	if err := inEdges.Err(); err != nil {
-		w.Close()
-		return "", 0, 0, err
-	}
-	if err := outEdges.Err(); err != nil {
-		w.Close()
-		return "", 0, 0, err
-	}
-	if err := w.Close(); err != nil {
-		return "", 0, 0, err
-	}
-	return eadd, w.Count(), maxRemovedDeg, nil
+	return removed, maxRemovedDeg, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 package contraction
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"testing"
 
 	"extscc/internal/edgefile"
@@ -57,15 +59,7 @@ func contractAndCheckInvariants(t *testing.T, edges []record.Edge, nodes []recor
 	for _, n := range kept {
 		keptSet[n] = true
 	}
-	removed, err := recio.ReadAll(res.RemovedPath, record.NodeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range removed {
-		if keptSet[n] {
-			t.Fatalf("node %d is both kept and removed", n)
-		}
-	}
+	removed := checkRemovedStep(t, cfg, res.RemovedPath, edges, g, keptSet, optimized)
 
 	// Every edge of the contracted graph touches only kept nodes.
 	nextEdges, err := recio.ReadAll(res.Next.EdgePath, record.EdgeCodec{}, cfg)
@@ -121,6 +115,86 @@ func contractAndCheckInvariants(t *testing.T, edges []record.Edge, nodes []recor
 		}
 	}
 	return res
+}
+
+// checkRemovedStep checks the removed-step file at path against the
+// contraction of the graph g with the given edges and kept nodes: its
+// markers are exactly V_i - V_{i+1}, in id order, and each group holds the
+// marker, then the node's in-edges of E_d in source order, then its
+// out-edges of E_d in target order, without self-loops, so that no edge has
+// two removed endpoints.  E_d is G_i deduplicated, trimmed of the nodes
+// without an in-edge or an out-edge in the optimised variant.  It returns
+// the removed nodes.
+func checkRemovedStep(t *testing.T, cfg iomodel.Config, path string, edges []record.Edge, g edgefile.Graph, keptSet map[record.NodeID]bool, optimized bool) []record.NodeID {
+	t.Helper()
+	got, err := recio.ReadAll(path, record.EdgeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := recio.ReadAll(g.NodePath, record.NodeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// E_d, deduplicated and without self-loops (neither is ever written).
+	ed := map[record.Edge]bool{}
+	for _, e := range edges {
+		if e.U != e.V {
+			ed[e] = true
+		}
+	}
+	if optimized {
+		hasIn, hasOut := map[record.NodeID]bool{}, map[record.NodeID]bool{}
+		for e := range ed {
+			hasOut[e.U], hasIn[e.V] = true, true
+		}
+		for e := range ed {
+			if !hasIn[e.U] || !hasOut[e.U] || !hasIn[e.V] || !hasOut[e.V] {
+				delete(ed, e)
+			}
+		}
+	}
+	var want []record.Edge
+	var removed []record.NodeID
+	for _, v := range nodes {
+		if keptSet[v] {
+			continue
+		}
+		removed = append(removed, v)
+		var ins, outs []record.Edge
+		for e := range ed {
+			if e.V == v {
+				ins = append(ins, e)
+			}
+			if e.U == v {
+				outs = append(outs, e)
+			}
+		}
+		slices.SortFunc(ins, func(a, b record.Edge) int { return cmp.Compare(a.U, b.U) })
+		slices.SortFunc(outs, func(a, b record.Edge) int { return cmp.Compare(a.V, b.V) })
+		want = append(append(append(want, record.Edge{U: v, V: v}), ins...), outs...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("removed-step file (optimized=%v)\ngot  %v\nwant %v", optimized, got, want)
+	}
+	for _, e := range got {
+		if e.U != e.V && !keptSet[e.U] && !keptSet[e.V] {
+			t.Fatalf("edge %v of the removed-step file has two removed endpoints", e)
+		}
+	}
+	return removed
+}
+
+func TestRemovedStepLayout(t *testing.T) {
+	// Isolated nodes, a source and a sink hanging off a cycle (Type-1
+	// trimmed in the optimised variant), self-loops and parallel edges:
+	// every removed node gets a marker, with or without kept neighbours.
+	edges := append(graphgen.Cycle(12),
+		record.Edge{U: 20, V: 0}, record.Edge{U: 5, V: 21}, record.Edge{U: 21, V: 21},
+		record.Edge{U: 3, V: 3}, record.Edge{U: 4, V: 5}, record.Edge{U: 22, V: 22})
+	for _, optimized := range []bool{false, true} {
+		contractAndCheckInvariants(t, edges, []record.NodeID{30, 31, 32}, optimized)
+	}
 }
 
 func TestContractPaperExample(t *testing.T) {

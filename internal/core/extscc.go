@@ -47,7 +47,8 @@ type Options struct {
 	// (semiscc.Options.ForceStreaming).
 	ForceStreamingSemi bool
 	// KeepTemp retains the run directory (intermediate graphs and label
-	// files) instead of deleting everything except the final label file.
+	// files).  Without it a run deletes each intermediate file as soon as
+	// nothing reads it any more, leaving only the final label file.
 	KeepTemp bool
 	// OnIteration, when non-nil, is invoked after every completed contraction
 	// iteration with that iteration's statistics.  It runs on the computing
@@ -133,11 +134,6 @@ func ExtSCC(ctx context.Context, g edgefile.Graph, dir string, opts Options, cfg
 	return res, nil
 }
 
-type removedStep struct {
-	edgePath    string // edge file of G_i
-	removedPath string // sorted removed nodes V_i - V_{i+1}
-}
-
 func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg iomodel.Config) (*Result, error) {
 	start := time.Now()
 	before := cfg.Stats.Snapshot()
@@ -156,8 +152,15 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 	// until it fits in memory.
 	capacity := cfg.NodeCapacity()
 	current := g
-	var steps []removedStep
-	var intermediateGraphs []edgefile.Graph
+	var steps []string // the removed-step file of every contraction step
+	// free drops an intermediate graph's files once nothing reads them any
+	// more: expansion reads the removed-step files and the labels, never
+	// G_i.  The input graph's files are the caller's.
+	free := func(gi edgefile.Graph) {
+		if !opts.KeepTemp && gi.EdgePath != g.EdgePath {
+			gi.Remove(cfg)
+		}
+	}
 	for current.NumNodes > capacity {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -180,13 +183,13 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 			AddedEdges:       cres.AddedEdges,
 			MaxRemovedDegree: cres.MaxRemovedDegree,
 		}
+		free(current)
+		steps = append(steps, cres.RemovedPath)
+		current = cres.Next
 		result.Iterations = append(result.Iterations, it)
 		if opts.OnIteration != nil {
 			opts.OnIteration(it)
 		}
-		steps = append(steps, removedStep{edgePath: current.EdgePath, removedPath: cres.RemovedPath})
-		current = cres.Next
-		intermediateGraphs = append(intermediateGraphs, cres.Next)
 	}
 
 	// Semi-external base case (Algorithm 2, line 5).
@@ -199,6 +202,7 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 	if err != nil {
 		return nil, err
 	}
+	free(current)
 	result.SemiExternal = semiRes
 	labels := semiRes.LabelPath
 	// The solver reports how many labels it actually wrote, and each
@@ -215,8 +219,7 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 		}
 		sp := cfg.Prof.Start("expand")
 		eres, err := expansion.ExpandContext(ctx, expansion.Input{
-			EdgePath:       steps[i].edgePath,
-			RemovedPath:    steps[i].removedPath,
+			RemovedPath:    steps[i],
 			KeptLabelsPath: labels,
 		}, runDir, cfg)
 		sp.End()
@@ -224,6 +227,7 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 			return nil, err
 		}
 		if !opts.KeepTemp {
+			blockio.Remove(steps[i], cfg)
 			blockio.Remove(labels, cfg)
 		}
 		labels = eres.LabelPath
@@ -236,28 +240,6 @@ func run(ctx context.Context, g edgefile.Graph, runDir string, opts Options, cfg
 	}
 	if numLabels != g.NumNodes {
 		return nil, fmt.Errorf("core: produced %d labels for a graph with %d nodes", numLabels, g.NumNodes)
-	}
-
-	// Drop everything but the final label file unless the caller wants the
-	// intermediates.
-	if !opts.KeepTemp {
-		for _, step := range steps {
-			if step.edgePath != g.EdgePath {
-				blockio.Remove(step.edgePath, cfg)
-			}
-			blockio.Remove(step.removedPath, cfg)
-		}
-		for _, ig := range intermediateGraphs {
-			if ig.EdgePath != g.EdgePath {
-				blockio.Remove(ig.EdgePath, cfg)
-			}
-			if ig.NodePath != g.NodePath {
-				blockio.Remove(ig.NodePath, cfg)
-			}
-		}
-		if semiRes.LabelPath != labels {
-			blockio.Remove(semiRes.LabelPath, cfg)
-		}
 	}
 
 	result.LabelPath = labels

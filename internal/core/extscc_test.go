@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"math/rand"
+	"path"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +14,7 @@ import (
 	"extscc/internal/iomodel"
 	"extscc/internal/memgraph"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 // testConfig returns a configuration whose node capacity is nodeCap, forcing
@@ -372,5 +376,64 @@ func TestExtSCCKeepTemp(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("Cleanup left %d files in the run directory", len(left))
+	}
+}
+
+func TestExtSCCFreesIntermediateGraphs(t *testing.T) {
+	// Expansion never reads G_i, so a run drops each contracted graph's
+	// files once the next contraction (or the base case) has read them:
+	// after iteration k the run directory holds G_k's edge and node files
+	// only, while KeepTemp keeps all k of them.  The input graph's files
+	// are never touched.
+	edges := graphgen.Random(300, 900, 5)
+	for _, keep := range []bool{false, true} {
+		mem := storage.NewMem()
+		cfg := testConfig(t, 20)
+		cfg.Storage, cfg.TempDir = mem, "/run"
+		g, err := edgefile.WriteGraph("/in", edges, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(files []string, prefix string) int {
+			n := 0
+			for _, f := range files {
+				if strings.HasPrefix(path.Base(f), prefix) {
+					n++
+				}
+			}
+			return n
+		}
+		var iterations int
+		opts := Options{Optimized: true, KeepTemp: keep, OnIteration: func(it IterationStats) {
+			iterations++
+			files, err := mem.List("/run")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want := 1
+			if keep {
+				want = it.Index
+			}
+			for _, prefix := range []string{"next-edges-", "cover-"} {
+				if n := count(files, prefix); n != want {
+					t.Errorf("keep=%v, after iteration %d: %d %s files in the run directory, want %d", keep, it.Index, n, prefix, want)
+				}
+			}
+		}}
+		res, err := ExtSCC(context.Background(), g, "/run", opts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iterations < 2 {
+			t.Fatalf("keep=%v: %d contraction iterations; the check needs at least 2", keep, iterations)
+		}
+		if in, _ := mem.List("/in"); !slices.Equal(in, []string{g.EdgePath, g.NodePath}) { // List sorts: graph-edges-… < graph-nodes-…
+			t.Fatalf("keep=%v: input directory holds %v, want the input graph's two files", keep, in)
+		}
+		if left, _ := mem.List(res.RunDir); !keep && !slices.Equal(left, []string{res.LabelPath}) {
+			t.Fatalf("run directory holds %v, want only the label file %s", left, res.LabelPath)
+		}
+		res.Cleanup()
 	}
 }

@@ -327,55 +327,12 @@ func ComputeDegrees(eout, ein recio.Iterator[record.Edge], outPath string, requi
 	return w.Count(), nil
 }
 
-// SubtractNodes writes the sorted node file at aPath minus the sorted node
-// file at bPath to outPath (set difference A \ B) and returns its size.
-func SubtractNodes(aPath, bPath, outPath string, cfg iomodel.Config) (int64, error) {
-	aR, err := recio.NewReader(aPath, record.NodeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer aR.Close()
-	bR, err := recio.NewReader(bPath, record.NodeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer bR.Close()
-	w, err := recio.NewWriter(outPath, record.NodeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	a := recio.NewPeekable[record.NodeID](aR.Iter())
-	b := recio.NewPeekable[record.NodeID](bR.Iter())
-	for a.Valid() {
-		av := a.Peek()
-		for b.Valid() && b.Peek() < av {
-			b.Pop()
-		}
-		if b.Valid() && b.Peek() == av {
-			a.Pop()
-			continue
-		}
-		if err := w.Write(a.Pop()); err != nil {
-			w.Close()
-			return 0, err
-		}
-	}
-	if err := firstErr(a.Err(), b.Err()); err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
-}
-
-// MembershipFilter streams the edges of in (sorted by the join key selected
-// with byTarget) against the sorted node file at nodePath and writes to out
-// the edges whose key is (keep=true) or is not (keep=false) a member of the
-// node file.  It is the semi-join / anti-join primitive of Algorithms 4 and
-// 5 (V_{i+1} ✶ E).
-func MembershipFilter(in recio.Iterator[record.Edge], nodePath string, out recio.Sink[record.Edge], byTarget, keep bool, cfg iomodel.Config) error {
+// SplitByMembership streams the edges of in (sorted by the join key that
+// byTarget selects) against the sorted node file at nodePath, writing every
+// edge whose key is a member of the node file to members and every other
+// edge to others, each in input order.  It is the semi-join and the
+// anti-join of Algorithm 4 (V_{i+1} ✶ E and its complement) in one pass.
+func SplitByMembership(in recio.Iterator[record.Edge], nodePath string, members, others recio.Sink[record.Edge], byTarget bool, cfg iomodel.Config) error {
 	nR, err := recio.NewReader(nodePath, record.NodeCodec{}, cfg)
 	if err != nil {
 		return err
@@ -394,10 +351,12 @@ func MembershipFilter(in recio.Iterator[record.Edge], nodePath string, out recio
 		for nodes.Valid() && nodes.Peek() < k {
 			nodes.Pop()
 		}
-		if member := nodes.Valid() && nodes.Peek() == k; member == keep {
-			if err := out.Write(e); err != nil {
-				return err
-			}
+		out := others
+		if nodes.Valid() && nodes.Peek() == k {
+			out = members
+		}
+		if err := out.Write(e); err != nil {
+			return err
 		}
 	}
 }

@@ -2,6 +2,7 @@ package edgefile
 
 import (
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -204,96 +205,81 @@ func TestComputeDegrees(t *testing.T) {
 	}
 }
 
-func TestSubtractNodes(t *testing.T) {
+func TestSplitByMembership(t *testing.T) {
 	cfg := testConfig(t)
-	a := writeNodes(t, cfg, []record.NodeID{1, 2, 3, 4, 5})
-	b := writeNodes(t, cfg, []record.NodeID{2, 4, 9})
-	out := filepath.Join(t.TempDir(), "diff.bin")
-	n, err := SubtractNodes(a, b, out, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := recio.ReadAll(out, record.NodeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []record.NodeID{1, 3, 5}
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("difference = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("difference = %v, want %v", got, want)
+	edges := []record.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2}}
+	nodes := writeNodes(t, cfg, []record.NodeID{2, 4})
+	in := writeEdges(t, cfg, edges)
+	for _, tc := range []struct {
+		byTarget        bool
+		members, others []record.Edge
+	}{
+		// Edges into 2 (two of them) and into 4; only 2->3 has a target
+		// outside {2, 4}.
+		{true, []record.Edge{{U: 1, V: 2}, {U: 4, V: 2}, {U: 3, V: 4}}, []record.Edge{{U: 2, V: 3}}},
+		// Sources 2 and 4.
+		{false, []record.Edge{{U: 2, V: 3}, {U: 4, V: 2}}, []record.Edge{{U: 1, V: 2}, {U: 3, V: 4}}},
+	} {
+		key := record.EdgeBySource
+		if tc.byTarget {
+			key = record.EdgeByTarget
+		}
+		sorted := filepath.Join(t.TempDir(), "sorted.bin")
+		if err := SortEdges(in, sorted, key, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var members, others edgeSink
+		if err := SplitByMembership(edgeIter(t, cfg, sorted), nodes, &members, &others, tc.byTarget, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(members, tc.members) || !slices.Equal(others, tc.others) {
+			t.Fatalf("byTarget=%v: members %v, others %v; want %v and %v", tc.byTarget, members, others, tc.members, tc.others)
 		}
 	}
 }
 
-func TestMembershipFilter(t *testing.T) {
+func TestSplitByMembershipPartition(t *testing.T) {
+	// The two sinks partition the input: each keeps the input order, and an
+	// edge lands on the members side exactly when its key is a member.
 	cfg := testConfig(t)
-	edges := []record.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 2}}
-	nodes := writeNodes(t, cfg, []record.NodeID{2, 4})
-
-	byTarget := filepath.Join(t.TempDir(), "bt.bin")
-	in := writeEdges(t, cfg, edges)
-	if err := SortEdges(in, byTarget, record.EdgeByTarget, cfg); err != nil {
-		t.Fatal(err)
-	}
-	var keep edgeSink
-	if err := MembershipFilter(edgeIter(t, cfg, byTarget), nodes, &keep, true, true, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(keep) != 3 { // edges into 2 (two of them) and into 4
-		t.Fatalf("kept %d edges, want 3", len(keep))
-	}
-	var drop edgeSink
-	if err := MembershipFilter(edgeIter(t, cfg, byTarget), nodes, &drop, true, false, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(drop) != 1 { // only 2->3 has a target outside {2,4}
-		t.Fatalf("dropped-side has %d edges, want 1", len(drop))
-	}
-
-	bySource := filepath.Join(t.TempDir(), "bs.bin")
-	if err := SortEdges(in, bySource, record.EdgeBySource, cfg); err != nil {
-		t.Fatal(err)
-	}
-	var keepSrc edgeSink
-	if err := MembershipFilter(edgeIter(t, cfg, bySource), nodes, &keepSrc, false, true, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(keepSrc) != 2 { // sources 2 and 4
-		t.Fatalf("kept %d edges by source, want 2", len(keepSrc))
-	}
-}
-
-func TestMembershipFilterPartition(t *testing.T) {
-	// keep=true plus keep=false must partition the input exactly.
-	cfg := testConfig(t)
-	f := func(raw []uint16, members []uint16) bool {
+	f := func(raw []uint16, members []uint16, byTarget bool) bool {
 		edges := make([]record.Edge, 0, len(raw)/2)
 		for i := 0; i+1 < len(raw); i += 2 {
 			edges = append(edges, record.Edge{U: uint32(raw[i] % 32), V: uint32(raw[i+1] % 32)})
 		}
-		sort.Slice(edges, func(i, j int) bool { return record.EdgeByTarget(edges[i]).Less(record.EdgeByTarget(edges[j])) })
-		nodeSet := map[record.NodeID]struct{}{}
+		key := record.EdgeBySource
+		if byTarget {
+			key = record.EdgeByTarget
+		}
+		sort.Slice(edges, func(i, j int) bool { return key(edges[i]).Less(key(edges[j])) })
+		nodeSet := map[record.NodeID]bool{}
 		for _, m := range members {
-			nodeSet[record.NodeID(m%32)] = struct{}{}
+			nodeSet[record.NodeID(m%32)] = true
 		}
 		var nodes []record.NodeID
 		for n := range nodeSet {
 			nodes = append(nodes, n)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 
 		np := writeNodes(t, cfg, nodes)
 		var a, b edgeSink
-		if err := MembershipFilter(recio.NewSliceIterator(edges), np, &a, true, true, cfg); err != nil {
+		if err := SplitByMembership(recio.NewSliceIterator(edges), np, &a, &b, byTarget, cfg); err != nil {
 			return false
 		}
-		if err := MembershipFilter(recio.NewSliceIterator(edges), np, &b, true, false, cfg); err != nil {
-			return false
+		var wantA, wantB edgeSink
+		for _, e := range edges {
+			k := e.U
+			if byTarget {
+				k = e.V
+			}
+			if nodeSet[k] {
+				wantA = append(wantA, e)
+			} else {
+				wantB = append(wantB, e)
+			}
 		}
-		return len(a)+len(b) == len(edges)
+		return slices.Equal(a, wantA) && slices.Equal(b, wantB)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

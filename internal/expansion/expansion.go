@@ -6,11 +6,17 @@
 // For a removed node v, Lemma 6.4 shows SCC(v, G_i) is determined by the SCC
 // sets of its in-neighbours and out-neighbours in G_i: if the two sets share
 // a component, v belongs to that (unique) component; otherwise v is a
-// singleton SCC.
+// singleton SCC.  A removed neighbour has no label in SCC_{i+1}, so only the
+// edges between v and its kept neighbours count: the E_del edges that
+// contraction step i hands over in its removed-step file.  A step reads that
+// file and the labels of V_{i+1}, never G_i.  It writes the annotated in- and
+// out-edges (aug-in-annotated, aug-out-annotated), the in side sorted for the
+// intersection (aug-in), the removed nodes' labels and SCC_i.
 package expansion
 
 import (
 	"context"
+	"io"
 
 	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
@@ -22,9 +28,22 @@ import (
 
 // Input bundles what one expansion step needs.
 type Input struct {
-	// EdgePath is the edge file of G_i (any order).
+	// EdgePath is the edge file of G_i.  It is not read, since the
+	// removed-step file carries every edge a step needs; the field stays
+	// only because perfbench's replica of the engine (perfbench/batch.go)
+	// sets it.
 	EdgePath string
-	// RemovedPath is the sorted node file of V_i - V_{i+1}.
+	// RemovedPath is contraction step i's removed-step file
+	// (contraction.Result.RemovedPath): per removed node v of V_i - V_{i+1},
+	// in id order, the marker (v, v), then v's in-edges (u, v) in u order,
+	// then its out-edges (v, w) in w order, without self-loops.  The cover
+	// is a vertex cover of E_d, so every edge but a marker has exactly one
+	// removed endpoint, its group's node; a removed node without kept
+	// neighbours has its marker alone and becomes a singleton.  In the
+	// optimised variant the edges come from the Type-1-trimmed E_d, which
+	// gives the same labels: a trimmed neighbour is removed, so it has no
+	// label in SCC_{i+1}, and a trimmed removed node lacks in-edges or
+	// out-edges, so it is a singleton either way.
 	RemovedPath string
 	// KeptLabelsPath is the label file of V_{i+1} (SCC_{i+1}), sorted by node.
 	KeptLabelsPath string
@@ -137,11 +156,10 @@ func (e *expander) run() (Result, error) {
 	}, nil
 }
 
-// augment implements the augment(E) procedure of Algorithm 5 over the edges
-// of G_i, reversed when reversed is set: it keeps the edges whose target is a
-// removed node, annotates the source endpoint with its SCC in the contracted
-// graph (edges from unlabelled, i.e. also-removed, neighbours are dropped —
-// such neighbours are trivial SCCs and can never witness membership), and
+// augment implements the augment(E) procedure of Algorithm 5 over E_del:
+// it scans the removed-step file and pushes every removed node's in-edges,
+// or with reversed its out-edges reversed, into a sort by source, annotates
+// the source (a kept neighbour) with its SCC in the contracted graph, and
 // returns the stream of the result sorted by (target, SCC, source).
 func (e *expander) augment(reversed bool) (*extsort.Stream[record.EdgeSCC], error) {
 	suffix := "in"
@@ -149,23 +167,17 @@ func (e *expander) augment(reversed bool) (*extsort.Stream[record.EdgeSCC], erro
 		suffix = "out"
 	}
 
-	// Sort by target, pushing reversed edges straight into the sort, and
-	// keep only edges into removed nodes.
-	byTarget, err := e.sortByTarget(reversed)
+	// Sort by source, pushing the edges of the removed side straight into
+	// the sort, and annotate the source with its SCC label.
+	rw, err := extsort.NewContext(e.ctx, record.EdgeCodec{}, record.EdgeBySource, e.cfg).RunWriter()
 	if err != nil {
 		return nil, err
 	}
-	toRemoved := e.temp("aug-" + suffix + "-to-removed")
-	_, err = recio.WriteFile(toRemoved, record.EdgeCodec{}, e.cfg, func(w recio.Sink[record.Edge]) error {
-		return edgefile.MembershipFilter(byTarget, e.in.RemovedPath, w, true, true, e.cfg)
-	})
-	byTarget.Close()
-	if err != nil {
+	if err := e.scanRemoved(reversed, rw); err != nil {
+		rw.Abort()
 		return nil, err
 	}
-
-	// Sort by source and annotate the source with its SCC label.
-	bySource, err := extsort.NewContext(e.ctx, record.EdgeCodec{}, record.EdgeBySource, e.cfg).SortPath(toRemoved)
+	bySource, err := rw.Sort()
 	if err != nil {
 		return nil, err
 	}
@@ -181,22 +193,36 @@ func (e *expander) augment(reversed bool) (*extsort.Stream[record.EdgeSCC], erro
 	return extsort.NewContext(e.ctx, record.EdgeSCCCodec{}, record.EdgeSCCByTargetSCC, e.cfg).SortPath(annotated)
 }
 
-// sortByTarget returns the stream of G_i's edges, reversed when reversed is
-// set, sorted by target.
-func (e *expander) sortByTarget(reversed bool) (*extsort.Stream[record.Edge], error) {
-	sorter := extsort.NewContext(e.ctx, record.EdgeCodec{}, record.EdgeByTarget, e.cfg)
-	if !reversed {
-		return sorter.SortPath(e.in.EdgePath)
-	}
-	rw, err := sorter.RunWriter()
+// scanRemoved writes to out every in-edge (u, v) of the removed-step file,
+// or with reversed every out-edge (v, w) reversed to (w, v), so that the
+// removed node is the target either way.
+func (e *expander) scanRemoved(reversed bool, out recio.Sink[record.Edge]) error {
+	r, err := recio.NewReader(e.in.RemovedPath, record.EdgeCodec{}, e.cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := edgefile.ReverseEdges(e.in.EdgePath, rw, e.cfg); err != nil {
-		rw.Abort()
-		return nil, err
+	defer r.Close()
+	var v record.NodeID
+	for {
+		edge, err := r.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		switch {
+		case edge.U == edge.V:
+			v = edge.U // the marker of the next group
+		case !reversed && edge.V == v:
+			err = out.Write(edge)
+		case reversed && edge.U == v:
+			err = out.Write(edge.Reverse())
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return rw.Sort()
 }
 
 // annotateWithLabels merge-joins the edge stream edges (sorted by source)
@@ -232,17 +258,17 @@ func (e *expander) annotateWithLabels(edges recio.Iterator[record.Edge], outPath
 }
 
 // intersect merge-joins E'_in (the file at einPath), E'_out (the stream
-// eout) and the removed-node list on the removed node, intersecting the two
-// (sorted) SCC sets of each node.  A non-empty intersection pins the node to
-// that SCC (Lemma 6.2); otherwise the node is a singleton SCC labelled with
-// its own id (Lemma 6.3).
+// eout) and the removed nodes, the markers of the removed-step file, on the
+// removed node, intersecting the two (sorted) SCC sets of each node.  A
+// non-empty intersection pins the node to that SCC (Lemma 6.2); otherwise
+// the node is a singleton SCC labelled with its own id (Lemma 6.3).
 func (e *expander) intersect(einPath string, eout recio.Iterator[record.EdgeSCC], outPath string) (recovered, singletons int64, err error) {
 	inR, err := recio.NewReader(einPath, record.EdgeSCCCodec{}, e.cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer inR.Close()
-	remR, err := recio.NewReader(e.in.RemovedPath, record.NodeCodec{}, e.cfg)
+	remR, err := recio.NewReader(e.in.RemovedPath, record.EdgeCodec{}, e.cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -254,10 +280,14 @@ func (e *expander) intersect(einPath string, eout recio.Iterator[record.EdgeSCC]
 
 	ins := recio.NewPeekable[record.EdgeSCC](inR.Iter())
 	outs := recio.NewPeekable(eout)
-	removed := recio.NewPeekable[record.NodeID](remR.Iter())
+	removed := recio.NewPeekable[record.Edge](remR.Iter())
 
 	for removed.Valid() {
-		v := removed.Pop()
+		marker := removed.Pop()
+		if marker.U != marker.V {
+			continue // one of the group's edges
+		}
+		v := marker.U
 		// Advance both annotated streams to node v's group and intersect the
 		// two ascending SCC sequences.
 		for ins.Valid() && ins.Peek().V < v {

@@ -2,6 +2,7 @@ package expansion
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"extscc/internal/contraction"
@@ -61,6 +62,14 @@ func contractThenExpand(t *testing.T, edges []record.Edge, nodes []record.NodeID
 	got, err := recio.ReadAll(eres.LabelPath, record.LabelCodec{}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// G_i's edge file is not read: the removed-step file carries E_del.
+	bare, err := Expand(Input{RemovedPath: cres.RemovedPath, KeptLabelsPath: keptPath}, cfg.TempDir, cfg)
+	if err != nil {
+		t.Fatalf("Expand without EdgePath (optimized=%v): %v", optimized, err)
+	}
+	if gotBare, err := recio.ReadAll(bare.LabelPath, record.LabelCodec{}, cfg); err != nil || !slices.Equal(gotBare, got) {
+		t.Fatalf("labels without EdgePath differ (optimized=%v, err=%v)", optimized, err)
 	}
 	want := memgraph.FromEdges(edges, nodes).Tarjan().Labels()
 	if !memgraph.SameSCCPartition(got, want) {

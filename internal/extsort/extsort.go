@@ -65,8 +65,10 @@ import (
 const checkEvery = 8192
 
 // consumerBlocks is the number of block buffers a Stream leaves to its
-// consumer.  The widest consumer, expansion's intersect, reads two files and
-// writes one besides the stream it pulls.
+// consumer.  The widest consumers hold three besides the stream they pull:
+// contraction's split reads the cover and writes next-edges and eout-del,
+// and expansion's intersect reads aug-in and the removed-step file and
+// writes the removed nodes' labels.
 const consumerBlocks = 3
 
 // Sorter sorts record files of type T by a fixed key function.

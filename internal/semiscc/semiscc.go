@@ -484,25 +484,28 @@ func (x *idIndex) lookup(id record.NodeID) (int32, bool) {
 	return 0, false
 }
 
-// CountSCCsInFile returns the number of distinct SCC identifiers in the label
-// file at path.  It streams the file, keeping one entry per distinct SCC in
-// memory.
+// CountSCCsInFile returns the number of SCCs in the label file at path.
+// Every SCC id of an Ext-SCC labelling is the id of one of the component's
+// members (core.Result), so the count is the number of nodes labelled with
+// their own id: one streaming scan in constant memory, however many
+// components there are.
 func CountSCCsInFile(path string, cfg iomodel.Config) (int64, error) {
 	r, err := recio.NewReader(path, record.LabelCodec{}, cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	seen := map[record.SCCID]struct{}{}
+	var n int64
 	for {
 		l, err := r.Read()
 		if err == io.EOF {
-			break
+			return n, nil
 		}
 		if err != nil {
 			return 0, err
 		}
-		seen[l.SCC] = struct{}{}
+		if l.Node == l.SCC {
+			n++
+		}
 	}
-	return int64(len(seen)), nil
 }

@@ -2,6 +2,7 @@ package semiscc
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -297,6 +298,39 @@ func TestCountSCCsInFile(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("CountSCCsInFile = %d, want 3", n)
+	}
+}
+
+func TestCountSCCsInFileConstantMemory(t *testing.T) {
+	// The count keeps nothing per component: counting 2^16 singletons
+	// allocates no more than counting one component of 2^16 nodes.
+	cfg := testConfig(t)
+	const n = 1 << 16
+	alloc := func(name string, scc func(record.NodeID) record.SCCID, want int64) uint64 {
+		path := cfg.TempDir + "/" + name
+		labels := make([]record.Label, n)
+		for i := range labels {
+			labels[i] = record.Label{Node: record.NodeID(i), SCC: scc(record.NodeID(i))}
+		}
+		if err := recio.WriteSlice(path, record.LabelCodec{}, cfg, labels); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := CountSCCsInFile(path, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: CountSCCsInFile = %d, want %d", name, got, want)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := alloc("one.bin", func(record.NodeID) record.SCCID { return 0 }, 1)
+	singletons := alloc("singletons.bin", func(v record.NodeID) record.SCCID { return v }, n)
+	if singletons > one+4096 {
+		t.Fatalf("counting %d singletons allocated %d bytes, one component %d", n, singletons, one)
 	}
 }
 
