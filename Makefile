@@ -117,18 +117,23 @@ serve-smoke:
 # must be absorbed by -retry on both backends (the torn flavor on the os leg
 # pins the truncate-and-rewrite recovery against real seek-offset
 # semantics), and a corrupting plan must fail the run with a typed
-# corruption message, never a wrong answer.  The run makes 22 reads under
-# its run directory, so the read rule's n=15 lands mid-run; each retry leg
-# fails unless sccrun reports both faults recovered.
+# corruption message, never a wrong answer.  The retry legs run at node
+# budget 15,000, where the 20,000-node graph contracts three times, and both
+# faults land inside the first contraction step's cover scan while E_d's
+# sort stream is open: the torn write is the 64th write under the run
+# directory, a block of ein-trim (after staging, eout, vout and E_d's runs),
+# and the transient read the 56th read, a block of one of E_d's runs as the
+# streamed merge feeds the scan.  Each retry leg fails unless sccrun reports
+# both faults recovered.
 faultsweep:
-	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve \
+	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve ./internal/contraction \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
-	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=15,mode=transient,path=extscc-engine-' \
-		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 | tee FAULT_os.log
+	EXTSCC_FAULT='op=write,n=64,mode=torn,path=extscc-engine-;op=read,n=56,mode=transient,path=extscc-engine-' \
+		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -node-budget 15000 -retry 3 | tee FAULT_os.log
 	grep -q '^retries: 2 ' FAULT_os.log || { echo "os leg: the torn write and the transient read were not both recovered"; exit 1; }
-	EXTSCC_FAULT='op=write,n=5,mode=torn,path=extscc-engine-;op=read,n=15,mode=transient,path=extscc-engine-' \
-		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -retry 3 -codec varint | tee FAULT_mem.log
+	EXTSCC_FAULT='op=write,n=64,mode=torn,path=extscc-engine-;op=read,n=56,mode=transient,path=extscc-engine-' \
+		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -node-budget 15000 -retry 3 -codec varint | tee FAULT_mem.log
 	grep -q '^retries: 2 ' FAULT_mem.log || { echo "mem leg: the torn write and the transient read were not both recovered"; exit 1; }
 	@echo "expecting the corrupting run below to fail with a corruption error:"
 	! EXTSCC_FAULT='op=read,n=1,count=0,mode=corrupt,path=extscc-engine-' \

@@ -302,11 +302,13 @@ func (r *Reader) Close() error {
 }
 
 // Remove deletes the file at path from cfg's storage backend, ignoring
-// not-exist errors.  It is the cleanup helper used for intermediate files.
+// not-exist errors and retrying a transient failure as cfg allows.  It is
+// the cleanup helper used for intermediate files.
 func Remove(path string, cfg iomodel.Config) error {
-	err := cfg.Backend().Remove(path)
-	if err != nil && !storage.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return newRetrier(cfg).do(func() error {
+		if err := cfg.Backend().Remove(path); err != nil && !storage.IsNotExist(err) {
+			return err
+		}
+		return nil
+	})
 }

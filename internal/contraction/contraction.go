@@ -9,21 +9,25 @@
 // Every step is a sequential scan, a merge join of sorted files and sort
 // streams, or an external sort, so the phase performs no random I/O.  A step
 // writes each of its files once: eout (G_i's deduplicated edges by source),
-// ein (by target; unoptimised only), the degree table vd, E_d (ed), ein-trim
-// (E_d as plain edges, optimised only, which the cover scan writes as it
-// reads E_d), the cover, the removed nodes' in-edges edel and out-edges
-// eout-del (one split pass over the in-edge list cuts them off on its way to
-// E_pre), next-edges (E_pre, then E_add) and the removed-step file.
-// Expansion needs only E_del, the removed nodes' edges to kept neighbours
-// (Lemma 6.4), so the removed-step file hands those over and expansion never
-// reads G_i.
+// the out-degree table vout and the degree table vd (one scan of eout writes
+// vout and sorts the targets, whose runs of equal ids are the in-degrees),
+// ein-trim (E_d as plain edges, sorted by target; in the unoptimised variant
+// nothing is trimmed and it is all of E_in), the cover candidates cover-raw
+// and the cover, the removed nodes' in-edges edel and out-edges eout-del
+// (one split pass over ein-trim cuts them off on its way to E_pre),
+// next-edges (E_pre, then E_add) and the removed-step file.  E_d itself,
+// the degree-augmented edge list, is never a file: its sort by target
+// streams into the cover scan, which writes ein-trim and cover-raw as it
+// reads E_d.  Expansion needs only E_del, the removed nodes' edges to kept
+// neighbours (Lemma 6.4), so the removed-step file hands those over and
+// expansion never reads G_i.
 package contraction
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
-	"io"
+	"unsafe"
 
 	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
@@ -145,34 +149,26 @@ func (c *contractor) run() (Result, error) {
 		return Result{}, err
 	}
 
-	// Step 2: the degree table V_d, from E_out and E_in, the same edges
-	// sorted by target.  Type-1 node reduction keeps only nodes with both a
-	// positive in-degree and a positive out-degree.
+	// Step 2: the degree table V_d.  Type-1 node reduction keeps only nodes
+	// with both a positive in-degree and a positive out-degree.
 	if err := c.ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	vd := c.temp("vd")
-	ein, err := c.computeDegrees(eout, vd)
-	if err != nil {
+	if err := c.computeDegrees(eout, vd); err != nil {
 		return Result{}, err
 	}
 
-	// Step 3: the degree-augmented edge list E_d, sorted by target.
+	// Steps 3 and 4: V_{i+1}, the vertex cover of (the Type-1-trimmed) G_i,
+	// from one scan of E_d, the degree-augmented edge list sorted by target.
+	// The rewiring operates on E_d's projection, which the cover scan writes
+	// as it reads E_d: in optimised mode the trimmed edge list, so every
+	// created edge has both ends in V_{i+1}, and otherwise all of E_in.
 	ed, err := c.buildEd(eout, vd)
 	if err != nil {
 		return Result{}, err
 	}
-
-	// Step 4: V_{i+1}, the vertex cover of (the Type-1-trimmed) G_i.  In
-	// optimised mode the rewiring operates on the trimmed edge list (the
-	// projection of E_d), so every created edge has both ends in V_{i+1};
-	// the cover scan writes it as it reads E_d.
-	baseEin, einTrim := ein, ""
-	if c.opts.Optimized {
-		einTrim = c.temp("ein-trim")
-		baseEin = einTrim
-	}
-	coverPath, numCover, err := c.buildCover(ed, einTrim)
+	einTrim, coverPath, numCover, err := c.buildCover(ed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,7 +189,7 @@ func (c *contractor) run() (Result, error) {
 		return Result{}, err
 	}
 	defer next.Close()
-	edel, eoutDel, err := c.splitEdges(baseEin, coverPath, next)
+	edel, eoutDel, err := c.splitEdges(einTrim, coverPath, next)
 	if err != nil {
 		return Result{}, err
 	}
@@ -232,188 +228,217 @@ func (c *contractor) edgeSorter(key func(record.Edge) record.Key) *extsort.Sorte
 	return extsort.NewContext(c.ctx, record.EdgeCodec{}, key, c.cfg)
 }
 
-// computeDegrees writes the degree table V_d of the edge file eout (sorted
-// by source) to vd and returns the path of E_in, the same edges sorted by
-// target.  In optimised mode nothing but the degree scan reads E_in, so its
-// sort streams into the scan and the returned path is empty.
-func (c *contractor) computeDegrees(eout, vd string) (string, error) {
-	var ein string
-	var in recio.Iterator[record.Edge]
-	if c.opts.Optimized {
-		st, err := c.edgeSorter(record.EdgeByTarget).SortPath(eout)
-		if err != nil {
-			return "", err
-		}
-		defer st.Close()
-		in = st
-	} else {
-		ein = c.temp("ein")
-		if err := edgefile.SortEdgesContext(c.ctx, eout, ein, record.EdgeByTarget, c.cfg); err != nil {
-			return "", err
-		}
-		inR, err := recio.NewReader(ein, record.EdgeCodec{}, c.cfg)
-		if err != nil {
-			return "", err
-		}
-		defer inR.Close()
-		in = inR.Iter()
-	}
-	outR, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
-	if err != nil {
-		return "", err
-	}
-	defer outR.Close()
-	_, err = edgefile.ComputeDegrees(outR.Iter(), in, vd, c.opts.Optimized, c.cfg)
-	return ein, err
+// nodeSorter returns a sorter of node ids.
+func (c *contractor) nodeSorter() *extsort.Sorter[record.NodeID] {
+	return extsort.NewContext(c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg)
 }
 
-// buildEd produces E_d: every edge augmented with the comparison keys of both
-// endpoints (lines 5-7 of Algorithm 3), sorted by (target, source).  Edges
-// with an endpoint missing from V_d (possible only under Type-1 reduction)
-// are dropped.  The join on the source pushes its output straight into the
-// re-sort by target, whose stream feeds the join on the target.
-func (c *contractor) buildEd(eout, vd string) (string, error) {
-	refined := c.opts.Optimized
-	rw, err := extsort.NewContext(c.ctx, record.EdgeAugCodec{}, record.EdgeAugByTarget, c.cfg).RunWriter()
+// computeDegrees writes the degree table V_d of the edge file eout (sorted
+// by source) to vd.  One scan of eout writes the out-degree table vout and
+// pushes every target into a sort of node ids, whose stream ComputeDegrees
+// merges with vout.
+func (c *contractor) computeDegrees(eout, vd string) error {
+	rw, err := c.nodeSorter().RunWriter()
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer rw.Abort()
 	r, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return "", err
+		return err
 	}
-	err = joinEdgesWithDegrees(augmented{r.Iter()}, vd, rw, false, refined, c.cfg)
+	vout := c.temp("vout")
+	_, err = recio.WriteFile(vout, record.NodeDegreeCodec{}, c.cfg, func(w recio.Sink[record.NodeDegree]) error {
+		return edgefile.OutDegrees(r.Iter(), w, rw)
+	})
 	r.Close()
 	if err != nil {
-		return "", err
+		return err
 	}
-	byTarget, err := rw.Sort()
+	targets, err := rw.Sort()
 	if err != nil {
-		return "", err
+		return err
 	}
-	defer byTarget.Close()
-	ed := c.temp("ed")
-	_, err = recio.WriteFile(ed, record.EdgeAugCodec{}, c.cfg, func(w recio.Sink[record.EdgeAug]) error {
-		return joinEdgesWithDegrees(byTarget, vd, w, true, refined, c.cfg)
-	})
-	return ed, err
+	defer targets.Close()
+	outR, err := recio.NewReader(vout, record.NodeDegreeCodec{}, c.cfg)
+	if err != nil {
+		return err
+	}
+	defer outR.Close()
+	_, err = edgefile.ComputeDegrees(outR.Iter(), targets, vd, c.opts.Optimized, c.cfg)
+	return err
 }
 
-// augmented lifts a plain edge stream to augmented edges with both keys
-// unset.
-type augmented struct{ edges recio.Iterator[record.Edge] }
+// buildEd returns E_d: every edge augmented with the comparison keys of both
+// endpoints (lines 5-7 of Algorithm 3), sorted by (target, source).  Edges
+// with an endpoint missing from V_d (possible only under Type-1 reduction)
+// are dropped.  The join on the source pushes its output straight into the
+// re-sort by target, and the returned stream is that sort's stream joined
+// on the target; its consumer closes it.  The sort reserves the Type-2
+// dictionary's memory, which the consumer holds beside the stream.
+func (c *contractor) buildEd(eout, vd string) (*joined, error) {
+	r, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
+	if err != nil {
+		return nil, err
+	}
+	bySource, err := c.joinDegrees(augmented{r, r.Iter()}, vd, false)
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	var reserve int64 // the cover scan's Type-2 dictionary
+	if c.opts.Optimized {
+		reserve = type2DictBytes(c.type2DictSize())
+	}
+	sorter := extsort.NewContext(c.ctx, record.EdgeAugCodec{}, record.EdgeAugByTarget, c.cfg)
+	sorted, err := sorter.Reserve(reserve).Sort(bySource)
+	bySource.Close()
+	if err != nil {
+		return nil, err
+	}
+	ed, err := c.joinDegrees(sorted, vd, true)
+	if err != nil {
+		sorted.Close()
+		return nil, err
+	}
+	return ed, nil
+}
+
+// edgeAugStream is an augmented-edge stream that holds a file or a sort's
+// run files open until Close.
+type edgeAugStream interface {
+	recio.Iterator[record.EdgeAug]
+	Close() error
+}
+
+// augmented lifts a plain edge file's records to augmented edges with both
+// keys unset.
+type augmented struct {
+	r     *recio.Reader[record.Edge]
+	edges recio.Iterator[record.Edge]
+}
 
 func (a augmented) Next() (record.EdgeAug, bool, error) {
 	e, ok, err := a.edges.Next()
 	return record.EdgeAug{U: e.U, V: e.V}, ok, err
 }
 
-// joinEdgesWithDegrees merge-joins an augmented-edge stream with the degree
-// table at vdPath and writes the joined edges to out, filling the key of the
-// source endpoint (byTarget=false, input sorted by source) or of the target
-// endpoint (byTarget=true, input sorted by target).
-func joinEdgesWithDegrees(in recio.Iterator[record.EdgeAug], vdPath string, out recio.Sink[record.EdgeAug], byTarget, refined bool, cfg iomodel.Config) error {
-	vdR, err := recio.NewReader(vdPath, record.NodeDegreeCodec{}, cfg)
+func (a augmented) Close() error { return a.r.Close() }
+
+// joined merge-joins an augmented-edge stream with the degree table V_d,
+// filling the key of the source endpoint (byTarget=false, input sorted by
+// source) or of the target endpoint (byTarget=true, input sorted by target).
+// An edge whose endpoint is missing from V_d (trimmed by Type-1 reduction)
+// is dropped.
+type joined struct {
+	in       edgeAugStream
+	vd       *recio.Reader[record.NodeDegree]
+	degrees  *recio.Peekable[record.NodeDegree]
+	byTarget bool
+	refined  bool
+}
+
+// joinDegrees opens the degree table at vd and joins in with it.  The
+// joined stream owns in.
+func (c *contractor) joinDegrees(in edgeAugStream, vd string, byTarget bool) (*joined, error) {
+	r, err := recio.NewReader(vd, record.NodeDegreeCodec{}, c.cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer vdR.Close()
-	degrees := recio.NewPeekable[record.NodeDegree](vdR.Iter())
+	return &joined{in: in, vd: r, degrees: recio.NewPeekable(r.Iter()), byTarget: byTarget, refined: c.opts.Optimized}, nil
+}
+
+// Next implements recio.Iterator.
+func (j *joined) Next() (record.EdgeAug, bool, error) {
 	for {
-		rec, ok, err := in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return degrees.Err()
+		rec, ok, err := j.in.Next()
+		if err != nil || !ok {
+			if err == nil {
+				err = j.degrees.Err()
+			}
+			return record.EdgeAug{}, false, err
 		}
 		node := rec.U
-		if byTarget {
+		if j.byTarget {
 			node = rec.V
 		}
-		for degrees.Valid() && degrees.Peek().Node < node {
-			degrees.Pop()
+		for j.degrees.Valid() && j.degrees.Peek().Node < node {
+			j.degrees.Pop()
 		}
-		if !degrees.Valid() || degrees.Peek().Node != node {
+		if !j.degrees.Valid() || j.degrees.Peek().Node != node {
+			if err := j.degrees.Err(); err != nil {
+				return record.EdgeAug{}, false, err
+			}
 			continue // endpoint trimmed by Type-1 reduction
 		}
-		if byTarget {
-			rec.KeyV = degrees.Peek().Key(refined)
+		if key := j.degrees.Peek().Key(j.refined); j.byTarget {
+			rec.KeyV = key
 		} else {
-			rec.KeyU = degrees.Peek().Key(refined)
+			rec.KeyU = key
 		}
-		if err := out.Write(rec); err != nil {
-			return err
-		}
+		return rec, true, nil
 	}
 }
 
-// buildCover scans E_d once, adds the greater endpoint of every edge to the
-// cover (lines 8-9 of Algorithm 3, with the Type-2 dictionary of Section VII
-// in optimised mode), then sorts and deduplicates the cover node list.  The
-// scan pushes the cover nodes straight into the sort, whose stream feeds the
-// deduplication.  Unless einTrim is empty, the scan also projects E_d to
-// plain edges into the file at einTrim, which keeps E_d's (target, source)
-// order.  It returns the cover file and |V_{i+1}|.
-func (c *contractor) buildCover(ed, einTrim string) (string, int64, error) {
-	rw, err := extsort.NewContext(c.ctx, record.NodeCodec{}, record.NodeByID, c.cfg).RunWriter()
-	if err != nil {
-		return "", 0, err
+// Close closes the input and the degree table's reader.
+func (j *joined) Close() error {
+	err := j.in.Close()
+	if verr := j.vd.Close(); err == nil {
+		err = verr
 	}
-	defer rw.Abort()
-	if einTrim != "" {
-		_, err = recio.WriteFile(einTrim, record.EdgeCodec{}, c.cfg, func(trim recio.Sink[record.Edge]) error {
-			return c.scanCover(ed, rw, trim)
+	return err
+}
+
+// buildCover scans E_d once (lines 8-9 of Algorithm 3, with the Type-2
+// dictionary of Section VII in optimised mode) and closes it.  The scan
+// writes two files: E_d projected to plain edges, ein-trim, which keeps
+// E_d's (target, source) order, and the cover candidates, cover-raw.  A
+// stream may not feed another sort's run formation, so the candidates are
+// a file; it is then sorted and deduplicated into the cover node list.  It
+// returns ein-trim, the cover file and |V_{i+1}|.
+func (c *contractor) buildCover(ed *joined) (einTrim, cover string, numCover int64, err error) {
+	einTrim, raw := c.temp("ein-trim"), c.temp("cover-raw")
+	_, err = recio.WriteFile(einTrim, record.EdgeCodec{}, c.cfg, func(proj recio.Sink[record.Edge]) error {
+		_, err := recio.WriteFile(raw, record.NodeCodec{}, c.cfg, func(cands recio.Sink[record.NodeID]) error {
+			return c.scanCover(ed, proj, cands)
 		})
-	} else {
-		err = c.scanCover(ed, rw, nil)
+		return err
+	})
+	if cerr := ed.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		return "", 0, err
+		return "", "", 0, err
 	}
-	sorted, err := rw.Sort()
+	sorted, err := c.nodeSorter().SortPath(raw)
 	if err != nil {
-		return "", 0, err
+		return "", "", 0, err
 	}
 	defer sorted.Close()
-	cover := c.temp("cover")
-	numCover, err := edgefile.DedupeNodes(sorted, cover, c.cfg)
+	cover = c.temp("cover")
+	numCover, err = edgefile.DedupeNodes(sorted, cover, c.cfg)
 	if err != nil {
-		return "", 0, err
+		return "", "", 0, err
 	}
-	return cover, numCover, nil
+	return einTrim, cover, numCover, nil
 }
 
-// scanCover writes to out the cover node of every edge of the E_d file at
-// ed that the Type-2 dictionary does not already cover, and every edge of
-// E_d, projected to a plain edge, to trim unless it is nil.
-func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID], trim recio.Sink[record.Edge]) error {
-	r, err := recio.NewReader(ed, record.EdgeAugCodec{}, c.cfg)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-
+// scanCover drains E_d, sorted by (target, source).  It writes every edge,
+// projected to a plain edge, to proj, and the cover node of every edge that
+// the Type-2 dictionary does not already cover to cands.  A cover node that
+// the dictionary retains, or that equals the last one written, was written
+// before and is skipped, so cands is smaller than E_d but holds every node
+// of the cover.
+func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], proj recio.Sink[record.Edge], cands recio.Sink[record.NodeID]) error {
 	var dict *type2Dict
 	if c.opts.Optimized {
-		size := c.opts.Type2DictSize
-		if size <= 0 {
-			// One quarter of the memory budget, ~16 bytes per retained entry.
-			size = int(c.cfg.Memory / 4 / 16)
-			if size < 16 {
-				size = 16
-			}
-		}
-		dict = newType2Dict(size)
+		dict = newType2Dict(c.type2DictSize())
 	}
-
+	var last record.NodeID
+	wrote := false
 	for scanned := 1; ; scanned++ {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+		rec, ok, err := ed.Next()
+		if err != nil || !ok {
 			return err
 		}
 		if scanned%checkEvery == 0 {
@@ -421,10 +446,8 @@ func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID], trim re
 				return err
 			}
 		}
-		if trim != nil {
-			if err := trim.Write(rec.Edge()); err != nil {
-				return err
-			}
+		if err := proj.Write(rec.Edge()); err != nil {
+			return err
 		}
 		if rec.U == rec.V {
 			// A self-loop carries no inter-node connectivity, so it imposes no
@@ -433,42 +456,43 @@ func (c *contractor) scanCover(ed string, out recio.Sink[record.NodeID], trim re
 			continue
 		}
 		cover := rec.CoverNode()
-		other := rec.OtherNode()
 		if dict != nil {
 			// Type-2 reduction: if the smaller endpoint is already known to be
 			// in the cover, this edge is covered and the greater endpoint need
 			// not be added for it.
-			if dict.contains(other) {
+			if dict.contains(rec.OtherNode()) || dict.contains(cover) {
 				continue
 			}
-			var coverKey record.NodeKey
+			coverKey := rec.KeyV
 			if cover == rec.U {
 				coverKey = rec.KeyU
-			} else {
-				coverKey = rec.KeyV
 			}
 			dict.insert(cover, coverKey)
 		}
-		if err := out.Write(cover); err != nil {
+		if wrote && cover == last {
+			continue
+		}
+		if err := cands.Write(cover); err != nil {
 			return err
 		}
+		last, wrote = cover, true
 	}
 }
 
-// splitEdges cuts the in-edge list at baseEin (sorted by target) three ways
+// splitEdges cuts the in-edge list at einTrim (sorted by target) three ways
 // in one pass over it (lines 3 and 9-11 of Algorithm 4).  The edges into
 // removed nodes go to the file edel, sorted by (target, source).  The rest
 // are pushed into a sort by source, whose stream is split on the source:
 // E_pre, the edges with both ends in the cover, goes to next, and the
 // out-edges of removed nodes go to the file eoutDel, sorted by (source,
 // target).
-func (c *contractor) splitEdges(baseEin, coverPath string, next recio.Sink[record.Edge]) (edel, eoutDel string, err error) {
+func (c *contractor) splitEdges(einTrim, coverPath string, next recio.Sink[record.Edge]) (edel, eoutDel string, err error) {
 	rw, err := c.edgeSorter(record.EdgeBySource).RunWriter()
 	if err != nil {
 		return "", "", err
 	}
 	defer rw.Abort()
-	r, err := recio.NewReader(baseEin, record.EdgeCodec{}, c.cfg)
+	r, err := recio.NewReader(einTrim, record.EdgeCodec{}, c.cfg)
 	if err != nil {
 		return "", "", err
 	}
@@ -633,13 +657,40 @@ func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, nex
 // Type-2 dictionary
 // ---------------------------------------------------------------------------
 
+// type2DictBytes returns the memory a Type-2 dictionary of the given
+// capacity holds: every entry's node and key in the heap, and the slots of
+// the id index.
+func type2DictBytes(size int) int64 {
+	return int64(size)*int64(unsafe.Sizeof(record.NodeID(0))+unsafe.Sizeof(record.NodeKey{})) +
+		int64(indexSlots(size))*int64(unsafe.Sizeof(uint32(0)))
+}
+
+// type2DictSize is the Type-2 dictionary's capacity: Options.Type2DictSize,
+// or else the largest power of two whose dictionary fits one quarter of the
+// memory budget (a power of two fills the index table exactly), and never
+// fewer than 16 entries.
+func (c *contractor) type2DictSize() int {
+	if c.opts.Type2DictSize > 0 {
+		return c.opts.Type2DictSize
+	}
+	size := 16
+	for type2DictBytes(2*size) <= c.cfg.Memory/4 {
+		size *= 2
+	}
+	return size
+}
+
 // type2Dict is the bounded in-memory dictionary T of Section VII: it retains
 // the s smallest cover nodes (under the ">" operator) added so far, so that
-// membership checks never exceed the memory budget.
+// membership checks never exceed the memory budget.  The retained nodes
+// form a flat max-heap under ">" (members, with their keys at the same
+// positions of keys), so the greatest is evicted first, and an
+// open-addressing index of their ids answers contains.
 type type2Dict struct {
 	limit   int
-	members map[record.NodeID]record.NodeKey
-	order   type2Heap
+	members []record.NodeID
+	keys    []record.NodeKey
+	index   idSet
 }
 
 type type2Entry struct {
@@ -647,43 +698,133 @@ type type2Entry struct {
 	key  record.NodeKey
 }
 
-type type2Heap []type2Entry
-
-func (h type2Heap) Len() int { return len(h) }
-func (h type2Heap) Less(i, j int) bool {
-	// Max-heap under ">": the greatest retained node is at the top, ready to
-	// be evicted first.
-	return record.Greater(h[i].node, h[i].key, h[j].node, h[j].key)
-}
-func (h type2Heap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *type2Heap) Push(x any)   { *h = append(*h, x.(type2Entry)) }
-func (h *type2Heap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 func newType2Dict(limit int) *type2Dict {
-	return &type2Dict{limit: limit, members: make(map[record.NodeID]record.NodeKey)}
+	return &type2Dict{
+		limit:   limit,
+		members: make([]record.NodeID, 0, limit),
+		keys:    make([]record.NodeKey, 0, limit),
+		index:   idSet{slots: make([]uint32, indexSlots(limit))},
+	}
 }
 
-func (d *type2Dict) contains(n record.NodeID) bool {
-	_, ok := d.members[n]
-	return ok
-}
+func (d *type2Dict) contains(n record.NodeID) bool { return d.index.has(n) }
 
 func (d *type2Dict) insert(n record.NodeID, key record.NodeKey) {
-	if _, ok := d.members[n]; ok {
+	if d.index.has(n) {
 		return
 	}
 	if len(d.members) < d.limit {
-		d.members[n] = key
-		heap.Push(&d.order, type2Entry{node: n, key: key})
+		d.index.add(n)
+		heap.Push(d, type2Entry{node: n, key: key})
 		return
 	}
 	// Full: keep the smaller of the new node and the current greatest entry.
-	top := d.order[0]
-	if record.Greater(n, key, top.node, top.key) {
+	if record.Greater(n, key, d.members[0], d.keys[0]) {
 		return // the new node is greater than everything retained; drop it
 	}
-	heap.Pop(&d.order)
-	delete(d.members, top.node)
-	d.members[n] = key
-	heap.Push(&d.order, type2Entry{node: n, key: key})
+	d.index.remove(d.members[0])
+	d.index.add(n)
+	d.members[0], d.keys[0] = n, key
+	heap.Fix(d, 0)
+}
+
+// Len, Less, Swap, Push and Pop make the retained entries a heap.Interface:
+// a max-heap under ">", whose root is the greatest retained node.
+func (d *type2Dict) Len() int { return len(d.members) }
+func (d *type2Dict) Less(i, j int) bool {
+	return record.Greater(d.members[i], d.keys[i], d.members[j], d.keys[j])
+}
+func (d *type2Dict) Swap(i, j int) {
+	d.members[i], d.members[j] = d.members[j], d.members[i]
+	d.keys[i], d.keys[j] = d.keys[j], d.keys[i]
+}
+func (d *type2Dict) Push(x any) {
+	e := x.(type2Entry)
+	d.members, d.keys = append(d.members, e.node), append(d.keys, e.key)
+}
+func (d *type2Dict) Pop() any {
+	n := len(d.members) - 1
+	e := type2Entry{node: d.members[n], key: d.keys[n]}
+	d.members, d.keys = d.members[:n], d.keys[:n]
+	return e
+}
+
+// indexSlots returns the size of the id index for n entries: the smallest
+// power of two at least 2n, so the index is at most half full.
+func indexSlots(n int) int {
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// idSet is an open-addressing set of node ids with linear probing.  A slot
+// holds id+1, and 0 marks it empty; the id whose id+1 wraps to 0 is held by
+// the flag top instead.
+type idSet struct {
+	slots []uint32
+	top   bool
+}
+
+// home returns the slot an id hashes to (Fibonacci hashing on the top bits
+// of the product, reduced to the power-of-two table).
+func (s *idSet) home(id record.NodeID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15 >> 32) & uint64(len(s.slots)-1))
+}
+
+// find returns the slot that holds id, or the empty slot that ends its
+// probe sequence.
+func (s *idSet) find(id record.NodeID) (int, bool) {
+	want, mask := id+1, len(s.slots)-1
+	for i := s.home(id); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case want:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+func (s *idSet) has(id record.NodeID) bool {
+	if id+1 == 0 {
+		return s.top
+	}
+	_, ok := s.find(id)
+	return ok
+}
+
+func (s *idSet) add(id record.NodeID) {
+	if id+1 == 0 {
+		s.top = true
+		return
+	}
+	if i, ok := s.find(id); !ok {
+		s.slots[i] = id + 1
+	}
+}
+
+// remove deletes id and closes the gap by shifting later entries of the
+// probe run back (Knuth's Algorithm R), so no tombstones accumulate.
+func (s *idSet) remove(id record.NodeID) {
+	if id+1 == 0 {
+		s.top = false
+		return
+	}
+	hole, ok := s.find(id)
+	if !ok {
+		return
+	}
+	mask := len(s.slots) - 1
+	for j := (hole + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole unless its home lies cyclically
+		// in (hole, j], where a probe for it would stop at the hole first.
+		h := s.home(s.slots[j] - 1)
+		if hole <= j && (h <= hole || h > j) || hole > j && h <= hole && h > j {
+			s.slots[hole] = s.slots[j]
+			hole = j
+		}
+	}
+	s.slots[hole] = 0
 }

@@ -3,15 +3,24 @@ package contraction
 import (
 	"cmp"
 	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
 	"extscc/internal/graphgen"
 	"extscc/internal/iomodel"
 	"extscc/internal/memgraph"
 	"extscc/internal/recio"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 func testConfig(t *testing.T) iomodel.Config {
@@ -310,4 +319,346 @@ func TestType2DictBounded(t *testing.T) {
 	if len(d.members) > 3 {
 		t.Fatal("duplicate insert grew the dictionary")
 	}
+}
+
+// TestType2DictFitsItsShare fills a dictionary of the default size at the
+// default budget M = 4 MiB: it holds at least 32,768 entries, and its live
+// heap, which E_d's sort reserves, stays within the M/4 share.
+func TestType2DictFitsItsShare(t *testing.T) {
+	cfg := iomodel.Config{Memory: iomodel.DefaultMemory, BlockSize: iomodel.DefaultBlockSize}
+	c := &contractor{opts: Options{Optimized: true}, cfg: cfg}
+	size := c.type2DictSize()
+	if size < 32768 {
+		t.Fatalf("default dictionary holds %d entries at M = %d; want at least 32,768", size, cfg.Memory)
+	}
+	if reserved := type2DictBytes(size); reserved > cfg.Memory/4 {
+		t.Fatalf("dictionary reserves %d bytes, more than M/4 = %d", reserved, cfg.Memory/4)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := newType2Dict(size)
+	for i := 0; i < size+1000; i++ {
+		d.insert(record.NodeID(i)*2654435761, record.NodeKey{Deg: uint64(i % 97), Prod: uint64(i % 13)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if len(d.members) != size {
+		t.Fatalf("dictionary holds %d entries, want it full at %d", len(d.members), size)
+	}
+	runtime.KeepAlive(d)
+	if live > cfg.Memory/4 {
+		t.Fatalf("a full dictionary of %d entries holds %d live bytes, more than M/4 = %d", size, live, cfg.Memory/4)
+	}
+	if reserved := type2DictBytes(size); live < reserved/2 {
+		t.Fatalf("a full dictionary holds %d live bytes, under half the %d it reserves; the measurement missed it", live, reserved)
+	}
+}
+
+// TestType2DictMatchesReference drives the dictionary with random inserts,
+// every node always with its one key as V_d gives it, and checks it against
+// its definition after every insert: it retains exactly the s smallest
+// distinct nodes inserted so far under ">".  The ids include 0 and
+// math.MaxUint32, and small limits make the index collide and evict often.
+func TestType2DictMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		limit := 1 + rng.Intn(40)
+		ids := []record.NodeID{0, math.MaxUint32, math.MaxUint32 - 1}
+		for len(ids) < 2+rng.Intn(150) {
+			ids = append(ids, record.NodeID(rng.Intn(1<<20)))
+		}
+		keys := map[record.NodeID]record.NodeKey{}
+		for _, id := range ids {
+			keys[id] = record.NodeKey{Deg: uint64(rng.Intn(8)), Prod: uint64(rng.Intn(4))}
+		}
+		d := newType2Dict(limit)
+		var seen []record.NodeID
+		for step := 0; step < 400; step++ {
+			n := ids[rng.Intn(len(ids))]
+			d.insert(n, keys[n])
+			if !slices.Contains(seen, n) {
+				seen = append(seen, n)
+			}
+			slices.SortFunc(seen, func(a, b record.NodeID) int {
+				if record.Greater(b, keys[b], a, keys[a]) {
+					return -1
+				}
+				return 1
+			})
+			want := seen[:min(limit, len(seen))]
+			if len(d.members) != len(want) {
+				t.Fatalf("seed %d step %d: %d entries, want %d", seed, step, len(d.members), len(want))
+			}
+			for _, id := range ids {
+				if got := d.contains(id); got != slices.Contains(want, id) {
+					t.Fatalf("seed %d step %d: contains(%d) = %v; the %d smallest are %v", seed, step, id, got, limit, want)
+				}
+			}
+		}
+	}
+}
+
+// recordingBackend records the path of every file created through it.
+type recordingBackend struct {
+	storage.Backend
+	created []string
+}
+
+func (b *recordingBackend) Create(path string) (storage.File, error) {
+	b.created = append(b.created, path)
+	return b.Backend.Create(path)
+}
+
+// fileKind returns the prefix a path was made with by blockio.TempFile,
+// which names a file prefix-<random>-<sequence>.bin.
+func fileKind(path string) string {
+	base := path[strings.LastIndex(path, "/")+1:]
+	for i := 0; i < 2; i++ {
+		base = base[:strings.LastIndex(base, "-")]
+	}
+	return base
+}
+
+// coverFromEd computes V_{i+1} in memory, the way Algorithm 3 defines it:
+// E_d is G_i deduplicated (self-loops dropped and Type-1-trimmed in the
+// optimised variant), each edge carries both endpoints' keys, and a scan of
+// it in (target, source) order adds the greater endpoint of every edge but
+// self-loops, unless the given Type-2 dictionary holds the smaller one.
+func coverFromEd(edges []record.Edge, optimized bool, dict *type2Dict) []record.NodeID {
+	var ed []record.Edge
+	for _, e := range edges {
+		if !(optimized && e.U == e.V) && !slices.Contains(ed, e) {
+			ed = append(ed, e)
+		}
+	}
+	deg := map[record.NodeID]*record.NodeDegree{}
+	for _, e := range ed {
+		for _, n := range []record.NodeID{e.U, e.V} {
+			if deg[n] == nil {
+				deg[n] = &record.NodeDegree{Node: n}
+			}
+		}
+		deg[e.U].DegOut++
+		deg[e.V].DegIn++
+	}
+	slices.SortFunc(ed, func(a, b record.Edge) int { return cmp.Compare(record.EdgeByTarget(a).Lo, record.EdgeByTarget(b).Lo) })
+	var cover []record.NodeID
+	for _, e := range ed {
+		du, dv := deg[e.U], deg[e.V]
+		if optimized && (du.DegIn == 0 || du.DegOut == 0 || dv.DegIn == 0 || dv.DegOut == 0) || e.U == e.V {
+			continue
+		}
+		rec := record.EdgeAug{U: e.U, V: e.V, KeyU: du.Key(optimized), KeyV: dv.Key(optimized)}
+		c := rec.CoverNode()
+		if dict != nil {
+			if dict.contains(rec.OtherNode()) {
+				continue
+			}
+			key := rec.KeyV
+			if c == e.U {
+				key = rec.KeyU
+			}
+			dict.insert(c, key)
+		}
+		cover = append(cover, c)
+	}
+	slices.Sort(cover)
+	return slices.Compact(cover)
+}
+
+// TestContractStreamsEd runs one step of each variant at M = 8B, where
+// every sort spills into runs, over a backend that records the files it
+// creates.  E_d is never a file (no ed) and no sort of the edges by target
+// writes one (no ein); the step writes only the files the package doc
+// names.  The cover equals the one computed in memory from E_d in (target,
+// source) order with a dictionary of the same size, which is full and
+// evicts at this budget.
+func TestContractStreamsEd(t *testing.T) {
+	edges := append(graphgen.Random(300, 1200, 21), record.Edge{U: 7, V: 7}, record.Edge{U: 8, V: 9})
+	allowed := []string{"eout", "vout", "vd", "ein-trim", "cover-raw", "cover", "edel", "eout-del", "next-edges", "removed", "extsort-run", "extsort-merge"}
+	for _, optimized := range []bool{false, true} {
+		rec := &recordingBackend{Backend: storage.NewMem()}
+		cfg := iomodel.Config{BlockSize: 64, Memory: 8 * 64, TempDir: "/in", Storage: rec, Stats: &iomodel.Stats{}}
+		g := buildGraph(t, cfg, edges, nil)
+		rec.created = nil
+		opts := Options{Optimized: optimized}
+		res, err := Contract(context.Background(), g, "/step", opts, cfg)
+		if err != nil {
+			t.Fatalf("optimized=%v: %v", optimized, err)
+		}
+		kinds := map[string]int{}
+		for _, p := range rec.created {
+			kinds[fileKind(p)]++
+		}
+		for kind := range kinds {
+			if !slices.Contains(allowed, kind) {
+				t.Errorf("optimized=%v: the step created a %q file", optimized, kind)
+			}
+		}
+		if kinds["extsort-run"] == 0 || kinds["ein-trim"] != 1 || kinds["cover-raw"] != 1 {
+			t.Fatalf("optimized=%v: created %v; the check needs spilled sorts and one cover scan", optimized, kinds)
+		}
+
+		got, err := recio.ReadAll(res.Next.NodePath, record.NodeCodec{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dict *type2Dict
+		if optimized {
+			c := &contractor{opts: opts, cfg: cfg}
+			if c.type2DictSize() >= len(got) {
+				t.Fatalf("dictionary of %d entries for a cover of %d; the check needs evictions", c.type2DictSize(), len(got))
+			}
+			dict = newType2Dict(c.type2DictSize())
+		}
+		if want := coverFromEd(edges, optimized, dict); !slices.Equal(got, want) {
+			t.Fatalf("optimized=%v: cover\ngot  %v\nwant %v", optimized, got, want)
+		}
+	}
+}
+
+// faultedStep is the observable outcome of one contraction step under a
+// fault plan.
+type faultedStep struct {
+	err   error
+	res   Result
+	files [3][]record.Edge // next-edges, removed-step file, and the cover as (n, n)
+	io    iomodel.Snapshot // the step's I/O counters, Retries zeroed
+	left  []string         // the kinds of the files on the store after the step
+	stuck int              // files left because their removal failed for good
+}
+
+// removeWatch records the files whose last removal attempt failed.
+type removeWatch struct {
+	storage.Backend
+	failed map[string]bool
+}
+
+func (b *removeWatch) Remove(path string) error {
+	err := b.Backend.Remove(path)
+	b.failed[path] = err != nil && !storage.IsNotExist(err)
+	return err
+}
+
+// contractFaulted runs one optimised step at M = 8B on a graph staged on a
+// fresh mem store, with the step's operations (and only those) wrapped in
+// plan.
+func contractFaulted(t *testing.T, retries int, plan *storage.FaultPlan) faultedStep {
+	t.Helper()
+	mem := storage.NewMem()
+	cfg := iomodel.Config{BlockSize: 64, Memory: 8 * 64, TempDir: "/in", Storage: mem, Stats: &iomodel.Stats{}, Retries: retries}
+	g := buildGraph(t, cfg, graphgen.Random(300, 1200, 5), nil)
+	watch := &removeWatch{Backend: storage.NewFault(mem, plan), failed: map[string]bool{}}
+	cfg.Storage = watch
+	res, err := Contract(context.Background(), g, "/step", Options{Optimized: true}, cfg)
+	out := faultedStep{err: err, res: res, io: cfg.Stats.Snapshot()}
+	out.io.Retries = 0
+	cfg.Storage = mem
+	if err == nil {
+		for i, p := range []string{res.Next.EdgePath, res.RemovedPath} {
+			if out.files[i], err = recio.ReadAll(p, record.EdgeCodec{}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cover, err := recio.ReadAll(res.Next.NodePath, record.NodeCodec{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range cover {
+			out.files[2] = append(out.files[2], record.Edge{U: n, V: n})
+		}
+		out.res.Next.EdgePath, out.res.Next.NodePath, out.res.RemovedPath = "", "", ""
+	}
+	for _, p := range mem.Paths() {
+		if watch.failed[p] {
+			out.stuck++
+			continue
+		}
+		out.left = append(out.left, fileKind(p))
+	}
+	slices.Sort(out.left)
+	return out
+}
+
+// TestContractFaultSweep injects one fault at sampled positions among the
+// operations of one contraction step, where the E_d stream stays open
+// across the whole cover scan.  Every step either fails with a typed error
+// (ErrInjected or ErrCorrupt) or succeeds exactly like the fault-free step:
+// the same Result, files and I/O counters.  Afterwards the store holds the
+// input graph's files, and on success the result's three files.  The only
+// other file a step may leave is one whose removal failed for good (a
+// permanent fault, or a transient one without retries); a run's directory
+// removal reclaims it.
+func TestContractFaultSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault sweep is a multi-run workload; skipped with -short")
+	}
+	// A rule that never fires counts the step's operations.
+	budget := &storage.FaultRule{N: math.MaxInt64}
+	base := contractFaulted(t, 0, storage.NewFaultPlan(budget))
+	if base.err != nil {
+		t.Fatalf("fault-free step failed: %v", base.err)
+	}
+	if base.io.MergePasses == 0 {
+		t.Fatal("the fault-free step merged no runs; the sweep needs streamed merges")
+	}
+	inputs := []string{"graph-edges", "graph-nodes"}
+	outputs := []string{"cover", "graph-edges", "graph-nodes", "next-edges", "removed"}
+	if !slices.Equal(base.left, outputs) || base.stuck != 0 {
+		t.Fatalf("the fault-free step left %v and %d stuck files; want %v", base.left, base.stuck, outputs)
+	}
+	ops := budget.Matches()
+	flavors := []struct {
+		mode    string
+		retries int
+	}{
+		{storage.ModeTransient, 2},
+		{storage.ModeTransient, 0},
+		{storage.ModePermanent, 2},
+		{storage.ModeTorn, 2},
+	}
+	recovered, failed := 0, 0
+	check := func(tag string, retries int, rule *storage.FaultRule) {
+		got := contractFaulted(t, retries, storage.NewFaultPlan(rule))
+		if rule.Matches() < rule.N {
+			t.Fatalf("%s: the fault never fired (%d matching ops)", tag, rule.Matches())
+		}
+		want := inputs
+		if got.err == nil {
+			recovered++
+			want = outputs
+			if got.res != base.res || got.io != base.io || !reflect.DeepEqual(got.files, base.files) {
+				t.Errorf("%s: succeeded with %+v and I/O %+v, want %+v and %+v (files equal: %v)", tag, got.res, got.io, base.res, base.io, reflect.DeepEqual(got.files, base.files))
+			}
+		} else {
+			failed++
+			if !errors.Is(got.err, storage.ErrInjected) && !errors.Is(got.err, blockio.ErrCorrupt) {
+				t.Errorf("%s: failed with an untyped error: %v", tag, got.err)
+			}
+		}
+		if !slices.Equal(got.left, want) {
+			t.Errorf("%s: the store holds %v after the step (err %v), want %v", tag, got.left, got.err, want)
+		}
+		if got.stuck > 0 && retries > 0 && rule.Mode != storage.ModePermanent {
+			t.Errorf("%s: %d files left whose removal a retry should have finished", tag, got.stuck)
+		}
+	}
+	const samples = 24
+	for i := 0; i < samples; i++ {
+		n := 1 + int64(i)*(ops-1)/(samples-1)
+		fl := flavors[i%len(flavors)]
+		check(fmt.Sprintf("%s/retries=%d@op%d", fl.mode, fl.retries, n), fl.retries,
+			&storage.FaultRule{N: n, Count: 1, Mode: fl.mode, Seed: uint64(n)})
+	}
+	// Faults inside the cover scan, on the second block write of each of
+	// its two outputs, while the E_d stream is open.
+	for _, path := range []string{"ein-trim", "cover-raw"} {
+		for _, fl := range flavors {
+			check(fmt.Sprintf("%s/retries=%d@%s", fl.mode, fl.retries, path), fl.retries,
+				&storage.FaultRule{Op: storage.OpWrite, Path: path, N: 2, Count: 1, Mode: fl.mode})
+		}
+	}
+	t.Logf("%d step ops, %d sampled and %d cover-scan faults: %d recovered, %d failed clean", ops, samples, 2*len(flavors), recovered, failed)
 }

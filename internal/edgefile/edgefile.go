@@ -240,91 +240,68 @@ func ReverseEdges(in string, out recio.Sink[record.Edge], cfg iomodel.Config) er
 	}
 }
 
-// ComputeDegrees builds the degree table V_d of Algorithm 3.  eout must be
-// sorted by source and ein by target; the result is one NodeDegree record
-// per node that has at least one incident edge, sorted by node id.  When
-// requireBoth is set (the Type-1 node-reduction of Section VII), nodes with
-// zero in-degree or zero out-degree are omitted.
-func ComputeDegrees(eout, ein recio.Iterator[record.Edge], outPath string, requireBoth bool, cfg iomodel.Config) (int64, error) {
-	w, err := recio.NewWriter(outPath, record.NodeDegreeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-
-	outIt := recio.NewPeekable(eout)
-	inIt := recio.NewPeekable(ein)
-
-	// nextOutGroup returns the next (node, out-degree) pair from the edge file
-	// sorted by source.
-	nextOutGroup := func() (record.NodeID, uint32, bool) {
-		if !outIt.Valid() {
-			return 0, 0, false
+// OutDegrees scans eout, an edge stream sorted by source, once: it writes
+// the out-degree table to vout, one NodeDegree per source with DegOut set,
+// in node order, and pushes the target of every edge to targets.  Sorted,
+// the targets give the in-degrees that ComputeDegrees merges in.
+func OutDegrees(eout recio.Iterator[record.Edge], vout recio.Sink[record.NodeDegree], targets recio.Sink[record.NodeID]) error {
+	var cur record.NodeDegree // the source being counted, none while DegOut is 0
+	for {
+		e, ok, err := eout.Next()
+		if err != nil {
+			return err
 		}
-		node := outIt.Peek().U
-		var deg uint32
-		for outIt.Valid() && outIt.Peek().U == node {
-			outIt.Pop()
-			deg++
+		if cur.DegOut > 0 && (!ok || e.U != cur.Node) {
+			if err := vout.Write(cur); err != nil {
+				return err
+			}
+			cur.DegOut = 0
 		}
-		return node, deg, true
-	}
-	nextInGroup := func() (record.NodeID, uint32, bool) {
-		if !inIt.Valid() {
-			return 0, 0, false
-		}
-		node := inIt.Peek().V
-		var deg uint32
-		for inIt.Valid() && inIt.Peek().V == node {
-			inIt.Pop()
-			deg++
-		}
-		return node, deg, true
-	}
-
-	emit := func(d record.NodeDegree) error {
-		if requireBoth && (d.DegIn == 0 || d.DegOut == 0) {
+		if !ok {
 			return nil
 		}
-		return w.Write(d)
-	}
-
-	oNode, oDeg, oOK := nextOutGroup()
-	iNode, iDeg, iOK := nextInGroup()
-	for oOK || iOK {
-		switch {
-		case oOK && iOK && oNode == iNode:
-			if err := emit(record.NodeDegree{Node: oNode, DegIn: iDeg, DegOut: oDeg}); err != nil {
-				w.Close()
-				return 0, err
-			}
-			oNode, oDeg, oOK = nextOutGroup()
-			iNode, iDeg, iOK = nextInGroup()
-		case oOK && (!iOK || oNode < iNode):
-			if err := emit(record.NodeDegree{Node: oNode, DegIn: 0, DegOut: oDeg}); err != nil {
-				w.Close()
-				return 0, err
-			}
-			oNode, oDeg, oOK = nextOutGroup()
-		default:
-			if err := emit(record.NodeDegree{Node: iNode, DegIn: iDeg, DegOut: 0}); err != nil {
-				w.Close()
-				return 0, err
-			}
-			iNode, iDeg, iOK = nextInGroup()
+		cur.Node = e.U
+		cur.DegOut++
+		if err := targets.Write(e.V); err != nil {
+			return err
 		}
 	}
-	if err := outIt.Err(); err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := inIt.Err(); err != nil {
-		w.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
+}
+
+// ComputeDegrees builds the degree table V_d of Algorithm 3 from the
+// out-degree table vout (see OutDegrees) and the ascending stream of every
+// edge's target, in which a run of equal ids is one node's in-degree.  The
+// result is one NodeDegree record per node that has at least one incident
+// edge, sorted by node id.  When requireBoth is set (the Type-1
+// node-reduction of Section VII), nodes with zero in-degree or zero
+// out-degree are omitted.
+func ComputeDegrees(vout recio.Iterator[record.NodeDegree], targets recio.Iterator[record.NodeID], outPath string, requireBoth bool, cfg iomodel.Config) (int64, error) {
+	return recio.WriteFile(outPath, record.NodeDegreeCodec{}, cfg, func(w recio.Sink[record.NodeDegree]) error {
+		outs := recio.NewPeekable(vout)
+		ins := recio.NewPeekable(targets)
+		for outs.Valid() || ins.Valid() {
+			var d record.NodeDegree
+			if outs.Valid() && (!ins.Valid() || outs.Peek().Node <= ins.Peek()) {
+				d = outs.Pop()
+			} else {
+				d.Node = ins.Peek()
+			}
+			for ins.Valid() && ins.Peek() == d.Node {
+				ins.Pop()
+				d.DegIn++
+			}
+			if requireBoth && (d.DegIn == 0 || d.DegOut == 0) {
+				continue
+			}
+			if err := w.Write(d); err != nil {
+				return err
+			}
+		}
+		if err := outs.Err(); err != nil {
+			return err
+		}
+		return ins.Err()
+	})
 }
 
 // SplitByMembership streams the edges of in (sorted by the join key that

@@ -1,6 +1,8 @@
 package edgefile
 
 import (
+	"cmp"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -145,31 +147,55 @@ func TestReverseEdges(t *testing.T) {
 	}
 }
 
+// degreeTable runs the degree pipeline on edges: sorted by source, one
+// OutDegrees scan writes vout and collects the targets, which are sorted and
+// merged with vout by ComputeDegrees.  It returns the rows and their count.
+func degreeTable(t *testing.T, cfg iomodel.Config, edges []record.Edge, requireBoth bool) ([]record.NodeDegree, int64) {
+	t.Helper()
+	eout := slices.Clone(edges)
+	slices.SortFunc(eout, func(a, b record.Edge) int { return cmp.Compare(record.EdgeBySource(a).Lo, record.EdgeBySource(b).Lo) })
+	vout := filepath.Join(t.TempDir(), "vout.bin")
+	var targets nodeSink
+	_, err := recio.WriteFile(vout, record.NodeDegreeCodec{}, cfg, func(w recio.Sink[record.NodeDegree]) error {
+		return OutDegrees(recio.NewSliceIterator(eout), w, &targets)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(targets)
+	r, err := recio.NewReader(vout, record.NodeDegreeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	vd := filepath.Join(t.TempDir(), "vd.bin")
+	n, err := ComputeDegrees(r.Iter(), recio.NewSliceIterator([]record.NodeID(targets)), vd, requireBoth, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := recio.ReadAll(vd, record.NodeDegreeCodec{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, n
+}
+
+// nodeSink collects the node ids an operator writes.
+type nodeSink []record.NodeID
+
+func (s *nodeSink) Write(n record.NodeID) error {
+	*s = append(*s, n)
+	return nil
+}
+
 func TestComputeDegrees(t *testing.T) {
 	cfg := testConfig(t)
 	// Graph: 1->2, 1->3, 2->3, 3->1, 4->4 (self-loop), 5->1 and node 6 has
 	// only an incoming edge 3->6.
 	edges := []record.Edge{{U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}, {U: 3, V: 1}, {U: 4, V: 4}, {U: 5, V: 1}, {U: 3, V: 6}}
-	in := writeEdges(t, cfg, edges)
-	eout := filepath.Join(t.TempDir(), "eout.bin")
-	ein := filepath.Join(t.TempDir(), "ein.bin")
-	if err := SortEdges(in, eout, record.EdgeBySource, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := SortEdges(in, ein, record.EdgeByTarget, cfg); err != nil {
-		t.Fatal(err)
-	}
-	vd := filepath.Join(t.TempDir(), "vd.bin")
-	n, err := ComputeDegrees(edgeIter(t, cfg, eout), edgeIter(t, cfg, ein), vd, false, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, n := degreeTable(t, cfg, edges, false)
 	if n != 6 {
 		t.Fatalf("degree rows = %d, want 6", n)
-	}
-	rows, err := recio.ReadAll(vd, record.NodeDegreeCodec{}, cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	byNode := map[record.NodeID]record.NodeDegree{}
 	for _, r := range rows {
@@ -195,13 +221,53 @@ func TestComputeDegrees(t *testing.T) {
 	}
 
 	// Type-1 filter drops nodes 5 and 6.
-	vd2 := filepath.Join(t.TempDir(), "vd2.bin")
-	n2, err := ComputeDegrees(edgeIter(t, cfg, eout), edgeIter(t, cfg, ein), vd2, true, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 4 {
+	if _, n2 := degreeTable(t, cfg, edges, true); n2 != 4 {
 		t.Fatalf("filtered degree rows = %d, want 4", n2)
+	}
+}
+
+// TestComputeDegreesMatchesMemory checks the degree table built from vout
+// and the sorted targets against degrees counted in memory, with and
+// without the Type-1 filter, on random multigraphs: parallel edges count
+// once per copy, and the graphs have source-only nodes (ids 100-119, out
+// edges only), sink-only nodes (120-139, in edges only) and self-loops.
+func TestComputeDegreesMatchesMemory(t *testing.T) {
+	cfg := testConfig(t)
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var edges []record.Edge
+		for i := 0; i < 300; i++ {
+			u, v := record.NodeID(rng.Intn(100)), record.NodeID(rng.Intn(100))
+			switch rng.Intn(6) {
+			case 0:
+				u = 100 + record.NodeID(rng.Intn(20))
+			case 1:
+				v = 120 + record.NodeID(rng.Intn(20))
+			}
+			edges = append(edges, record.Edge{U: u, V: v})
+			if rng.Intn(8) == 0 {
+				edges = append(edges, record.Edge{U: u, V: v}) // a parallel copy
+			}
+		}
+		in, out := map[record.NodeID]uint32{}, map[record.NodeID]uint32{}
+		for _, e := range edges {
+			out[e.U]++
+			in[e.V]++
+		}
+		for _, requireBoth := range []bool{false, true} {
+			var want []record.NodeDegree
+			for n := record.NodeID(0); n < 140; n++ {
+				d := record.NodeDegree{Node: n, DegIn: in[n], DegOut: out[n]}
+				if d.DegIn+d.DegOut == 0 || requireBoth && (d.DegIn == 0 || d.DegOut == 0) {
+					continue
+				}
+				want = append(want, d)
+			}
+			got, n := degreeTable(t, cfg, edges, requireBoth)
+			if !slices.Equal(got, want) || n != int64(len(want)) {
+				t.Fatalf("seed %d, requireBoth=%v: %d rows\ngot  %v\nwant %v", seed, requireBoth, n, got, want)
+			}
+		}
 	}
 }
 

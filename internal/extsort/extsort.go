@@ -31,10 +31,13 @@
 //   - a merge pass that writes a file holds at most M/B block buffers
 //     (SortFanIn inputs plus its output);
 //   - a Stream holds either the single run in memory (at most M/2 bytes) or
-//     the input buffers of the final merge, at most M/B - consumerBlocks of
-//     them, and its consumer may hold consumerBlocks more; both stay within M
-//     whenever M >= 2*consumerBlocks*B (below that, down to the model's
-//     minimum M = 2B, the fan-in floor of two exceeds it by a few blocks);
+//     the input buffers of the final merge, at most (M - R)/B -
+//     consumerBlocks of them, and its consumer may hold consumerBlocks
+//     blocks more plus the R bytes the sort reserved for it (Reserve; R is
+//     0 unless the consumer keeps an in-memory structure besides its
+//     blocks).  Both stay within M whenever R <= M/4 and M >=
+//     4*consumerBlocks*B (below that, down to the model's minimum M = 2B,
+//     the fan-in floor of two exceeds it by a few blocks);
 //   - at most one sort holds its memory at any time.  A stream never feeds
 //     another sort's RunWriter: its consumer writes a file, and the next sort
 //     reads that file, so a chain of sorts alternates between a stream and a
@@ -66,17 +69,20 @@ const checkEvery = 8192
 
 // consumerBlocks is the number of block buffers a Stream leaves to its
 // consumer.  The widest consumers hold three besides the stream they pull:
-// contraction's split reads the cover and writes next-edges and eout-del,
-// and expansion's intersect reads aug-in and the removed-step file and
-// writes the removed nodes' labels.
+// contraction's cover scan reads the degree table and writes E_d's plain
+// projection and the cover candidates (it also holds its Type-2 dictionary,
+// which its sort reserves), contraction's split reads the cover and writes
+// next-edges and eout-del, and expansion's intersect reads aug-in and the
+// removed-step file and writes the removed nodes' labels.
 const consumerBlocks = 3
 
 // Sorter sorts record files of type T by a fixed key function.
 type Sorter[T any] struct {
-	codec record.Codec[T]
-	key   func(T) record.Key
-	cfg   iomodel.Config
-	ctx   context.Context
+	codec   record.Codec[T]
+	key     func(T) record.Key
+	cfg     iomodel.Config
+	ctx     context.Context
+	reserve int64 // bytes of M left to the stream's consumer (Reserve)
 }
 
 // New returns a Sorter for records of type T ordered by key (one of the
@@ -94,6 +100,16 @@ func NewContext[T any](ctx context.Context, codec record.Codec[T], key func(T) r
 		ctx = context.Background()
 	}
 	return &Sorter[T]{codec: codec, key: key, cfg: cfg, ctx: ctx}
+}
+
+// Reserve sets aside bytes of the memory budget for the consumer of the
+// sort's stream, beside its consumerBlocks block buffers: the streamed final
+// merge then reads at most (M - bytes)/B - consumerBlocks runs.  A consumer
+// that keeps an in-memory structure while it drains the stream reserves its
+// size.  Reserve returns s.
+func (s *Sorter[T]) Reserve(bytes int64) *Sorter[T] {
+	s.reserve = bytes
+	return s
 }
 
 func (s *Sorter[T]) ctxErr() error { return s.ctx.Err() }
@@ -308,10 +324,10 @@ func (s *Sorter[T]) writeRun(buf []T) (string, error) {
 }
 
 // finalFanIn returns how many runs the streamed final merge reads at once:
-// the M/B block buffers less the consumerBlocks left to the stream's
-// consumer, and never fewer than two.
+// the block buffers that fit in M less the reserved bytes, less the
+// consumerBlocks left to the stream's consumer, and never fewer than two.
 func (s *Sorter[T]) finalFanIn() int {
-	return max(2, int(s.cfg.Memory/int64(s.blockSize()))-consumerBlocks)
+	return max(2, int((s.cfg.Memory-s.reserve)/int64(s.blockSize()))-consumerBlocks)
 }
 
 // merge runs merge passes that write files until at most finalFanIn runs

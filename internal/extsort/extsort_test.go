@@ -612,6 +612,51 @@ func TestStreamMergeReadersBound(t *testing.T) {
 	}
 }
 
+// TestReserveBoundsStreamReaders checks the memory rule of a sort that
+// reserves part of M for its stream's consumer: at M = 8B with M/4
+// reserved, the streamed final merge never holds more than (M - M/4)/B -
+// consumerBlocks run readers, fewer than the same sort without the
+// reservation holds, and both streams yield the same sorted records.
+func TestReserveBoundsStreamReaders(t *testing.T) {
+	edges := randomEdges(5000, rand.New(rand.NewSource(34)))
+	stream := func(reserve int64) ([]record.Edge, int) {
+		tracker := &OpenTracker{Backend: storage.NewMem()}
+		cfg := iomodel.Config{BlockSize: 64, Memory: 8 * 64, TempDir: "/sort", Storage: tracker, Stats: &iomodel.Stats{}}
+		limit := int((cfg.Memory-reserve)/int64(cfg.BlockSize)) - consumerBlocks
+		st, err := New[record.Edge](record.EdgeCodec{}, record.EdgeBySource, cfg).Reserve(reserve).Sort(recio.NewSliceIterator(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracker.Peak()
+		var got []record.Edge
+		for {
+			if n := tracker.Opened(); n > limit {
+				t.Fatalf("reserve %d: streamed merge holds %d run readers, more than (M - %d)/B - %d = %d", reserve, n, reserve, consumerBlocks, limit)
+			}
+			rec, ok, err := st.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, rec)
+		}
+		if left, err := tracker.List(cfg.TempDir); err != nil || len(left) != 0 {
+			t.Fatalf("reserve %d: drained stream left %v (err %v)", reserve, left, err)
+		}
+		return got, tracker.Peak()
+	}
+	reserved, peak := stream(8 * 64 / 4)
+	plain, plainPeak := stream(0)
+	if peak < 2 || peak >= plainPeak {
+		t.Fatalf("the reserved stream read %d runs at once and the plain one %d; the check needs a merge the reservation narrows", peak, plainPeak)
+	}
+	if !slices.Equal(reserved, plain) || !slices.Equal(plain, sortedEdges(edges)) {
+		t.Fatal("the reserved sort's stream differs from the plain sort's")
+	}
+}
+
 // TestStreamEarlyCloseRemovesRuns stops consuming a many-run stream after a
 // few records: Close removes every run, and a second Close is a no-op.
 func TestStreamEarlyCloseRemovesRuns(t *testing.T) {

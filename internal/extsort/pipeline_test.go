@@ -2,9 +2,12 @@ package extsort_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"extscc/internal/condense"
+	"extscc/internal/contraction"
 	"extscc/internal/core"
 	"extscc/internal/edgefile"
 	"extscc/internal/extsort"
@@ -46,6 +49,55 @@ func TestSortsHoldMemoryOneAtATime(t *testing.T) {
 		}
 		if n := tracker.Opened(); n != 0 {
 			t.Errorf("optimized=%v: %d run readers left open", optimized, n)
+		}
+	}
+}
+
+// cancelOnCreate cancels a context when a file whose path contains name is
+// created, and notes how many sort files were open for reading then.
+type cancelOnCreate struct {
+	*extsort.OpenTracker
+	name       string
+	cancel     context.CancelFunc
+	openAtHook int
+}
+
+func (b *cancelOnCreate) Create(path string) (storage.File, error) {
+	if strings.Contains(path, b.name) && b.openAtHook < 0 {
+		b.openAtHook = b.Opened()
+		b.cancel()
+	}
+	return b.OpenTracker.Create(path)
+}
+
+// TestContractCancelInCoverScan cancels a contraction step from inside its
+// cover scan, when the scan creates its candidate file: E_d's sort stream is
+// open then, merging run files.  The step returns context.Canceled, closes
+// every run reader, and removes every file it made; only the input graph's
+// two files are left.
+func TestContractCancelInCoverScan(t *testing.T) {
+	for _, optimized := range []bool{false, true} {
+		mem := storage.NewMem()
+		ctx, cancel := context.WithCancel(context.Background())
+		hook := &cancelOnCreate{OpenTracker: &extsort.OpenTracker{Backend: mem}, name: "cover-raw", cancel: cancel, openAtHook: -1}
+		cfg := iomodel.Config{BlockSize: 256, Memory: 8 * 256, TempDir: "/run", Storage: hook, Stats: &iomodel.Stats{}}
+		g, err := edgefile.WriteGraph(cfg.TempDir, graphgen.Random(2000, 24000, 4), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = contraction.Contract(ctx, g, "/run/step", contraction.Options{Optimized: optimized}, cfg)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("optimized=%v: Contract returned %v, want context.Canceled", optimized, err)
+		}
+		if hook.openAtHook < 2 {
+			t.Fatalf("optimized=%v: %d run readers open when the scan began; the check needs a streamed merge", optimized, hook.openAtHook)
+		}
+		if n := hook.Opened(); n != 0 {
+			t.Errorf("optimized=%v: %d run readers left open", optimized, n)
+		}
+		if left := mem.Paths(); len(left) != 2 {
+			t.Errorf("optimized=%v: the store holds %v; want only the input graph's two files", optimized, left)
 		}
 	}
 }
