@@ -49,31 +49,31 @@ lint:
 	fi
 
 # Mirrors the fuzz smoke of the `test` job: every codec fuzzer (fixed and
-# varint record codecs, the varint garbage-decode robustness fuzzer) and
-# every frame/footer parser fuzzer runs for FUZZTIME.  `go test -fuzz` takes one target at a time, hence the
-# loop.
+# varint record codecs, the varint garbage-decode robustness fuzzer), every
+# frame/footer parser fuzzer and FuzzEngine (one whole engine run on a small
+# random graph at a random algorithm, codec, storage backend, shard count
+# and node budget, against Tarjan's partition) runs for FUZZTIME.
+# `go test -fuzz` takes one target at a time, hence the loop.
 fuzz:
-	@set -e; for pkg in ./internal/record ./internal/blockio; do \
+	@set -e; for pkg in . ./internal/record ./internal/blockio; do \
 		for f in $$($(GO) test $$pkg -list 'Fuzz.*' | grep '^Fuzz'); do \
 			echo "fuzzing $$pkg $$f for $(FUZZTIME)"; \
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME); \
 		done; \
 	done
 
-# Mirrors the `bench` job on quick fig7: the shard gate (1 vs 2 vs 4
-# compute shards, each on one fresh in-memory backend, identical SCC counts,
-# the per-shard-count rows and speedup recorded in BENCH_quick.{json,csv}); the
-# storage-equivalence gate (mem ≡ os); then the codec gate (fixed and
-# varint must agree on SCC results; varint must cut pipeline bytes by >= 30%
-# and lower block I/Os), with both codec sweeps also gated against the
-# committed baseline.  Every CSV row carries the per-phase *_ms columns.
+# Mirrors the `bench` job: quick fig7 over the 12-point grid {os, mem} x
+# {fixed, varint} x {1, 2, 4} compute shards, in one invocation.  Across
+# storage every point keeps its SCC partition, iteration count and every
+# I/O and byte count; across codecs its partition and iteration count, with
+# varint writing >= 30% fewer bytes and charging fewer block I/Os; across
+# shard counts the partition of every completed run.  The grid's (os,
+# fixed|varint, 1) points are also gated against the committed baseline.
+# Every CSV row carries the per-phase *_ms columns.
 bench:
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-shards \
-		-json BENCH_quick.json -csv BENCH_quick.csv
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-storage
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec \
-		-json BENCH_codec.json -csv BENCH_codec.csv \
-		-baseline bench/baseline.json -tolerance 0.25
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -storage os,mem \
+		-codec fixed,varint -shards 1,2,4 \
+		-json BENCH_quick.json -csv BENCH_quick.csv -baseline bench/baseline.json
 
 # Steady-state microbenchmarks, with -benchmem: the per-frame varint
 # encode/decode hot path must report 0 allocs/op, since it appends into
@@ -94,11 +94,10 @@ microbench:
 	$(GO) test ./internal/semiscc -run '^$$' -bench BenchmarkSemiExternal -benchmem -benchtime 10x
 
 # Refresh the committed baseline after an intentional I/O-count change;
-# commit the resulting bench/baseline.json.  The baseline is recorded under
-# -compare-codec so it holds both codec families' sweeps — the same shape
-# the gating run produces.
+# commit the resulting bench/baseline.json.  It holds both codec families'
+# sweeps on the os backend, unsharded: the grid points `make bench` gates.
 bench-baseline:
-	$(GO) run ./cmd/sccbench -experiment fig7 -quick -compare-codec \
+	$(GO) run ./cmd/sccbench -experiment fig7 -quick -codec fixed,varint \
 		-json bench/baseline.json
 
 # Mirrors the `serve-smoke` job: build sccserve, boot it on the generated

@@ -7,7 +7,8 @@
 //	go test -bench=. -benchmem
 //
 // The full-scale sweeps (and the per-series tables) are produced by
-// cmd/sccbench; see EXPERIMENTS.md.
+// cmd/sccbench; see its package documentation and the README's Testing & CI
+// section.
 package extscc_test
 
 import (

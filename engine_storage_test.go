@@ -240,6 +240,29 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedSmallCycles runs cycles of k to k(k-1) nodes in k shards: the
+// node counts at which cutting ⌈|V|/k⌉ nodes per shard left the last shard
+// empty (9 nodes in 4 shards is the smallest such cycle that failed).  Every
+// shard gets a node and the run finds the one SCC.
+func TestShardedSmallCycles(t *testing.T) {
+	for k := 2; k <= 4; k++ {
+		for n := k; n <= k*(k-1); n++ {
+			eng, err := extscc.New(extscc.WithShards(k), extscc.WithStorage(extscc.MemStorage()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run(context.Background(), extscc.SliceSource(graphgen.Cycle(n)))
+			if err != nil {
+				t.Fatalf("%d-node cycle in %d shards: %v", n, k, err)
+			}
+			if res.NumSCCs != 1 {
+				t.Fatalf("%d-node cycle in %d shards: NumSCCs = %d, want 1", n, k, res.NumSCCs)
+			}
+			res.Close()
+		}
+	}
+}
+
 // TestShardOptionValidation pins the construction-time contract of
 // WithShards.
 func TestShardOptionValidation(t *testing.T) {

@@ -307,6 +307,46 @@ func TestGeneratorSource(t *testing.T) {
 	}
 }
 
+// TestGeneratorSpecRejectsBadSizes pins the sizes no generator can honour:
+// each spec fails with an error naming its kind and value, within a
+// deadline (a one-node random graph used to spin forever), and leaves no
+// file behind.
+func TestGeneratorSpecRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		spec extscc.GeneratorSpec
+		want string
+	}{
+		{extscc.GeneratorSpec{Kind: "random", Nodes: 1}, "got 1"},
+		{extscc.GeneratorSpec{Kind: "dag", Nodes: 1}, "got 1"},
+		{extscc.GeneratorSpec{Kind: "random", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "cycle", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "path", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "dag", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "web", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "large", Nodes: -5}, "-5"},
+		{extscc.GeneratorSpec{Kind: "random", Degree: -2}, "-2"},
+		{extscc.GeneratorSpec{Kind: "massive", Scale: -1}, "-1"},
+	} {
+		dir := t.TempDir()
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := tc.spec.WriteEdgeFileOn(extscc.OSStorage(), filepath.Join(dir, "g.edges"))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.spec.Kind) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%+v: got error %v, want one naming %q and %s", tc.spec, err, tc.spec.Kind, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%+v: no answer within 5s", tc.spec)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%+v: left %d file(s) behind", tc.spec, len(left))
+		}
+	}
+}
+
 func TestEMSCCDoesNotConvergeOnDAG(t *testing.T) {
 	// A small memory budget (8192-edge partitions) forces EM-SCC to
 	// partition the 9000-edge DAG; no partition contains a contractible SCC,

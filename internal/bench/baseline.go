@@ -121,21 +121,25 @@ func LoadReport(path string) (Report, error) {
 	return r, nil
 }
 
+// BaselineTolerance is the fractional I/O regression CompareToBaseline
+// allows against the baseline.
+const BaselineTolerance = 0.25
+
 // CompareToBaseline gates current against a committed baseline and returns
 // one violation string per problem.  The gate is on the accounted I/O counts
 // — they are deterministic for a given code revision and workload, unlike
 // wall-clock on shared CI runners — so a violation means the code now
-// performs over (1+tolerance)× the total block transfers or random block
-// transfers the baseline recorded (random I/O is the paper's headline cost,
-// and a baseline of zero random I/Os is gated exactly: any new random I/O is
-// a regression), or a run flipped to/from INF, or a baseline point
+// performs over (1+BaselineTolerance)× the total block transfers or random
+// block transfers the baseline recorded (random I/O is the paper's headline
+// cost, and a baseline of zero random I/Os is gated exactly: any new random
+// I/O is a regression), or a run flipped to/from INF, or a baseline point
 // disappeared.  Faster (fewer-I/O) results and extra points in current are
 // never violations; durations are recorded in the report but not gated.
 //
 // The two reports must describe the same workload: comparing across a
 // Quick/Scale/Experiment mismatch would misreport every point as a
 // regression, so it is rejected up front as its own violation.
-func CompareToBaseline(current, baseline Report, tolerance float64) []string {
+func CompareToBaseline(current, baseline Report) []string {
 	if current.Quick != baseline.Quick || current.Scale != baseline.Scale || current.Experiment != baseline.Experiment {
 		return []string{fmt.Sprintf(
 			"workload mismatch: this run is experiment=%q quick=%v scale=%d but the baseline was recorded with experiment=%q quick=%v scale=%d; rerun with matching flags or refresh the baseline",
@@ -148,11 +152,11 @@ func CompareToBaseline(current, baseline Report, tolerance float64) []string {
 		}
 	}
 	regressed := func(kind string, base, got int64) string {
-		limit := int64(float64(base) * (1 + tolerance))
+		limit := int64(float64(base) * (1 + BaselineTolerance))
 		if got <= limit {
 			return ""
 		}
-		return fmt.Sprintf("%s I/Os regressed beyond %.0f%%: baseline %d, now %d (limit %d)", kind, tolerance*100, base, got, limit)
+		return fmt.Sprintf("%s I/Os regressed beyond %.0f%%: baseline %d, now %d (limit %d)", kind, BaselineTolerance*100, base, got, limit)
 	}
 	var violations []string
 	for _, base := range baseline.Entries {
@@ -176,194 +180,6 @@ func CompareToBaseline(current, baseline Report, tolerance float64) []string {
 		}
 		if v := regressed("random", base.RandomIOs, got.RandomIOs); v != "" {
 			violations = append(violations, fmt.Sprintf("%s: %s", base.key(), v))
-		}
-	}
-	sort.Strings(violations)
-	return violations
-}
-
-// equivalenceViolations is the engine of the storage-equivalence gate:
-// measurements that agree on pointKey but differ in the compared dimension
-// (dimOf) must agree on the INF status, the number of SCCs, the iteration
-// count, and every accounted I/O count.  The first measurement seen at each
-// point is the reference.
-func equivalenceViolations(ms []Measurement, pointKey func(Measurement) string, dimOf func(Measurement) string) []string {
-	points := map[string]Measurement{}
-	var violations []string
-	for _, m := range ms {
-		k := pointKey(m)
-		ref, ok := points[k]
-		if !ok {
-			points[k] = m
-			continue
-		}
-		if dimOf(ref) == dimOf(m) {
-			continue
-		}
-		pair := func(format string, refVal, mVal any) string {
-			return fmt.Sprintf("%s: "+format, k, dimOf(ref), refVal, dimOf(m), mVal)
-		}
-		if ref.INF != m.INF {
-			violations = append(violations, fmt.Sprintf("%s: INF differs between %s and %s", k, dimOf(ref), dimOf(m)))
-			continue
-		}
-		if m.INF {
-			continue
-		}
-		if ref.NumSCCs != m.NumSCCs {
-			violations = append(violations, pair("SCC count differs between %s (%d) and %s (%d)", ref.NumSCCs, m.NumSCCs))
-		}
-		if ref.Iterations != m.Iterations {
-			violations = append(violations, pair("iteration count differs between %s (%d) and %s (%d)", ref.Iterations, m.Iterations))
-		}
-		if ref.TotalIOs != m.TotalIOs || ref.RandomIOs != m.RandomIOs {
-			violations = append(violations, pair("I/O counts differ between %s (%s) and %s (%s)",
-				fmt.Sprintf("%d/%d", ref.TotalIOs, ref.RandomIOs), fmt.Sprintf("%d/%d", m.TotalIOs, m.RandomIOs)))
-		}
-		if ref.BytesRead != m.BytesRead || ref.BytesWritten != m.BytesWritten {
-			violations = append(violations, pair("byte counts differ between %s (%s) and %s (%s)",
-				fmt.Sprintf("%d/%d", ref.BytesRead, ref.BytesWritten), fmt.Sprintf("%d/%d", m.BytesRead, m.BytesWritten)))
-		}
-	}
-	sort.Strings(violations)
-	return violations
-}
-
-// VerifyStorageEquivalence checks the cross-backend guarantee of
-// WithStorage across measurements that hold the same sweep on several
-// storage backends: for every (experiment, x, series) point, all backends
-// must agree on the INF status, the number of SCCs, the iteration count,
-// and every accounted I/O count.  It returns one violation string per
-// disagreement.
-func VerifyStorageEquivalence(ms []Measurement) []string {
-	return equivalenceViolations(ms,
-		func(m Measurement) string {
-			return fmt.Sprintf("%s|%s|%s", m.Experiment, m.X, m.Series)
-		},
-		func(m Measurement) string { return "storage=" + m.Storage })
-}
-
-// VerifyCodecEquivalence checks the result-equivalence guarantee of WithCodec
-// across measurements that hold the same sweep under several codec families:
-// for every (experiment, x, series, storage) point, all codecs must
-// agree on the INF status, the number of SCCs and the iteration count.  The
-// I/O counts are deliberately NOT compared — changing them is what a
-// compressing codec is for; CodecSavings quantifies that change.
-func VerifyCodecEquivalence(ms []Measurement) []string {
-	points := map[string]Measurement{}
-	var violations []string
-	for _, m := range ms {
-		k := fmt.Sprintf("%s|%s|%s|s=%s", m.Experiment, m.X, m.Series, m.Storage)
-		ref, ok := points[k]
-		if !ok {
-			points[k] = m
-			continue
-		}
-		if ref.Codec == m.Codec {
-			continue
-		}
-		if ref.INF != m.INF {
-			violations = append(violations, fmt.Sprintf("%s: INF differs between codec=%s and codec=%s", k, ref.Codec, m.Codec))
-			continue
-		}
-		if m.INF {
-			continue
-		}
-		if ref.NumSCCs != m.NumSCCs {
-			violations = append(violations, fmt.Sprintf("%s: SCC count differs between codec=%s (%d) and codec=%s (%d)", k, ref.Codec, ref.NumSCCs, m.Codec, m.NumSCCs))
-		}
-		if ref.Iterations != m.Iterations {
-			violations = append(violations, fmt.Sprintf("%s: iteration count differs between codec=%s (%d) and codec=%s (%d)", k, ref.Codec, ref.Iterations, m.Codec, m.Iterations))
-		}
-	}
-	sort.Strings(violations)
-	return violations
-}
-
-// CodecSavings aggregates, over every non-INF point measured under both
-// codec families, the total bytes written and block I/Os of each family.
-// Only points present in both families are summed, so the two sides describe
-// the same workload.
-type CodecSavings struct {
-	BaseBytes, OtherBytes int64
-	BaseIOs, OtherIOs     int64
-	Points                int
-}
-
-// BytesReduction returns the fractional reduction in bytes written of the
-// other family against the base family (0.3 = 30% fewer bytes).
-func (s CodecSavings) BytesReduction() float64 {
-	if s.BaseBytes <= 0 {
-		return 0
-	}
-	return 1 - float64(s.OtherBytes)/float64(s.BaseBytes)
-}
-
-// IOReduction returns the fractional reduction in total block I/Os.
-func (s CodecSavings) IOReduction() float64 {
-	if s.BaseIOs <= 0 {
-		return 0
-	}
-	return 1 - float64(s.OtherIOs)/float64(s.BaseIOs)
-}
-
-// CompareCodecs sums the paired measurements of the two codec families.
-func CompareCodecs(ms []Measurement, baseCodec, otherCodec string) CodecSavings {
-	base := map[string]Measurement{}
-	key := func(m Measurement) string {
-		return fmt.Sprintf("%s|%s|%s|s=%s", m.Experiment, m.X, m.Series, m.Storage)
-	}
-	for _, m := range ms {
-		if m.Codec == baseCodec && !m.INF {
-			base[key(m)] = m
-		}
-	}
-	var s CodecSavings
-	for _, m := range ms {
-		if m.Codec != otherCodec || m.INF {
-			continue
-		}
-		b, ok := base[key(m)]
-		if !ok {
-			continue
-		}
-		s.BaseBytes += b.BytesWritten
-		s.OtherBytes += m.BytesWritten
-		s.BaseIOs += b.TotalIOs
-		s.OtherIOs += m.TotalIOs
-		s.Points++
-	}
-	return s
-}
-
-// VerifyShardEquivalence checks the result guarantee of the sharded
-// contraction pre-pass across measurements that hold the same sweep at
-// several shard counts: for every (experiment, x, series, codec) point that
-// completed at both shard counts, the number of SCCs must be identical.
-// Iteration and I/O counts are deliberately NOT compared — the
-// pre-pass adds split/condense passes and changes where contraction
-// happens — and neither is the INF status of budget-capped runs: the
-// pre-pass shrinks the graph the capped algorithm sees, so a run that blew
-// its budget unsharded may finish within it sharded.  An INF run carries no
-// SCC count, so such pairs are skipped rather than compared.
-func VerifyShardEquivalence(ms []Measurement) []string {
-	points := map[string]Measurement{}
-	var violations []string
-	for _, m := range ms {
-		k := fmt.Sprintf("%s|%s|%s|c=%s", m.Experiment, m.X, m.Series, m.Codec)
-		ref, ok := points[k]
-		if !ok {
-			points[k] = m
-			continue
-		}
-		if ref.shardCount() == m.shardCount() {
-			continue
-		}
-		if ref.INF || m.INF {
-			continue
-		}
-		if ref.NumSCCs != m.NumSCCs {
-			violations = append(violations, fmt.Sprintf("%s: SCC count differs between shards=%d (%d) and shards=%d (%d)", k, ref.shardCount(), ref.NumSCCs, m.shardCount(), m.NumSCCs))
 		}
 	}
 	sort.Strings(violations)

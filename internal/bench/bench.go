@@ -72,7 +72,7 @@ type Measurement struct {
 	BytesRead    int64
 	BytesWritten int64
 	// Shards is the compute-shard count of the run (1 = unsharded).  The
-	// sharded pre-pass preserves every SCC count but adds split/condense
+	// sharded pre-pass preserves the SCC partition but adds split/condense
 	// passes, so the I/O counts are not comparable across shard counts.
 	Shards int
 	// Phases is the per-phase profile of the run (wall-clock, allocations,
@@ -82,6 +82,10 @@ type Measurement struct {
 	Iterations int
 	// NumSCCs is the number of SCCs found (sanity check across algorithms).
 	NumSCCs int64
+	// Partition fingerprints the SCC partition the run computed (see
+	// partitionFingerprint; 0 when INF).  CheckGrid compares it across
+	// grid axes; it stays out of the report.
+	Partition uint64
 	// INF marks a run that exceeded its budget (the paper's "INF" bars).
 	INF bool
 	// Note carries extra information (e.g. EM-SCC "did not converge").
@@ -208,10 +212,21 @@ func Experiments() []string {
 	}
 }
 
-// Run executes one experiment and returns its measurements.
+// Run executes one experiment, or with "all" every experiment in paper
+// order, and returns its measurements.
 func Run(experiment string, c Config) ([]Measurement, error) {
 	c = c.withDefaults()
 	switch experiment {
+	case "all":
+		var all []Measurement
+		for _, exp := range Experiments() {
+			ms, err := Run(exp, c)
+			if err != nil {
+				return all, fmt.Errorf("bench: experiment %s: %w", exp, err)
+			}
+			all = append(all, ms...)
+		}
+		return all, nil
 	case "table1":
 		return table1(c)
 	case "fig6":
@@ -237,21 +252,8 @@ func Run(experiment string, c Config) ([]Measurement, error) {
 	case "ablation":
 		return ablation(c)
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (known: %s)", experiment, strings.Join(Experiments(), ", "))
+		return nil, fmt.Errorf("bench: unknown experiment %q (known: all, %s)", experiment, strings.Join(Experiments(), ", "))
 	}
-}
-
-// RunAll executes every experiment.
-func RunAll(c Config) ([]Measurement, error) {
-	var all []Measurement
-	for _, exp := range Experiments() {
-		ms, err := Run(exp, c)
-		if err != nil {
-			return all, fmt.Errorf("bench: experiment %s: %w", exp, err)
-		}
-		all = append(all, ms...)
-	}
-	return all, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -399,6 +401,10 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		return Measurement{}, err
 	}
 	defer res.Close()
+	part, err := partitionFingerprint(res.LabelPath, c.ioConfig(0))
+	if err != nil {
+		return Measurement{}, err
+	}
 	return Measurement{
 		Experiment:   experiment,
 		Series:       series,
@@ -414,6 +420,7 @@ func runRegistered(c Config, experiment, x string, g edgefile.Graph, nodeBudget 
 		BytesWritten: res.Stats.BytesWritten,
 		Iterations:   res.Stats.ContractionIterations,
 		NumSCCs:      res.NumSCCs,
+		Partition:    part,
 	}, nil
 }
 
@@ -428,6 +435,10 @@ func runExt(c Config, experiment, x string, g edgefile.Graph, nodeBudget int64, 
 		return Measurement{}, err
 	}
 	defer res.Cleanup()
+	part, err := partitionFingerprint(res.LabelPath, cfg)
+	if err != nil {
+		return Measurement{}, err
+	}
 	phases := make([]extscc.PhaseStat, 0, 4)
 	for _, p := range cfg.Prof.Snapshot() {
 		phases = append(phases, extscc.PhaseStat{Name: p.Name, Count: p.Count, Wall: p.Wall, Allocs: p.Allocs, HeapDelta: p.HeapDelta})
@@ -447,6 +458,7 @@ func runExt(c Config, experiment, x string, g edgefile.Graph, nodeBudget int64, 
 		BytesWritten: res.IO.BytesWritten,
 		Iterations:   len(res.Iterations),
 		NumSCCs:      res.NumSCCs,
+		Partition:    part,
 	}, nil
 }
 
@@ -695,7 +707,11 @@ func emscc(c Config) ([]Measurement, error) {
 			m.Note = "did not converge"
 		}
 		if res.LabelPath != "" {
+			m.Partition, err = partitionFingerprint(res.LabelPath, cfg)
 			blockio.Remove(res.LabelPath, cfg)
+			if err != nil {
+				return err
+			}
 		}
 		out = append(out, m)
 		return nil

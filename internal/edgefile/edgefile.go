@@ -449,11 +449,12 @@ func (s *Split) Remove(cfg iomodel.Config) error {
 	return blockio.Remove(s.CrossPath, cfg)
 }
 
-// SplitByNodeRange partitions g into k shards of contiguous node ranges with
-// near-equal node counts: the sorted node file is cut into k runs, every
-// edge with both endpoints in one run goes to that shard's internal edge
-// file, and every remaining edge goes to the shared cross file.  Two
-// sequential scans (nodes, then edges); k must be in [1, NumNodes].
+// SplitByNodeRange partitions g into k shards of contiguous node ranges
+// whose node counts differ by at most one: the node of rank r in the sorted
+// node file goes to shard ⌊r·k/|V|⌋, every edge with both endpoints in one
+// range goes to that shard's internal edge file, and every remaining edge
+// goes to the shared cross file.  Two sequential scans (nodes, then edges);
+// k must be in [1, NumNodes], so that no range is empty.
 func SplitByNodeRange(ctx context.Context, g Graph, dir string, k int, cfg iomodel.Config) (*Split, error) {
 	if k < 1 || int64(k) > g.NumNodes {
 		return nil, fmt.Errorf("edgefile: SplitByNodeRange k=%d outside [1, %d]", k, g.NumNodes)
@@ -466,7 +467,6 @@ func SplitByNodeRange(ctx context.Context, g Graph, dir string, k int, cfg iomod
 	// recording each shard's lowest node id for the edge router.
 	split := &Split{Shards: make([]Graph, k)}
 	lows := make([]record.NodeID, 0, k)
-	perShard := (g.NumNodes + int64(k) - 1) / int64(k)
 	nodeR, err := recio.NewReader(g.NodePath, record.NodeCodec{}, cfg)
 	if err != nil {
 		return nil, err
@@ -501,11 +501,11 @@ func SplitByNodeRange(ctx context.Context, g Graph, dir string, k int, cfg iomod
 			closeAll()
 			return nil, err
 		}
-		shard := int(seen / perShard)
+		shard := int(seen * int64(k) / g.NumNodes)
 		if shard >= k {
 			shard = k - 1
 		}
-		if seen == int64(shard)*perShard {
+		if shard == len(lows) {
 			lows = append(lows, n)
 		}
 		if err := nodeWs[shard].Write(n); err != nil {

@@ -2,6 +2,7 @@ package edgefile
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -392,6 +393,94 @@ func TestMergeLabels(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i].Node < got[i-1].Node {
 			t.Fatalf("merged labels not sorted: %v", got)
+		}
+	}
+}
+
+// TestSplitByNodeRange checks the shard split for every node count up to 40
+// and every shard count it allows (up to 8): k non-empty node ranges in
+// order whose sizes differ by at most one, every node in exactly one range,
+// and every edge in exactly one file, its shard's when both endpoints fall
+// in one range and the cross file otherwise.
+func TestSplitByNodeRange(t *testing.T) {
+	cfg := testConfig(t)
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 40; n++ {
+		nodes := make([]record.NodeID, n)
+		for i := range nodes {
+			nodes[i] = record.NodeID(3*i + 1) // gaps exercise the edge router
+		}
+		edges := make([]record.Edge, 3*n)
+		for i := range edges {
+			edges[i] = record.Edge{U: nodes[rng.Intn(n)], V: nodes[rng.Intn(n)]}
+		}
+		g := Graph{EdgePath: writeEdges(t, cfg, edges), NodePath: writeNodes(t, cfg, nodes), NumNodes: int64(n), NumEdges: int64(len(edges))}
+		for k := 1; k <= min(n, 8); k++ {
+			split, err := SplitByNodeRange(context.Background(), g, t.TempDir(), k, cfg)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			if len(split.Shards) != k {
+				t.Fatalf("n=%d k=%d: %d shards", n, k, len(split.Shards))
+			}
+			shardOf := map[record.NodeID]int{}
+			var all []record.NodeID
+			for i, sg := range split.Shards {
+				got, err := recio.ReadAll(sg.NodePath, record.NodeCodec{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) == 0 || int64(len(got)) != sg.NumNodes {
+					t.Fatalf("n=%d k=%d: shard %d holds %d nodes, says %d", n, k, i, len(got), sg.NumNodes)
+				}
+				if size := len(got); size != n/k && size != n/k+1 {
+					t.Fatalf("n=%d k=%d: shard %d holds %d nodes, want %d or %d", n, k, i, size, n/k, n/k+1)
+				}
+				for _, v := range got {
+					shardOf[v] = i
+				}
+				all = append(all, got...)
+			}
+			if !slices.Equal(all, nodes) {
+				t.Fatalf("n=%d k=%d: the shards hold %v, want every node once and in order: %v", n, k, all, nodes)
+			}
+
+			var routed []record.Edge
+			for i, sg := range split.Shards {
+				got, err := recio.ReadAll(sg.EdgePath, record.EdgeCodec{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range got {
+					if shardOf[e.U] != i || shardOf[e.V] != i {
+						t.Fatalf("n=%d k=%d: edge %v in shard %d", n, k, e, i)
+					}
+				}
+				routed = append(routed, got...)
+			}
+			cross, err := recio.ReadAll(split.CrossPath, record.EdgeCodec{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range cross {
+				if shardOf[e.U] == shardOf[e.V] {
+					t.Fatalf("n=%d k=%d: internal edge %v in the cross file", n, k, e)
+				}
+			}
+			if int64(len(cross)) != split.NumCross {
+				t.Fatalf("n=%d k=%d: %d cross edges, says %d", n, k, len(cross), split.NumCross)
+			}
+			routed = append(routed, cross...)
+			byEdge := func(a, b record.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
+			want := slices.Clone(edges)
+			slices.SortFunc(want, byEdge)
+			slices.SortFunc(routed, byEdge)
+			if !slices.Equal(routed, want) {
+				t.Fatalf("n=%d k=%d: the split holds %d edges, not the input's %d", n, k, len(routed), len(edges))
+			}
+			if err := split.Remove(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

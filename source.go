@@ -205,7 +205,8 @@ type GeneratorSpec struct {
 	// Scale divides the paper's Table I sizes (0 = 1000).  Only the Table I
 	// families use it.
 	Scale int
-	// Nodes overrides the number of nodes (0 = preset default).
+	// Nodes overrides the number of nodes (0 = preset default).  A random
+	// or dag graph needs at least 2.
 	Nodes int
 	// Degree overrides the average degree (0 = preset default).
 	Degree int
@@ -262,7 +263,29 @@ func (s GeneratorSpec) WriteEdgeFileOn(backend Storage, path string) (int64, []N
 	return s.writeEdgeFile(path, cfg)
 }
 
+// validate rejects, before any file is created, a spec no generator can
+// honour: a negative size, and a random or dag graph of one node (random
+// draws edges until one is not a self-loop, and dag needs two nodes to
+// order).
+func (s GeneratorSpec) validate() error {
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"Nodes", s.Nodes}, {"Degree", s.Degree}, {"Scale", s.Scale}} {
+		if f.value < 0 {
+			return fmt.Errorf("extscc: generator kind %q: %s %d is negative", s.Kind, f.name, f.value)
+		}
+	}
+	if (s.Kind == "random" || s.Kind == "dag") && s.Nodes == 1 {
+		return fmt.Errorf("extscc: generator kind %q needs at least 2 nodes, got %d", s.Kind, s.Nodes)
+	}
+	return nil
+}
+
 func (s GeneratorSpec) writeEdgeFile(path string, cfg iomodel.Config) (int64, []NodeID, error) {
+	if err := s.validate(); err != nil {
+		return 0, nil, err
+	}
 	scale := s.Scale
 	if scale <= 0 {
 		scale = 1000
