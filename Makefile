@@ -80,11 +80,12 @@ bench:
 # reused caller buffers (TestFrameRoundTripAllocs enforces it in `make test`
 # too), as must the varint encode-only and decode-only legs on
 # contract-web's two hot frames at B = 64 KiB (web-Edge: 6,551 edges by
-# source; web-EdgeAug: 1,310 augmented edges by target); the in-place radix
+# source; web-EdgeAug: 3,275 augmented edges by target); the in-place radix
 # sort of run formation reports its ns/op and 0 allocs/op on contract-web's
-# run shapes at M = 4 MiB; an LRU miss of the serving path — a 2-id
-# Result.LookupLabels batch over serve-large's ~100k-label varint labelling
-# — reports its ns/op, B/op and allocs/op; and the semi-external base case
+# run shapes at M = 4 MiB (M/2 over each record's size: 262,144 edges,
+# 131,072 augmented edges, 174,762 SCC-annotated edges); an LRU miss of the
+# serving path — a 2-id Result.LookupLabels batch over serve-large's
+# ~100k-label varint labelling — reports its ns/op, B/op and allocs/op; and the semi-external base case
 # on serve-large's graph (B = 64 KiB, M = 4 MiB) reports its ns/op, edge
 # scans and I/Os per solve.
 microbench:
@@ -119,19 +120,19 @@ serve-smoke:
 # corruption message, never a wrong answer.  The retry legs run at node
 # budget 15,000, where the 20,000-node graph contracts three times, and both
 # faults land inside the first contraction step's cover scan while E_d's
-# sort stream is open: the torn write is the 64th write under the run
-# directory, a block of ein-trim (after staging, eout, vout and E_d's runs),
-# and the transient read the 56th read, a block of one of E_d's runs as the
-# streamed merge feeds the scan.  Each retry leg fails unless sccrun reports
-# both faults recovered.
+# sort stream is open: the torn write is the 54th write under the run
+# directory, the fourth block of ein-trim (after staging, eout, vout, vd and
+# E_d's runs), and the transient read the 52nd read, a block of one of E_d's
+# runs as the streamed merge feeds the scan, right after the torn write.
+# Each retry leg fails unless sccrun reports both faults recovered.
 faultsweep:
 	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve ./internal/contraction \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
-	EXTSCC_FAULT='op=write,n=64,mode=torn,path=extscc-engine-;op=read,n=56,mode=transient,path=extscc-engine-' \
+	EXTSCC_FAULT='op=write,n=54,mode=torn,path=extscc-engine-;op=read,n=52,mode=transient,path=extscc-engine-' \
 		EXTSCC_STORAGE=os $(GO) run ./cmd/sccrun -in FAULT_graph.edges -node-budget 15000 -retry 3 | tee FAULT_os.log
 	grep -q '^retries: 2 ' FAULT_os.log || { echo "os leg: the torn write and the transient read were not both recovered"; exit 1; }
-	EXTSCC_FAULT='op=write,n=64,mode=torn,path=extscc-engine-;op=read,n=56,mode=transient,path=extscc-engine-' \
+	EXTSCC_FAULT='op=write,n=54,mode=torn,path=extscc-engine-;op=read,n=52,mode=transient,path=extscc-engine-' \
 		EXTSCC_STORAGE=mem $(GO) run ./cmd/sccrun -in FAULT_graph.edges -node-budget 15000 -retry 3 -codec varint | tee FAULT_mem.log
 	grep -q '^retries: 2 ' FAULT_mem.log || { echo "mem leg: the torn write and the transient read were not both recovered"; exit 1; }
 	@echo "expecting the corrupting run below to fail with a corruption error:"

@@ -109,11 +109,16 @@ type Progress struct {
 	// Iteration is the 1-based iteration that just completed.
 	Iteration int
 	// NumNodes and NumEdges describe the graph before the iteration.
+	// NumEdges counts the input's edges, parallel edges included, at
+	// iteration 1, and from iteration 2 on the distinct edges of the
+	// contracted graph.
 	NumNodes int64
 	NumEdges int64
 	// NumRemoved is the number of nodes the iteration removed.
 	NumRemoved int64
-	// PreservedEdges and AddedEdges partition the next graph's edge set.
+	// PreservedEdges and AddedEdges count the edges the iteration kept and
+	// the rewiring edges it created.  An added edge may repeat another, so
+	// their sum bounds the next iteration's NumEdges from above.
 	PreservedEdges int64
 	AddedEdges     int64
 }

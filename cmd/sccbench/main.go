@@ -22,6 +22,10 @@
 //     write at least 30% fewer bytes than fixed and charge fewer block I/Os;
 //   - shards: the SCC partition of every completed run.
 //
+// The emscc and ablation experiments have no sharded path: at a shard count
+// above 1 they run nothing, and sccbench prints one "no sharded path,
+// skipped" line for each.
+//
 // For every axis with more than one value sccbench prints the total wall
 // time per value.  -json writes all measurements as a JSON report, and
 // -baseline gates them against a committed report (a baseline point the
@@ -92,6 +96,17 @@ func main() {
 		}
 	}
 
+	exps := []string{*experiment}
+	if *experiment == "all" {
+		exps = bench.Experiments()
+	}
+	for _, n := range shardCounts {
+		for _, exp := range exps {
+			if n > 1 && !bench.HasShardedPath(exp) {
+				fmt.Printf("%s: no sharded path, skipped at shards=%d\n", exp, n)
+			}
+		}
+	}
 	fmt.Print(bench.FormatTable(ms))
 	fmt.Print(bench.Summary(ms))
 	if *csvPath != "" {

@@ -212,10 +212,20 @@ func Experiments() []string {
 	}
 }
 
+// HasShardedPath reports whether the experiment runs sharded at
+// Config.Shards > 1.  emscc and ablation do not: they call baseline.EMSCC
+// and core.ExtSCC directly, which a shard count never reaches, so they
+// return no rows there rather than repeat their unsharded sweep.
+func HasShardedPath(experiment string) bool { return experiment != "emscc" && experiment != "ablation" }
+
 // Run executes one experiment, or with "all" every experiment in paper
-// order, and returns its measurements.
+// order, and returns its measurements.  An experiment without a sharded
+// path (HasShardedPath) returns no rows when c.Shards > 1.
 func Run(experiment string, c Config) ([]Measurement, error) {
 	c = c.withDefaults()
+	if c.Shards > 1 && !HasShardedPath(experiment) {
+		return nil, nil
+	}
 	switch experiment {
 	case "all":
 		var all []Measurement

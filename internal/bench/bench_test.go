@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"extscc/internal/storage"
 )
 
 func quickConfig(t *testing.T) Config {
@@ -54,6 +56,27 @@ func TestAblationExperiment(t *testing.T) {
 		if m.RandomIOs != 0 {
 			t.Fatalf("%s performed random I/O", m.Series)
 		}
+	}
+}
+
+// TestUnshardedExperimentsSkipShards runs the experiments without a
+// sharded path at Shards: 2 on a store whose every operation fails: each
+// returns no rows and no error without running, and a sharded experiment
+// fails on the same store.
+func TestUnshardedExperimentsSkipShards(t *testing.T) {
+	c := quickConfig(t)
+	c.Shards = 2
+	c.Storage = storage.NewFault(storage.NewMem(), storage.NewFaultPlan(&storage.FaultRule{N: 1, Count: 0}))
+	for _, exp := range []string{"emscc", "ablation"} {
+		if HasShardedPath(exp) {
+			t.Fatalf("%s claims a sharded path", exp)
+		}
+		if ms, err := Run(exp, c); err != nil || len(ms) != 0 {
+			t.Fatalf("Run(%q) at Shards 2: %d rows, error %v; want none", exp, len(ms), err)
+		}
+	}
+	if _, err := Run("fig7", c); err == nil {
+		t.Fatal("fig7 ran on a store that fails every operation")
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"extscc/internal/record"
 )
 
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	payload := []byte("twelve bytes")
-	h := FrameHeader{Codec: 4, Count: 7, Payload: uint32(len(payload))}
+	h := FrameHeader{Codec: uint8(record.CodecVarintEdgeAug), Count: 7, Payload: uint32(len(payload))}
 	buf := make([]byte, FrameHeaderSize)
 	PutFrameHeader(buf, h, payload)
 	if !HasFrameMagic(buf) {
@@ -19,7 +21,8 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseFrameHeader: %v", err)
 	}
-	want := FrameHeader{Codec: 4, Count: 7, Payload: uint32(len(payload)), CRC: FrameCRC(buf, payload)}
+	want := h
+	want.CRC = FrameCRC(buf, payload)
 	if got != want {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
@@ -88,10 +91,10 @@ func TestParseFrameHeaderRejects(t *testing.T) {
 	}
 
 	// Adversarial headers: an unregistered codec id and insane lengths must
-	// be rejected before any allocation happens downstream.  Ids 7–12 are
-	// the retired compress family's: reserved, so they fail like any other
-	// unregistered id.
-	for _, id := range []byte{0xEE, 7, 8, 9, 10, 11, 12} {
+	// be rejected before any allocation happens downstream.  Id 4 is the
+	// retired 40-byte EdgeAug layout's and ids 7–12 the retired compress
+	// family's: reserved, so they fail like any other unregistered id.
+	for _, id := range []byte{0xEE, 4, 7, 8, 9, 10, 11, 12} {
 		unregistered := append([]byte(nil), buf...)
 		unregistered[5] = id
 		binary.LittleEndian.PutUint32(unregistered[14:18], FrameCRC(unregistered, payload))

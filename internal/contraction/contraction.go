@@ -8,19 +8,24 @@
 //
 // Every step is a sequential scan, a merge join of sorted files and sort
 // streams, or an external sort, so the phase performs no random I/O.  A step
-// writes each of its files once: eout (G_i's deduplicated edges by source),
-// the out-degree table vout and the degree table vd (one scan of eout writes
+// writes each of its files once: eout (G_i's deduplicated edges by source;
+// a Sorted graph's edge file, which the previous step handed over in that
+// form, is eout as it stands and is neither sorted nor copied), the
+// out-degree table vout and the degree table vd (one scan of eout writes
 // vout and sorts the targets, whose runs of equal ids are the in-degrees),
 // ein-trim (E_d as plain edges, sorted by target; in the unoptimised variant
 // nothing is trimmed and it is all of E_in), the cover candidates cover-raw
 // and the cover, the removed nodes' in-edges edel and out-edges eout-del
-// (one split pass over ein-trim cuts them off on its way to E_pre),
-// next-edges (E_pre, then E_add) and the removed-step file.  E_d itself,
-// the degree-augmented edge list, is never a file: its sort by target
-// streams into the cover scan, which writes ein-trim and cover-raw as it
-// reads E_d.  Expansion needs only E_del, the removed nodes' edges to kept
-// neighbours (Lemma 6.4), so the removed-step file hands those over and
-// expansion never reads G_i.
+// and the kept edges E_pre, by source, in epre (one split pass over
+// ein-trim writes all three), the removed-step file, and next-edges, G_{i+1}
+// sorted by source and deduplicated: one merge of epre with the sort of
+// E_add, which the rewiring pass that writes the removed-step file pushes
+// its edges into.  E_d itself, the degree-augmented edge list, is never a
+// file: its sort by target carries each edge with its source's degrees (16
+// bytes) and streams into the cover scan, which joins the target's degrees
+// and writes ein-trim and cover-raw as it reads E_d.  Expansion needs only
+// E_del, the removed nodes' edges to kept neighbours (Lemma 6.4), so the
+// removed-step file hands those over and expansion never reads G_i.
 package contraction
 
 import (
@@ -50,7 +55,9 @@ type Options struct {
 
 // Result describes one contraction step G_i -> G_{i+1}.
 type Result struct {
-	// Next is the contracted graph G_{i+1}.
+	// Next is the contracted graph G_{i+1}, declared Sorted: its edge file
+	// is sorted by source and holds no duplicate edges (nor, in the
+	// optimised variant, self-loops), and NumEdges counts them.
 	Next edgefile.Graph
 	// RemovedPath is the removed-step file: a plain edge file that holds
 	// one group per removed node v of V_i - V_{i+1}, in id order: the marker
@@ -70,7 +77,10 @@ type Result struct {
 	NumRemoved int64
 	// PreservedEdges is |E_pre|, the edges of G_i with both ends kept.
 	PreservedEdges int64
-	// AddedEdges is |E_add|, the rewiring edges created by node removal.
+	// AddedEdges is |E_add|, the rewiring edges created by node removal, as
+	// written: an edge created through several removed nodes, or also in
+	// E_pre, counts each time, so PreservedEdges + AddedEdges bounds
+	// Next.NumEdges from above.
 	AddedEdges int64
 	// MaxRemovedDegree is the largest number of distinct neighbours among
 	// removed nodes; Theorem 5.3 bounds it by sqrt(2|E_i|).
@@ -78,7 +88,10 @@ type Result struct {
 }
 
 // Contract performs one contraction step on g, writing all produced files
-// into dir.  The input graph's files are left untouched.  Cancelling ctx
+// into dir.  The input graph's files are left untouched.  If g is Sorted,
+// its edge file is read as E_out and must be sorted by source without
+// duplicates (and, in the optimised variant, without self-loops); a file
+// that breaks that fails the step with edgefile.ErrUnsorted.  Cancelling ctx
 // aborts the step between operators (and inside the long per-record loops)
 // and removes every intermediate file the step created.
 func Contract(ctx context.Context, g edgefile.Graph, dir string, opts Options, cfg iomodel.Config) (Result, error) {
@@ -135,18 +148,22 @@ func (c *contractor) run() (Result, error) {
 	}
 	// Step 1: the edge list E_out of Algorithms 3 and 4, sorted by source.
 	// Parallel edges are always eliminated while the sorted edges stream
-	// past (Example 5.1 removes them when constructing G_{i+1}; doing it
-	// lazily here costs no extra I/O); the optimised variant additionally
-	// drops self-loops (Section VII edge reduction).
-	sorted, err := c.edgeSorter(record.EdgeBySource).SortPath(c.g.EdgePath)
-	if err != nil {
-		return Result{}, err
-	}
-	eout := c.temp("eout")
-	_, err = edgefile.DedupeEdges(sorted, eout, c.opts.Optimized, c.cfg)
-	sorted.Close()
-	if err != nil {
-		return Result{}, err
+	// past (Example 5.1 removes them when constructing G_{i+1}); the
+	// optimised variant additionally drops self-loops (Section VII edge
+	// reduction).  A Sorted graph's edge file, which the previous step
+	// handed over in exactly that form, is E_out as it stands.
+	eout := c.g.EdgePath
+	if !c.g.Sorted {
+		sorted, err := c.edgeSorter(record.EdgeBySource).SortPath(c.g.EdgePath)
+		if err != nil {
+			return Result{}, err
+		}
+		eout = c.temp("eout")
+		_, err = edgefile.DedupeEdges(sorted, eout, c.opts.Optimized, c.cfg)
+		sorted.Close()
+		if err != nil {
+			return Result{}, err
+		}
 	}
 
 	// Step 2: the degree table V_d.  Type-1 node reduction keeps only nodes
@@ -168,7 +185,7 @@ func (c *contractor) run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	einTrim, coverPath, numCover, err := c.buildCover(ed)
+	einTrim, coverPath, numCover, err := c.buildCover(ed, vd)
 	if err != nil {
 		return Result{}, err
 	}
@@ -178,30 +195,46 @@ func (c *contractor) run() (Result, error) {
 	}
 
 	// Step 5: the edges of the contracted graph, E_{i+1} = E_pre ∪ E_add,
-	// written once: the split streams E_pre into the file, then the
-	// rewiring pass appends E_add and writes the removed-step file.
+	// handed over sorted by source and deduplicated, as step 1 of the next
+	// contraction reads them.  The split writes E_pre, by source, to epre;
+	// the rewiring pass pushes E_add into a sort by source and writes the
+	// removed-step file; and one merge of the two writes next-edges,
+	// dropping duplicates (and self-loops in the optimised variant) as
+	// step 1 does.  E_add's run formation is the only sort holding memory
+	// while the rewiring pass runs, and the merge is its stream's consumer.
 	if err := c.ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	nextEdges, removedPath := c.temp("next-edges"), c.temp("removed")
-	next, err := recio.NewWriter(nextEdges, record.EdgeCodec{}, c.cfg)
+	edel, eoutDel, epre, preserved, err := c.splitEdges(einTrim, coverPath)
 	if err != nil {
 		return Result{}, err
 	}
-	defer next.Close()
-	edel, eoutDel, err := c.splitEdges(einTrim, coverPath, next)
+	removedPath := c.temp("removed")
+	rw, err := c.edgeSorter(record.EdgeBySource).RunWriter()
 	if err != nil {
 		return Result{}, err
 	}
-	preserved := next.Count()
-	markers, maxRemovedDeg, err := c.buildEadd(edel, eoutDel, coverPath, removedPath, next)
+	defer rw.Abort()
+	markers, added, maxRemovedDeg, err := c.buildEadd(edel, eoutDel, coverPath, removedPath, rw)
 	if err != nil {
 		return Result{}, err
 	}
 	if markers != numRemoved {
 		return Result{}, fmt.Errorf("contraction: wrote %d removed nodes, but |V_i| - |V_{i+1}| = %d - %d", markers, c.g.NumNodes, numCover)
 	}
-	if err := next.Close(); err != nil {
+	eadd, err := rw.Sort()
+	if err != nil {
+		return Result{}, err
+	}
+	defer eadd.Close()
+	preR, err := recio.NewReader(epre, record.EdgeCodec{}, c.cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	defer preR.Close()
+	nextEdges := c.temp("next-edges")
+	numEdges, err := edgefile.DedupeEdges(edgefile.MergeEdges(preR.Iter(), eadd), nextEdges, c.opts.Optimized, c.cfg)
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -213,12 +246,13 @@ func (c *contractor) run() (Result, error) {
 			EdgePath: nextEdges,
 			NodePath: coverPath,
 			NumNodes: numCover,
-			NumEdges: next.Count(),
+			NumEdges: numEdges,
+			Sorted:   true,
 		},
 		RemovedPath:      removedPath,
 		NumRemoved:       numRemoved,
 		PreservedEdges:   preserved,
-		AddedEdges:       next.Count() - preserved,
+		AddedEdges:       added,
 		MaxRemovedDegree: maxRemovedDeg,
 	}, nil
 }
@@ -249,7 +283,7 @@ func (c *contractor) computeDegrees(eout, vd string) error {
 	}
 	vout := c.temp("vout")
 	_, err = recio.WriteFile(vout, record.NodeDegreeCodec{}, c.cfg, func(w recio.Sink[record.NodeDegree]) error {
-		return edgefile.OutDegrees(r.Iter(), w, rw)
+		return edgefile.OutDegrees(r.Iter(), w, rw, c.opts.Optimized)
 	})
 	r.Close()
 	if err != nil {
@@ -269,124 +303,71 @@ func (c *contractor) computeDegrees(eout, vd string) error {
 	return err
 }
 
-// buildEd returns E_d: every edge augmented with the comparison keys of both
-// endpoints (lines 5-7 of Algorithm 3), sorted by (target, source).  Edges
-// with an endpoint missing from V_d (possible only under Type-1 reduction)
-// are dropped.  The join on the source pushes its output straight into the
-// re-sort by target, and the returned stream is that sort's stream joined
-// on the target; its consumer closes it.  The sort reserves the Type-2
-// dictionary's memory, which the consumer holds beside the stream.
-func (c *contractor) buildEd(eout, vd string) (*joined, error) {
+// buildEd returns E_d (lines 5-7 of Algorithm 3) sorted by (target,
+// source): every edge of eout whose source is in V_d, carrying the source's
+// in- and out-degree.  The join on the source pushes its output straight
+// into the sort by target.  The target's degrees are not carried through
+// the sort: the cover scan, the stream's one consumer, joins them from V_d
+// as it reads E_d, so the sort moves 16 bytes per edge.  The sort reserves
+// the Type-2 dictionary's memory, which the scan holds beside the stream.
+func (c *contractor) buildEd(eout, vd string) (*extsort.Stream[record.EdgeAug], error) {
 	r, err := recio.NewReader(eout, record.EdgeCodec{}, c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	bySource, err := c.joinDegrees(augmented{r, r.Iter()}, vd, false)
+	defer r.Close()
+	vdR, err := recio.NewReader(vd, record.NodeDegreeCodec{}, c.cfg)
 	if err != nil {
-		r.Close()
 		return nil, err
 	}
+	defer vdR.Close()
 	var reserve int64 // the cover scan's Type-2 dictionary
 	if c.opts.Optimized {
 		reserve = type2DictBytes(c.type2DictSize())
 	}
 	sorter := extsort.NewContext(c.ctx, record.EdgeAugCodec{}, record.EdgeAugByTarget, c.cfg)
-	sorted, err := sorter.Reserve(reserve).Sort(bySource)
-	bySource.Close()
-	if err != nil {
-		return nil, err
-	}
-	ed, err := c.joinDegrees(sorted, vd, true)
-	if err != nil {
-		sorted.Close()
-		return nil, err
-	}
-	return ed, nil
+	return sorter.Reserve(reserve).Sort(&joined{edges: r.Iter(), degrees: recio.NewPeekable(vdR.Iter())})
 }
 
-// edgeAugStream is an augmented-edge stream that holds a file or a sort's
-// run files open until Close.
-type edgeAugStream interface {
-	recio.Iterator[record.EdgeAug]
-	Close() error
-}
-
-// augmented lifts a plain edge file's records to augmented edges with both
-// keys unset.
-type augmented struct {
-	r     *recio.Reader[record.Edge]
-	edges recio.Iterator[record.Edge]
-}
-
-func (a augmented) Next() (record.EdgeAug, bool, error) {
-	e, ok, err := a.edges.Next()
-	return record.EdgeAug{U: e.U, V: e.V}, ok, err
-}
-
-func (a augmented) Close() error { return a.r.Close() }
-
-// joined merge-joins an augmented-edge stream with the degree table V_d,
-// filling the key of the source endpoint (byTarget=false, input sorted by
-// source) or of the target endpoint (byTarget=true, input sorted by target).
-// An edge whose endpoint is missing from V_d (trimmed by Type-1 reduction)
-// is dropped.
+// joined merge-joins an edge stream sorted by source with the degree table
+// V_d, attaching the source's degrees.  An edge whose source is missing from
+// V_d (trimmed by Type-1 reduction) is dropped.
 type joined struct {
-	in       edgeAugStream
-	vd       *recio.Reader[record.NodeDegree]
-	degrees  *recio.Peekable[record.NodeDegree]
-	byTarget bool
-	refined  bool
-}
-
-// joinDegrees opens the degree table at vd and joins in with it.  The
-// joined stream owns in.
-func (c *contractor) joinDegrees(in edgeAugStream, vd string, byTarget bool) (*joined, error) {
-	r, err := recio.NewReader(vd, record.NodeDegreeCodec{}, c.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &joined{in: in, vd: r, degrees: recio.NewPeekable(r.Iter()), byTarget: byTarget, refined: c.opts.Optimized}, nil
+	edges   recio.Iterator[record.Edge]
+	degrees *recio.Peekable[record.NodeDegree]
 }
 
 // Next implements recio.Iterator.
 func (j *joined) Next() (record.EdgeAug, bool, error) {
 	for {
-		rec, ok, err := j.in.Next()
+		e, ok, err := j.edges.Next()
 		if err != nil || !ok {
 			if err == nil {
 				err = j.degrees.Err()
 			}
 			return record.EdgeAug{}, false, err
 		}
-		node := rec.U
-		if j.byTarget {
-			node = rec.V
+		d, ok, err := degreeOf(j.degrees, e.U)
+		if err != nil {
+			return record.EdgeAug{}, false, err
 		}
-		for j.degrees.Valid() && j.degrees.Peek().Node < node {
-			j.degrees.Pop()
+		if ok {
+			return record.EdgeAug{U: e.U, V: e.V, InU: d.DegIn, OutU: d.DegOut}, true, nil
 		}
-		if !j.degrees.Valid() || j.degrees.Peek().Node != node {
-			if err := j.degrees.Err(); err != nil {
-				return record.EdgeAug{}, false, err
-			}
-			continue // endpoint trimmed by Type-1 reduction
-		}
-		if key := j.degrees.Peek().Key(j.refined); j.byTarget {
-			rec.KeyV = key
-		} else {
-			rec.KeyU = key
-		}
-		return rec, true, nil
 	}
 }
 
-// Close closes the input and the degree table's reader.
-func (j *joined) Close() error {
-	err := j.in.Close()
-	if verr := j.vd.Close(); err == nil {
-		err = verr
+// degreeOf advances degrees, a V_d stream read in ascending node order, to
+// node n and returns n's row; ok is false when n has none (trimmed by Type-1
+// reduction).
+func degreeOf(degrees *recio.Peekable[record.NodeDegree], n record.NodeID) (d record.NodeDegree, ok bool, err error) {
+	for degrees.Valid() && degrees.Peek().Node < n {
+		degrees.Pop()
 	}
-	return err
+	if !degrees.Valid() || degrees.Peek().Node != n {
+		return record.NodeDegree{}, false, degrees.Err()
+	}
+	return degrees.Peek(), true, nil
 }
 
 // buildCover scans E_d once (lines 8-9 of Algorithm 3, with the Type-2
@@ -396,14 +377,20 @@ func (j *joined) Close() error {
 // stream may not feed another sort's run formation, so the candidates are
 // a file; it is then sorted and deduplicated into the cover node list.  It
 // returns ein-trim, the cover file and |V_{i+1}|.
-func (c *contractor) buildCover(ed *joined) (einTrim, cover string, numCover int64, err error) {
+func (c *contractor) buildCover(ed *extsort.Stream[record.EdgeAug], vd string) (einTrim, cover string, numCover int64, err error) {
+	vdR, err := recio.NewReader(vd, record.NodeDegreeCodec{}, c.cfg)
+	if err != nil {
+		ed.Close()
+		return "", "", 0, err
+	}
 	einTrim, raw := c.temp("ein-trim"), c.temp("cover-raw")
 	_, err = recio.WriteFile(einTrim, record.EdgeCodec{}, c.cfg, func(proj recio.Sink[record.Edge]) error {
 		_, err := recio.WriteFile(raw, record.NodeCodec{}, c.cfg, func(cands recio.Sink[record.NodeID]) error {
-			return c.scanCover(ed, proj, cands)
+			return c.scanCover(ed, recio.NewPeekable(vdR.Iter()), proj, cands)
 		})
 		return err
 	})
+	vdR.Close()
 	if cerr := ed.Close(); err == nil {
 		err = cerr
 	}
@@ -423,13 +410,15 @@ func (c *contractor) buildCover(ed *joined) (einTrim, cover string, numCover int
 	return einTrim, cover, numCover, nil
 }
 
-// scanCover drains E_d, sorted by (target, source).  It writes every edge,
-// projected to a plain edge, to proj, and the cover node of every edge that
-// the Type-2 dictionary does not already cover to cands.  A cover node that
-// the dictionary retains, or that equals the last one written, was written
+// scanCover drains E_d, sorted by (target, source), and joins each edge's
+// target with the degree table degrees, dropping the edges whose target
+// Type-1 reduction trimmed.  It writes every remaining edge, projected to a
+// plain edge, to proj, and the cover node of every edge that the Type-2
+// dictionary does not already cover to cands.  A cover node that the
+// dictionary retains, or that equals the last one written, was written
 // before and is skipped, so cands is smaller than E_d but holds every node
 // of the cover.
-func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], proj recio.Sink[record.Edge], cands recio.Sink[record.NodeID]) error {
+func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], degrees *recio.Peekable[record.NodeDegree], proj recio.Sink[record.Edge], cands recio.Sink[record.NodeID]) error {
 	var dict *type2Dict
 	if c.opts.Optimized {
 		dict = newType2Dict(c.type2DictSize())
@@ -439,12 +428,22 @@ func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], proj recio.Sin
 	for scanned := 1; ; scanned++ {
 		rec, ok, err := ed.Next()
 		if err != nil || !ok {
+			if err == nil {
+				err = degrees.Err()
+			}
 			return err
 		}
 		if scanned%checkEvery == 0 {
 			if err := c.ctx.Err(); err != nil {
 				return err
 			}
+		}
+		dv, ok, err := degreeOf(degrees, rec.V)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue // target trimmed by Type-1 reduction
 		}
 		if err := proj.Write(rec.Edge()); err != nil {
 			return err
@@ -455,17 +454,13 @@ func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], proj recio.Sin
 			// even when rewiring has turned 2-cycles into self-loops.
 			continue
 		}
-		cover := rec.CoverNode()
+		cover, coverKey, other := record.CoverEnd(rec.U, rec.Source().Key(c.opts.Optimized), rec.V, dv.Key(c.opts.Optimized))
 		if dict != nil {
 			// Type-2 reduction: if the smaller endpoint is already known to be
 			// in the cover, this edge is covered and the greater endpoint need
 			// not be added for it.
-			if dict.contains(rec.OtherNode()) || dict.contains(cover) {
+			if dict.contains(other) || dict.contains(cover) {
 				continue
-			}
-			coverKey := rec.KeyV
-			if cover == rec.U {
-				coverKey = rec.KeyU
 			}
 			dict.insert(cover, coverKey)
 		}
@@ -483,18 +478,18 @@ func (c *contractor) scanCover(ed recio.Iterator[record.EdgeAug], proj recio.Sin
 // in one pass over it (lines 3 and 9-11 of Algorithm 4).  The edges into
 // removed nodes go to the file edel, sorted by (target, source).  The rest
 // are pushed into a sort by source, whose stream is split on the source:
-// E_pre, the edges with both ends in the cover, goes to next, and the
-// out-edges of removed nodes go to the file eoutDel, sorted by (source,
-// target).
-func (c *contractor) splitEdges(einTrim, coverPath string, next recio.Sink[record.Edge]) (edel, eoutDel string, err error) {
+// E_pre, the edges with both ends in the cover, goes to the file epre and
+// the out-edges of removed nodes to the file eoutDel, both sorted by
+// (source, target).  It also returns |E_pre|.
+func (c *contractor) splitEdges(einTrim, coverPath string) (edel, eoutDel, epre string, preserved int64, err error) {
 	rw, err := c.edgeSorter(record.EdgeBySource).RunWriter()
 	if err != nil {
-		return "", "", err
+		return "", "", "", 0, err
 	}
 	defer rw.Abort()
 	r, err := recio.NewReader(einTrim, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return "", "", err
+		return "", "", "", 0, err
 	}
 	edel = c.temp("edel")
 	_, err = recio.WriteFile(edel, record.EdgeCodec{}, c.cfg, func(del recio.Sink[record.Edge]) error {
@@ -502,50 +497,54 @@ func (c *contractor) splitEdges(einTrim, coverPath string, next recio.Sink[recor
 	})
 	r.Close()
 	if err != nil {
-		return "", "", err
+		return "", "", "", 0, err
 	}
 	bySource, err := rw.Sort()
 	if err != nil {
-		return "", "", err
+		return "", "", "", 0, err
 	}
 	defer bySource.Close()
-	eoutDel = c.temp("eout-del")
+	eoutDel, epre = c.temp("eout-del"), c.temp("epre")
 	_, err = recio.WriteFile(eoutDel, record.EdgeCodec{}, c.cfg, func(outDel recio.Sink[record.Edge]) error {
-		return edgefile.SplitByMembership(bySource, coverPath, next, outDel, false, c.cfg)
+		preserved, err = recio.WriteFile(epre, record.EdgeCodec{}, c.cfg, func(pre recio.Sink[record.Edge]) error {
+			return edgefile.SplitByMembership(bySource, coverPath, pre, outDel, false, c.cfg)
+		})
+		return err
 	})
 	if err != nil {
-		return "", "", err
+		return "", "", "", 0, err
 	}
-	return edel, eoutDel, nil
+	return edel, eoutDel, epre, preserved, nil
 }
 
 // buildEadd walks the removed nodes, the node file of G_i minus the cover,
 // merged with their in-edges (edel) and out-edges (eoutDel).  For every
 // removed node v it writes v's group to the removed-step file at
 // removedPath (see Result.RemovedPath) and connects every in-neighbour u to
-// every out-neighbour w in next (lines 3-8 of Algorithm 4).  It returns the
-// number of removed nodes and the largest number of distinct neighbours
-// among them.  The neighbour lists of one removed node are buffered in
-// memory; Theorem 5.3 bounds their size by sqrt(2|E_i|).
-func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, next recio.Sink[record.Edge]) (int64, uint64, error) {
+// every out-neighbour w in eadd (lines 3-8 of Algorithm 4).  It returns the
+// number of removed nodes, |E_add| and the largest number of distinct
+// neighbours among the removed nodes.  The neighbour lists of one removed
+// node are buffered in memory; Theorem 5.3 bounds their size by
+// sqrt(2|E_i|).
+func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, eadd recio.Sink[record.Edge]) (removed, added int64, maxRemovedDeg uint64, err error) {
 	nodeR, err := recio.NewReader(c.g.NodePath, record.NodeCodec{}, c.cfg)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer nodeR.Close()
 	coverR, err := recio.NewReader(coverPath, record.NodeCodec{}, c.cfg)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer coverR.Close()
 	delR, err := recio.NewReader(edel, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer delR.Close()
 	outR, err := recio.NewReader(eoutDel, record.EdgeCodec{}, c.cfg)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer outR.Close()
 
@@ -553,8 +552,6 @@ func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, nex
 	cover := recio.NewPeekable[record.NodeID](coverR.Iter())
 	inEdges := recio.NewPeekable[record.Edge](delR.Iter())
 	outEdges := recio.NewPeekable[record.Edge](outR.Iter())
-	var removed int64
-	var maxRemovedDeg uint64
 	var ins, outs []record.NodeID
 
 	// scanned counts nodes and written rewiring records: one removed node
@@ -631,9 +628,10 @@ func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, nex
 						// (Example 5.1).
 						continue
 					}
-					if err := next.Write(record.Edge{U: u, V: t}); err != nil {
+					if err := eadd.Write(record.Edge{U: u, V: t}); err != nil {
 						return err
 					}
+					added++
 				}
 			}
 		}
@@ -648,9 +646,9 @@ func (c *contractor) buildEadd(edel, eoutDel, coverPath, removedPath string, nex
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return removed, maxRemovedDeg, nil
+	return removed, added, maxRemovedDeg, nil
 }
 
 // ---------------------------------------------------------------------------

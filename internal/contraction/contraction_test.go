@@ -15,6 +15,7 @@ import (
 
 	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
+	"extscc/internal/extsort"
 	"extscc/internal/graphgen"
 	"extscc/internal/iomodel"
 	"extscc/internal/memgraph"
@@ -400,6 +401,116 @@ func TestType2DictMatchesReference(t *testing.T) {
 	}
 }
 
+// fileBytes returns the bytes of the file at path on cfg's backend.
+func fileBytes(t *testing.T, cfg iomodel.Config, path string) []byte {
+	t.Helper()
+	f, err := cfg.Backend().Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && size > 0 {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestContractSortedInput contracts random graphs with parallel edges and
+// self-loops, in both variants and at M = 8B, where every sort spills, from
+// two inputs: the edges as generated, and the graph a previous step hands
+// over — the same edges sorted by source and deduplicated (without
+// self-loops in the optimised variant), declared Sorted.  Both steps write
+// byte-identical cover, removed-step and next-edges files and report the
+// same counts; the Sorted input's edge file is left as it was; and each
+// step hands its next graph over Sorted, which it is: sorted by source,
+// without duplicates, and in the optimised variant without self-loops.  An
+// unsorted edge file declared Sorted fails the step with ErrUnsorted.
+func TestContractSortedInput(t *testing.T) {
+	bySource := func(a, b record.Edge) int { return cmp.Compare(record.EdgeBySource(a).Lo, record.EdgeBySource(b).Lo) }
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		edges := graphgen.Random(120, 400, seed)
+		for i := 0; i < 80; i++ {
+			e := edges[rng.Intn(len(edges))]
+			if i%2 == 0 {
+				e.V = e.U
+			}
+			edges = append(edges, e)
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, optimized := range []bool{false, true} {
+			tag := fmt.Sprintf("seed %d, optimized=%v", seed, optimized)
+			cfg := testConfig(t)
+			cfg.BlockSize, cfg.Memory = 64, 8*64
+			opts := Options{Optimized: optimized}
+			raw := buildGraph(t, cfg, edges, nil)
+			eout := slices.Compact(slices.SortedFunc(slices.Values(edges), bySource))
+			if optimized {
+				eout = slices.DeleteFunc(eout, func(e record.Edge) bool { return e.U == e.V })
+			}
+			sorted := raw
+			sorted.EdgePath, sorted.NumEdges, sorted.Sorted = cfg.TempDir+"/eout-in.bin", int64(len(eout)), true
+			if err := recio.WriteSlice(sorted.EdgePath, record.EdgeCodec{}, cfg, eout); err != nil {
+				t.Fatal(err)
+			}
+			before := fileBytes(t, cfg, sorted.EdgePath)
+
+			a, err := Contract(context.Background(), raw, t.TempDir(), opts, cfg)
+			if err != nil {
+				t.Fatalf("%s: unsorted input: %v", tag, err)
+			}
+			b, err := Contract(context.Background(), sorted, t.TempDir(), opts, cfg)
+			if err != nil {
+				t.Fatalf("%s: Sorted input: %v", tag, err)
+			}
+			for _, p := range [][2]string{{a.Next.NodePath, b.Next.NodePath}, {a.RemovedPath, b.RemovedPath}, {a.Next.EdgePath, b.Next.EdgePath}} {
+				if !slices.Equal(fileBytes(t, cfg, p[0]), fileBytes(t, cfg, p[1])) {
+					t.Fatalf("%s: %s and %s differ", tag, fileKind(p[0]), fileKind(p[1]))
+				}
+			}
+			nextPath := a.Next.EdgePath
+			a.Next.EdgePath, a.Next.NodePath, a.RemovedPath = "", "", ""
+			b.Next.EdgePath, b.Next.NodePath, b.RemovedPath = "", "", ""
+			if a != b {
+				t.Fatalf("%s: unsorted input gave %+v, Sorted input %+v", tag, a, b)
+			}
+			if !slices.Equal(fileBytes(t, cfg, sorted.EdgePath), before) {
+				t.Fatalf("%s: the step changed its input's edge file", tag)
+			}
+
+			if !b.Next.Sorted {
+				t.Fatalf("%s: the next graph is not declared Sorted", tag)
+			}
+			next, err := recio.ReadAll(nextPath, record.EdgeCodec{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := extsort.Sorted(nextPath, record.EdgeCodec{}, record.EdgeBySource, cfg); err != nil || !ok {
+				t.Fatalf("%s: next-edges not sorted by source (%v)", tag, err)
+			}
+			if len(slices.Compact(slices.Clone(next))) != len(next) || int64(len(next)) != a.Next.NumEdges {
+				t.Fatalf("%s: next-edges holds %d edges, %d distinct, and reports %d", tag, len(next), len(slices.Compact(slices.Clone(next))), a.Next.NumEdges)
+			}
+			if optimized && slices.ContainsFunc(next, func(e record.Edge) bool { return e.U == e.V }) {
+				t.Fatalf("%s: next-edges holds a self-loop", tag)
+			}
+			if a.PreservedEdges+a.AddedEdges < a.Next.NumEdges {
+				t.Fatalf("%s: |E_pre| + |E_add| = %d + %d < |E_{i+1}| = %d", tag, a.PreservedEdges, a.AddedEdges, a.Next.NumEdges)
+			}
+
+			raw.Sorted = true
+			if _, err := Contract(context.Background(), raw, t.TempDir(), opts, cfg); !errors.Is(err, edgefile.ErrUnsorted) {
+				t.Fatalf("%s: an unsorted edge file declared Sorted: got %v, want ErrUnsorted", tag, err)
+			}
+		}
+	}
+}
+
 // recordingBackend records the path of every file created through it.
 type recordingBackend struct {
 	storage.Backend
@@ -450,15 +561,10 @@ func coverFromEd(edges []record.Edge, optimized bool, dict *type2Dict) []record.
 		if optimized && (du.DegIn == 0 || du.DegOut == 0 || dv.DegIn == 0 || dv.DegOut == 0) || e.U == e.V {
 			continue
 		}
-		rec := record.EdgeAug{U: e.U, V: e.V, KeyU: du.Key(optimized), KeyV: dv.Key(optimized)}
-		c := rec.CoverNode()
+		c, key, other := record.CoverEnd(e.U, du.Key(optimized), e.V, dv.Key(optimized))
 		if dict != nil {
-			if dict.contains(rec.OtherNode()) {
+			if dict.contains(other) {
 				continue
-			}
-			key := rec.KeyV
-			if c == e.U {
-				key = rec.KeyU
 			}
 			dict.insert(c, key)
 		}
@@ -477,7 +583,7 @@ func coverFromEd(edges []record.Edge, optimized bool, dict *type2Dict) []record.
 // evicts at this budget.
 func TestContractStreamsEd(t *testing.T) {
 	edges := append(graphgen.Random(300, 1200, 21), record.Edge{U: 7, V: 7}, record.Edge{U: 8, V: 9})
-	allowed := []string{"eout", "vout", "vd", "ein-trim", "cover-raw", "cover", "edel", "eout-del", "next-edges", "removed", "extsort-run", "extsort-merge"}
+	allowed := []string{"eout", "vout", "vd", "ein-trim", "cover-raw", "cover", "edel", "eout-del", "epre", "next-edges", "removed", "extsort-run", "extsort-merge"}
 	for _, optimized := range []bool{false, true} {
 		rec := &recordingBackend{Backend: storage.NewMem()}
 		cfg := iomodel.Config{BlockSize: 64, Memory: 8 * 64, TempDir: "/in", Storage: rec, Stats: &iomodel.Stats{}}

@@ -61,12 +61,17 @@ type Options struct {
 type IterationStats struct {
 	// Index is the 1-based contraction iteration number.
 	Index int
-	// NumNodes and NumEdges describe G_i before the step.
+	// NumNodes and NumEdges describe G_i before the step.  NumEdges counts
+	// the records of G_i's edge file: the input's, parallel edges included,
+	// at iteration 1, and from iteration 2 on the distinct edges that the
+	// previous step handed over, the |E_i| of Example 5.1 and Theorem 5.3.
 	NumNodes int64
 	NumEdges int64
 	// NumRemoved is |V_i - V_{i+1}|.
 	NumRemoved int64
-	// PreservedEdges and AddedEdges partition |E_{i+1}|.
+	// PreservedEdges and AddedEdges are |E_pre| and |E_add| as written.  An
+	// added edge may repeat another, so their sum bounds |E_{i+1}| from
+	// above; the next iteration's NumEdges is the distinct count.
 	PreservedEdges int64
 	AddedEdges     int64
 	// MaxRemovedDegree is the largest number of distinct neighbours among

@@ -26,16 +26,29 @@ import (
 
 // Graph is an on-disk directed graph.
 type Graph struct {
-	// EdgePath is the path of the edge file ((u,v) records, arbitrary order
-	// unless stated otherwise by the producing operator).
+	// EdgePath is the path of the edge file ((u,v) records, in arbitrary
+	// order unless Sorted).
 	EdgePath string
 	// NodePath is the path of the node file (sorted ascending, no duplicates).
 	NodePath string
 	// NumNodes is |V|.
 	NumNodes int64
-	// NumEdges is |E|.
+	// NumEdges is the number of records in the edge file: |E| counting
+	// parallel edges, which a Sorted file has none of.
 	NumEdges int64
+	// Sorted declares that the edge file is sorted by source
+	// (record.EdgeBySource) and holds no duplicate edges.  The file's writer
+	// declares it; it is never inferred by inspecting the file.  A
+	// contraction step hands its next graph over Sorted and reads a Sorted
+	// edge file as E_out without sorting it, and OutDegrees fails with
+	// ErrUnsorted on an edge file that breaks the declaration.
+	Sorted bool
 }
+
+// ErrUnsorted reports an edge file that breaks its declared layout: an edge
+// out of source order, one equal to the previous edge, or a self-loop where
+// the reader needs none.  It wraps blockio.ErrCorrupt.
+var ErrUnsorted = fmt.Errorf("%w: edge file not sorted by source and deduplicated", blockio.ErrCorrupt)
 
 // String summarises the graph for logs.
 func (g Graph) String() string {
@@ -240,17 +253,28 @@ func ReverseEdges(in string, out recio.Sink[record.Edge], cfg iomodel.Config) er
 	}
 }
 
-// OutDegrees scans eout, an edge stream sorted by source, once: it writes
-// the out-degree table to vout, one NodeDegree per source with DegOut set,
-// in node order, and pushes the target of every edge to targets.  Sorted,
-// the targets give the in-degrees that ComputeDegrees merges in.
-func OutDegrees(eout recio.Iterator[record.Edge], vout recio.Sink[record.NodeDegree], targets recio.Sink[record.NodeID]) error {
+// OutDegrees scans eout, an edge stream sorted by source without duplicate
+// edges, once: it writes the out-degree table to vout, one NodeDegree per
+// source with DegOut set, in node order, and pushes the target of every edge
+// to targets.  Sorted, the targets give the in-degrees that ComputeDegrees
+// merges in.  An edge that does not follow the previous one in source
+// order, or with noSelfLoops a self-loop, fails the scan with ErrUnsorted:
+// it would otherwise count a wrong degree.
+func OutDegrees(eout recio.Iterator[record.Edge], vout recio.Sink[record.NodeDegree], targets recio.Sink[record.NodeID], noSelfLoops bool) error {
 	var cur record.NodeDegree // the source being counted, none while DegOut is 0
+	var prev record.Edge
 	for {
 		e, ok, err := eout.Next()
 		if err != nil {
 			return err
 		}
+		if ok && cur.DegOut > 0 && !record.EdgeBySource(prev).Less(record.EdgeBySource(e)) {
+			return fmt.Errorf("%w: edge %v after %v", ErrUnsorted, e, prev)
+		}
+		if ok && noSelfLoops && e.U == e.V {
+			return fmt.Errorf("%w: self-loop %v", ErrUnsorted, e)
+		}
+		prev = e
 		if cur.DegOut > 0 && (!ok || e.U != cur.Node) {
 			if err := vout.Write(cur); err != nil {
 				return err
@@ -302,6 +326,28 @@ func ComputeDegrees(vout recio.Iterator[record.NodeDegree], targets recio.Iterat
 		}
 		return ins.Err()
 	})
+}
+
+// MergeEdges merges two edge streams sorted by source into one stream sorted
+// by source; an edge both hold is yielded twice, once from each.
+func MergeEdges(a, b recio.Iterator[record.Edge]) recio.Iterator[record.Edge] {
+	return &mergedEdges{a: recio.NewPeekable(a), b: recio.NewPeekable(b)}
+}
+
+type mergedEdges struct{ a, b *recio.Peekable[record.Edge] }
+
+// Next implements recio.Iterator.
+func (m *mergedEdges) Next() (record.Edge, bool, error) {
+	if err := firstErr(m.a.Err(), m.b.Err()); err != nil {
+		return record.Edge{}, false, err
+	}
+	switch {
+	case m.a.Valid() && (!m.b.Valid() || !record.EdgeBySource(m.b.Peek()).Less(record.EdgeBySource(m.a.Peek()))):
+		return m.a.Pop(), true, nil
+	case m.b.Valid():
+		return m.b.Pop(), true, nil
+	}
+	return record.Edge{}, false, nil
 }
 
 // SplitByMembership streams the edges of in (sorted by the join key that

@@ -3,6 +3,7 @@ package edgefile
 import (
 	"cmp"
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"extscc/internal/blockio"
 	"extscc/internal/iomodel"
 	"extscc/internal/recio"
 	"extscc/internal/record"
@@ -148,17 +150,19 @@ func TestReverseEdges(t *testing.T) {
 	}
 }
 
-// degreeTable runs the degree pipeline on edges: sorted by source, one
-// OutDegrees scan writes vout and collects the targets, which are sorted and
-// merged with vout by ComputeDegrees.  It returns the rows and their count.
+// degreeTable runs the degree pipeline on edges: sorted by source and
+// deduplicated into E_out, one OutDegrees scan writes vout and collects the
+// targets, which are sorted and merged with vout by ComputeDegrees.  It
+// returns the rows and their count.
 func degreeTable(t *testing.T, cfg iomodel.Config, edges []record.Edge, requireBoth bool) ([]record.NodeDegree, int64) {
 	t.Helper()
 	eout := slices.Clone(edges)
 	slices.SortFunc(eout, func(a, b record.Edge) int { return cmp.Compare(record.EdgeBySource(a).Lo, record.EdgeBySource(b).Lo) })
+	eout = slices.Compact(eout)
 	vout := filepath.Join(t.TempDir(), "vout.bin")
 	var targets nodeSink
 	_, err := recio.WriteFile(vout, record.NodeDegreeCodec{}, cfg, func(w recio.Sink[record.NodeDegree]) error {
-		return OutDegrees(recio.NewSliceIterator(eout), w, &targets)
+		return OutDegrees(recio.NewSliceIterator(eout), w, &targets, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +233,10 @@ func TestComputeDegrees(t *testing.T) {
 
 // TestComputeDegreesMatchesMemory checks the degree table built from vout
 // and the sorted targets against degrees counted in memory, with and
-// without the Type-1 filter, on random multigraphs: parallel edges count
-// once per copy, and the graphs have source-only nodes (ids 100-119, out
-// edges only), sink-only nodes (120-139, in edges only) and self-loops.
+// without the Type-1 filter, on random multigraphs: E_out holds one copy of
+// each parallel edge, so it counts once, and the graphs have source-only
+// nodes (ids 100-119, out edges only), sink-only nodes (120-139, in edges
+// only) and self-loops.
 func TestComputeDegreesMatchesMemory(t *testing.T) {
 	cfg := testConfig(t)
 	for seed := int64(0); seed < 20; seed++ {
@@ -251,9 +256,13 @@ func TestComputeDegreesMatchesMemory(t *testing.T) {
 			}
 		}
 		in, out := map[record.NodeID]uint32{}, map[record.NodeID]uint32{}
+		seen := map[record.Edge]bool{}
 		for _, e := range edges {
-			out[e.U]++
-			in[e.V]++
+			if !seen[e] {
+				seen[e] = true
+				out[e.U]++
+				in[e.V]++
+			}
 		}
 		for _, requireBoth := range []bool{false, true} {
 			var want []record.NodeDegree
@@ -268,6 +277,85 @@ func TestComputeDegreesMatchesMemory(t *testing.T) {
 			if !slices.Equal(got, want) || n != int64(len(want)) {
 				t.Fatalf("seed %d, requireBoth=%v: %d rows\ngot  %v\nwant %v", seed, requireBoth, n, got, want)
 			}
+		}
+	}
+}
+
+// TestOutDegreesChecksDeclaredLayout feeds OutDegrees edge streams that
+// break E_out's layout: each fails with ErrUnsorted, which is an
+// ErrCorrupt, instead of counting a wrong degree.  Self-loops fail only
+// where the caller declares E_out free of them.
+func TestOutDegreesChecksDeclaredLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		edges       []record.Edge
+		noSelfLoops bool
+		bad         bool
+	}{
+		{"sorted", []record.Edge{{U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 2}, {U: 4, V: 1}}, false, false},
+		{"source out of order", []record.Edge{{U: 1, V: 2}, {U: 3, V: 1}, {U: 2, V: 5}}, false, true},
+		{"target out of order", []record.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 3, V: 1}}, false, true},
+		{"repeated edge", []record.Edge{{U: 1, V: 2}, {U: 3, V: 1}, {U: 3, V: 1}}, false, true},
+		{"self-loop allowed", []record.Edge{{U: 1, V: 1}, {U: 1, V: 2}}, false, false},
+		{"self-loop declared absent", []record.Edge{{U: 1, V: 2}, {U: 2, V: 2}}, true, true},
+	} {
+		var vout []record.NodeDegree
+		var targets nodeSink
+		err := OutDegrees(recio.NewSliceIterator(tc.edges), (*degreeSink)(&vout), &targets, tc.noSelfLoops)
+		if !tc.bad {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrUnsorted) || !errors.Is(err, blockio.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrUnsorted wrapping ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// degreeSink collects the degree rows an operator writes.
+type degreeSink []record.NodeDegree
+
+func (s *degreeSink) Write(d record.NodeDegree) error {
+	*s = append(*s, d)
+	return nil
+}
+
+// TestMergeEdges merges random by-source streams, with edges in common,
+// against a sort of their concatenation.
+func TestMergeEdges(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b []record.Edge
+		for i := 0; i < rng.Intn(50); i++ {
+			e := record.Edge{U: record.NodeID(rng.Intn(10)), V: record.NodeID(rng.Intn(10))}
+			a = append(a, e)
+			if rng.Intn(3) == 0 {
+				b = append(b, e)
+			}
+		}
+		for i := 0; i < rng.Intn(50); i++ {
+			b = append(b, record.Edge{U: record.NodeID(rng.Intn(10)), V: record.NodeID(rng.Intn(10))})
+		}
+		bySource := func(x, y record.Edge) int { return cmp.Compare(record.EdgeBySource(x).Lo, record.EdgeBySource(y).Lo) }
+		slices.SortFunc(a, bySource)
+		slices.SortFunc(b, bySource)
+		want := slices.SortedFunc(slices.Values(append(slices.Clone(a), b...)), bySource)
+		var got edgeSink
+		it := MergeEdges(recio.NewSliceIterator(a), recio.NewSliceIterator(b))
+		for {
+			e, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, e)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: merged %v, want %v", seed, got, want)
 		}
 	}
 }

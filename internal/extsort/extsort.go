@@ -72,8 +72,10 @@ const checkEvery = 8192
 // contraction's cover scan reads the degree table and writes E_d's plain
 // projection and the cover candidates (it also holds its Type-2 dictionary,
 // which its sort reserves), contraction's split reads the cover and writes
-// next-edges and eout-del, and expansion's intersect reads aug-in and the
-// removed-step file and writes the removed nodes' labels.
+// epre and eout-del, and expansion's intersect reads aug-in and the
+// removed-step file and writes the removed nodes' labels.  The merge that
+// hands a contraction step's next graph over holds two: it reads epre
+// beside E_add's stream and writes next-edges.
 const consumerBlocks = 3
 
 // Sorter sorts record files of type T by a fixed key function.

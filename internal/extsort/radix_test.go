@@ -134,18 +134,19 @@ func benchmarkSortSlice[T any](b *testing.B, n int, key func(T) record.Key, buil
 // runCapacity() is M/2 divided by the record size.
 func BenchmarkSortSlice(b *testing.B) {
 	const m = 4 << 20
-	b.Run(fmt.Sprintf("Edge/%d", m/2/8), func(b *testing.B) {
-		benchmarkSortSlice(b, m/2/8, record.EdgeBySource,
+	n := m / 2 / record.EdgeCodec{}.Size()
+	b.Run(fmt.Sprintf("Edge/%d", n), func(b *testing.B) {
+		benchmarkSortSlice(b, n, record.EdgeBySource,
 			func(u, v uint32) record.Edge { return record.Edge{U: u, V: v} })
 	})
-	b.Run(fmt.Sprintf("EdgeAug/%d", m/2/40), func(b *testing.B) {
-		benchmarkSortSlice(b, m/2/40, record.EdgeAugByTarget,
-			func(u, v uint32) record.EdgeAug {
-				return record.EdgeAug{U: u, V: v, KeyU: record.NodeKey{Deg: uint64(u % 97)}, KeyV: record.NodeKey{Deg: uint64(v % 97)}}
-			})
+	n = m / 2 / record.EdgeAugCodec{}.Size()
+	b.Run(fmt.Sprintf("EdgeAug/%d", n), func(b *testing.B) {
+		benchmarkSortSlice(b, n, record.EdgeAugByTarget,
+			func(u, v uint32) record.EdgeAug { return record.EdgeAug{U: u, V: v, InU: u % 97, OutU: u % 89} })
 	})
-	b.Run(fmt.Sprintf("EdgeSCC/%d", m/2/12), func(b *testing.B) {
-		benchmarkSortSlice(b, m/2/12, record.EdgeSCCByTargetSCC,
+	n = m / 2 / record.EdgeSCCCodec{}.Size()
+	b.Run(fmt.Sprintf("EdgeSCC/%d", n), func(b *testing.B) {
+		benchmarkSortSlice(b, n, record.EdgeSCCByTargetSCC,
 			func(u, v uint32) record.EdgeSCC { return record.EdgeSCC{U: u, V: v, SCC: u % 1000} })
 	})
 }

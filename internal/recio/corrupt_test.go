@@ -318,11 +318,38 @@ func TestCorruptFrameHeadBitFlips(t *testing.T) {
 	}
 }
 
+// framedFile hand-builds a framed file as a build writing codec id wrote
+// it: one frame of count records, with a valid CRC and frame-index footer.
+func framedFile(id uint8, count int, payload []byte, minKey, maxKey uint64) []byte {
+	file := make([]byte, blockio.FrameHeaderSize)
+	blockio.PutFrameHeader(file, blockio.FrameHeader{Codec: id, Count: uint32(count), Payload: uint32(len(payload))}, payload)
+	file = append(file, payload...)
+	return blockio.AppendFooter(file, []blockio.FooterEntry{{Count: uint32(count), MinKey: minKey, MaxKey: maxKey}})
+}
+
+// checkRetiredFailsTyped pins that opening or reading the file fails with
+// ErrCorrupt: a retired id stays reserved, so the file is never decoded as
+// another layout.
+func checkRetiredFailsTyped[T any](t *testing.T, name string, file []byte, codec record.Codec[T]) {
+	t.Helper()
+	mem := storage.NewMem()
+	cfg, err := iomodel.Config{Storage: mem, Stats: &iomodel.Stats{}}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/mem/retired/" + name + ".bin"
+	putFile(t, mem, path, file)
+	if _, err := NewReader(path, codec, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("NewReader on a %s file: got %v, want ErrCorrupt", name, err)
+	}
+	if got, err := ReadAll(path, codec, cfg); !errors.Is(err, blockio.ErrCorrupt) {
+		t.Fatalf("ReadAll on a %s file: got %d records and %v, want ErrCorrupt", name, len(got), err)
+	}
+}
+
 // TestRetiredCompressFileFailsTyped hand-builds an edge file of the retired
 // compress family — one raw-mode frame (mode byte 0, then the fixed layout)
-// under CodecID 7, with a valid CRC and frame-index footer, as such a build
-// wrote it — and pins that opening or reading it fails with ErrCorrupt: the
-// id stays reserved, so the file is never decoded as another layout.
+// under CodecID 7 — and pins that it fails typed.
 func TestRetiredCompressFileFailsTyped(t *testing.T) {
 	edges := []record.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}
 	payload := []byte{0}
@@ -331,27 +358,31 @@ func TestRetiredCompressFileFailsTyped(t *testing.T) {
 		record.EdgeCodec{}.Encode(e, rec)
 		payload = append(payload, rec...)
 	}
-	file := make([]byte, blockio.FrameHeaderSize)
-	blockio.PutFrameHeader(file, blockio.FrameHeader{Codec: 7, Count: uint32(len(edges)), Payload: uint32(len(payload))}, payload)
-	file = append(file, payload...)
-	file = blockio.AppendFooter(file, []blockio.FooterEntry{{
-		Count:  uint32(len(edges)),
-		MinKey: record.KeyOf(edges[0]),
-		MaxKey: record.KeyOf(edges[len(edges)-1]),
-	}})
+	file := framedFile(7, len(edges), payload, record.KeyOf(edges[0]), record.KeyOf(edges[len(edges)-1]))
+	checkRetiredFailsTyped(t, "compress-edges", file, record.EdgeCodec{})
+}
 
+// TestRetiredEdgeAugFileFailsTyped hand-builds an EdgeAug file in the
+// retired 40-byte varint layout — under CodecID 4, two zigzag deltas and
+// the four uvarint keys of both endpoints per record — and pins that it
+// fails typed when read as the current EdgeAug.  The same two records
+// framed in the current layout, under CodecID 13, read back.
+func TestRetiredEdgeAugFileFailsTyped(t *testing.T) {
+	// (1, 2) and (3, 2), sorted by target, each endpoint keyed by
+	// (deg, prod) = (2, 1).
+	payload := []byte{2, 4, 2, 1, 2, 1, 4, 0, 2, 1, 2, 1}
+	checkRetiredFailsTyped(t, "edgeaug-40", framedFile(4, 2, payload, 1<<32|2, 3<<32|2), record.EdgeAugCodec{})
+
+	recs := []record.EdgeAug{{U: 1, V: 2, InU: 1, OutU: 1}, {U: 3, V: 2, InU: 1, OutU: 1}}
+	current := framedFile(uint8(record.CodecVarintEdgeAug), 2, record.VarintEdgeAugCodec{}.AppendBlock(nil, recs), 1<<32|2, 3<<32|2)
 	mem := storage.NewMem()
 	cfg, err := iomodel.Config{Storage: mem, Stats: &iomodel.Stats{}}.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const path = "/mem/retired/compress-edges.bin"
-	putFile(t, mem, path, file)
-	if _, err := NewReader(path, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
-		t.Fatalf("NewReader on a compress-family file: got %v, want ErrCorrupt", err)
-	}
-	if got, err := ReadAll(path, record.EdgeCodec{}, cfg); !errors.Is(err, blockio.ErrCorrupt) {
-		t.Fatalf("ReadAll on a compress-family file: got %d records and %v, want ErrCorrupt", len(got), err)
+	putFile(t, mem, "/mem/edgeaug-16.bin", current)
+	if got, err := ReadAll("/mem/edgeaug-16.bin", record.EdgeAugCodec{}, cfg); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("the current layout read back %v (%v), want %v", got, err, recs)
 	}
 }
 

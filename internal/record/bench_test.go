@@ -44,17 +44,13 @@ func webEdges(rng *rand.Rand, n int) []Edge {
 	return recs
 }
 
-// webEdgeAugs builds n augmented edges sorted by target, as the contraction
-// joins read them: webEdges reversed, so in-degrees are heavy-tailed, and
-// small degree keys derived from each node id.
+// webEdgeAugs builds n augmented edges sorted by target, as the cover scan
+// reads them: webEdges reversed, so in-degrees are heavy-tailed, and small
+// source degrees derived from each node id.
 func webEdgeAugs(rng *rand.Rand, n int) []EdgeAug {
-	key := func(n NodeID) NodeKey {
-		in, out := uint64(n%13), uint64(n%29)
-		return NodeKey{Deg: in + out, Prod: in * out}
-	}
 	recs := make([]EdgeAug, n)
 	for i, e := range webEdges(rng, n) {
-		recs[i] = EdgeAug{U: e.V, V: e.U, KeyU: key(e.V), KeyV: key(e.U)}
+		recs[i] = EdgeAug{U: e.V, V: e.U, InU: e.V % 13, OutU: e.V % 29}
 	}
 	slices.SortFunc(recs, func(a, b EdgeAug) int { return cmp.Compare(EdgeAugByTarget(a).Lo, EdgeAugByTarget(b).Lo) })
 	return recs

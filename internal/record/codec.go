@@ -39,20 +39,18 @@ const (
 	CodecVarintEdge       CodecID = 1
 	CodecVarintNode       CodecID = 2
 	CodecVarintNodeDegree CodecID = 3
-	CodecVarintEdgeAug    CodecID = 4
 	CodecVarintLabel      CodecID = 5
 	CodecVarintEdgeSCC    CodecID = 6
+	CodecVarintEdgeAug    CodecID = 13
 )
 
 // KnownCodecID reports whether id is registered for use in frame headers.
 // CodecFixed is not: it marks the frameless layout and never appears in a
 // frame, so a "frame" naming it is garbage; neither are the reserved ids of
-// retired families.  Frame parsing rejects unknown ids up front — a
-// magic-byte collision in a fixed file, or a file of a retired family, then
+// retired layouts (doc.go).  Frame parsing rejects unknown ids up front — a
+// magic-byte collision in a fixed file, or a file of a retired layout, then
 // fails fast instead of being decoded as a frame.
-func KnownCodecID(id CodecID) bool {
-	return id >= CodecVarintEdge && id <= CodecVarintEdgeSCC
-}
+func KnownCodecID(id CodecID) bool { return FixedSizeOfID(id) > 0 }
 
 // FixedSizeOfID returns the fixed-layout size of the record type a registered
 // codec id encodes, or 0 for CodecFixed and unknown ids.  Frame parsing uses
@@ -312,16 +310,14 @@ func (c VarintNodeDegreeCodec) DecodeBlock(payload []byte, count int, dst []Node
 	return dst, checkConsumed(off, len(payload), c.ID())
 }
 
-// VarintEdgeAugCodec is the delta+varint block codec for EdgeAug, the record
-// whose fixed layout is the most wasteful (40 bytes for what is typically a
-// handful of small integers).
+// VarintEdgeAugCodec is the delta+varint block codec for EdgeAug.
 type VarintEdgeAugCodec struct{}
 
 // ID returns CodecVarintEdgeAug.
 func (VarintEdgeAugCodec) ID() CodecID { return CodecVarintEdgeAug }
 
-// MaxRecordSize returns 50 (two 5-byte deltas + four 10-byte uvarints).
-func (VarintEdgeAugCodec) MaxRecordSize() int { return 50 }
+// MaxRecordSize returns 20 (two 5-byte deltas + two 5-byte degrees).
+func (VarintEdgeAugCodec) MaxRecordSize() int { return 20 }
 
 // AppendBlock implements BlockCodec.
 func (VarintEdgeAugCodec) AppendBlock(dst []byte, recs []EdgeAug) []byte {
@@ -329,10 +325,8 @@ func (VarintEdgeAugCodec) AppendBlock(dst []byte, recs []EdgeAug) []byte {
 	for _, e := range recs {
 		dst = appendDelta32(dst, e.U, pu)
 		dst = appendDelta32(dst, e.V, pv)
-		dst = appendUvarint(dst, e.KeyU.Deg)
-		dst = appendUvarint(dst, e.KeyU.Prod)
-		dst = appendUvarint(dst, e.KeyV.Deg)
-		dst = appendUvarint(dst, e.KeyV.Prod)
+		dst = appendUvarint(dst, uint64(e.InU))
+		dst = appendUvarint(dst, uint64(e.OutU))
 		pu, pv = e.U, e.V
 	}
 	return dst
@@ -341,22 +335,18 @@ func (VarintEdgeAugCodec) AppendBlock(dst []byte, recs []EdgeAug) []byte {
 // DecodeBlock implements BlockCodec.
 func (c VarintEdgeAugCodec) DecodeBlock(payload []byte, count int, dst []EdgeAug) ([]EdgeAug, error) {
 	var pu, pv NodeID
-	var u, v uint64
+	var u, v, in, out uint64
 	off := 0
 	for i := 0; i < count; i++ {
-		var rec EdgeAug
 		u, off = uvarint(payload, off)
 		v, off = uvarint(payload, off)
-		rec.KeyU.Deg, off = uvarint(payload, off)
-		rec.KeyU.Prod, off = uvarint(payload, off)
-		rec.KeyV.Deg, off = uvarint(payload, off)
-		rec.KeyV.Prod, off = uvarint(payload, off)
+		in, off = uvarint(payload, off)
+		out, off = uvarint(payload, off)
 		if off > len(payload) {
 			return dst, errShortPayload
 		}
 		pu, pv = undelta32(pu, u), undelta32(pv, v)
-		rec.U, rec.V = pu, pv
-		dst = append(dst, rec)
+		dst = append(dst, EdgeAug{U: pu, V: pv, InU: uint32(in), OutU: uint32(out)})
 	}
 	return dst, checkConsumed(off, len(payload), c.ID())
 }

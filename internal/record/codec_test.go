@@ -56,9 +56,9 @@ func TestVarintNodeDegreeRoundTrip(t *testing.T) {
 
 func TestVarintEdgeAugRoundTrip(t *testing.T) {
 	roundTripBlock[EdgeAug](t, VarintEdgeAugCodec{}, []EdgeAug{
-		{U: 1, V: 2, KeyU: NodeKey{Deg: 3, Prod: 2}, KeyV: NodeKey{Deg: 1, Prod: 0}},
-		{U: 1, V: 5, KeyU: NodeKey{Deg: math.MaxUint64, Prod: math.MaxUint64}, KeyV: NodeKey{}},
-		{U: math.MaxUint32, V: 0, KeyU: NodeKey{Deg: 1}, KeyV: NodeKey{Prod: 1}},
+		{U: 1, V: 2, InU: 3, OutU: 2},
+		{U: 1, V: 5, InU: math.MaxUint32, OutU: math.MaxUint32},
+		{U: math.MaxUint32, V: 0, InU: 1, OutU: 0},
 	})
 }
 

@@ -26,8 +26,7 @@
 //	Edge       (8):  U uint32 | V uint32
 //	NodeID     (4):  Node uint32
 //	NodeDegree (12): Node uint32 | DegIn uint32 | DegOut uint32
-//	EdgeAug    (40): U uint32 | V uint32 | KeyU.Deg uint64 | KeyU.Prod uint64
-//	                 | KeyV.Deg uint64 | KeyV.Prod uint64
+//	EdgeAug    (16): U uint32 | V uint32 | InU uint32 | OutU uint32
 //	Label      (8):  Node uint32 | SCC uint32
 //	EdgeSCC    (12): U uint32 | V uint32 | SCC uint32
 //
@@ -42,21 +41,21 @@
 //	CodecVarintEdge       (1): zz(U-prevU) zz(V-prevV)
 //	CodecVarintNode       (2): zz(Node-prevNode)
 //	CodecVarintNodeDegree (3): zz(Node-prevNode) uv(DegIn) uv(DegOut)
-//	CodecVarintEdgeAug    (4): zz(U-prevU) zz(V-prevV)
-//	                           uv(KeyU.Deg) uv(KeyU.Prod)
-//	                           uv(KeyV.Deg) uv(KeyV.Prod)
 //	CodecVarintLabel      (5): zz(Node-prevNode) zz(SCC-prevSCC)
 //	CodecVarintEdgeSCC    (6): zz(U-prevU) zz(V-prevV) zz(SCC-prevSCC)
+//	CodecVarintEdgeAug   (13): zz(U-prevU) zz(V-prevV) uv(InU) uv(OutU)
 //
 // Fields are encoding/binary uvarints, decoded under this contract: a field
 // is at most 10 bytes (the tenth 0 or 1); every field reads as a full 64-bit
-// uvarint, so uint32 deltas wrap modulo 2^32 and NodeDegree degrees truncate
-// to uint32; the records consume the payload exactly.  Package recio reports
-// any violation as blockio.ErrCorrupt.
+// uvarint, so uint32 deltas wrap modulo 2^32 and the degrees of NodeDegree
+// and EdgeAug truncate to uint32; the records consume the payload exactly.
+// Package recio reports any violation as blockio.ErrCorrupt.
 //
-// CodecIDs 7–12 are reserved: the retired compress family wrote them, and
-// no build reuses them, so a leftover file of that family fails typed
-// (blockio.ErrCorrupt) instead of being misread.
+// CodecIDs 4 and 7–12 are reserved, and no build reuses them: 4 is the
+// retired 40-byte EdgeAug layout, which carried both endpoints' keys
+// (uv(KeyU.Deg) uv(KeyU.Prod) uv(KeyV.Deg) uv(KeyV.Prod) after the two
+// deltas), and the retired compress family wrote 7–12.  A leftover file of
+// either fails typed (blockio.ErrCorrupt) instead of being misread.
 //
 // The parenthesised numbers above are the CodecID stored in the frame
 // header, which is how a reader recognises the record type and layout

@@ -104,19 +104,13 @@ func FuzzEdgeSCCCodec(f *testing.F) {
 }
 
 func FuzzEdgeAugCodec(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(uint32(math.MaxUint32), uint32(math.MaxUint32),
-		uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64))
-	f.Add(uint32(0), uint32(math.MaxUint32), uint64(1), uint64(2), uint64(3), uint64(4))
-	f.Fuzz(func(t *testing.T, u, v uint32, degU, prodU, degV, prodV uint64) {
+	f.Add(uint32(0), uint32(0), uint32(0), uint32(0))
+	f.Add(uint32(math.MaxUint32), uint32(math.MaxUint32), uint32(math.MaxUint32), uint32(math.MaxUint32))
+	f.Add(uint32(0), uint32(math.MaxUint32), uint32(1), uint32(2))
+	f.Fuzz(func(t *testing.T, u, v, inU, outU uint32) {
 		c := EdgeAugCodec{}
 		buf := make([]byte, c.Size())
-		want := EdgeAug{
-			U:    u,
-			V:    v,
-			KeyU: NodeKey{Deg: degU, Prod: prodU},
-			KeyV: NodeKey{Deg: degV, Prod: prodV},
-		}
+		want := EdgeAug{U: u, V: v, InU: inU, OutU: outU}
 		c.Encode(want, buf)
 		if got := c.Decode(buf); got != want {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
@@ -154,9 +148,8 @@ func refAppendBlock[T any](recs []T) []byte {
 			pa = r.Node
 		case EdgeAug:
 			dst = refAppendDelta32(refAppendDelta32(dst, r.U, pa), r.V, pb)
-			for _, x := range []uint64{r.KeyU.Deg, r.KeyU.Prod, r.KeyV.Deg, r.KeyV.Prod} {
-				dst = binary.AppendUvarint(dst, x)
-			}
+			dst = binary.AppendUvarint(dst, uint64(r.InU))
+			dst = binary.AppendUvarint(dst, uint64(r.OutU))
 			pa, pb = r.U, r.V
 		case Label:
 			dst = refAppendDelta32(refAppendDelta32(dst, r.Node, pa), r.SCC, pb)
@@ -216,9 +209,7 @@ func refDecodeBlock[T any](payload []byte, count int) (recs []T, ok bool) {
 			rec = NodeDegree{Node: pa, DegIn: uint32(r.readUvarint()), DegOut: uint32(r.readUvarint())}
 		case []EdgeAug:
 			pa, pb = r.readDelta32(pa), r.readDelta32(pb)
-			rec = EdgeAug{U: pa, V: pb,
-				KeyU: NodeKey{Deg: r.readUvarint(), Prod: r.readUvarint()},
-				KeyV: NodeKey{Deg: r.readUvarint(), Prod: r.readUvarint()}}
+			rec = EdgeAug{U: pa, V: pb, InU: uint32(r.readUvarint()), OutU: uint32(r.readUvarint())}
 		case []Label:
 			pa, pb = r.readDelta32(pa), r.readDelta32(pb)
 			rec = Label{Node: pa, SCC: pb}
@@ -286,14 +277,15 @@ func FuzzVarintNodeDegreeCodec(f *testing.F) {
 }
 
 func FuzzVarintEdgeAugCodec(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint64(0), uint64(0), uint64(math.MaxUint64), uint64(math.MaxUint64),
-		uint32(math.MaxUint32), uint32(math.MaxUint32), uint64(1), uint64(2), uint64(3), uint64(4))
-	f.Add(uint32(0x3f), uint32(0x40), uint64(0x7f), uint64(0x80), uint64(0x3fff), uint64(0x4000),
-		uint32(0x203f), uint32(0x2040), uint64(0x7fff), uint64(1<<21-1), uint64(1<<21), uint64(1<<63))
-	f.Fuzz(func(t *testing.T, u1, v1 uint32, du1, pu1, dv1, pv1 uint64, u2, v2 uint32, du2, pu2, dv2, pv2 uint64) {
+	f.Add(uint32(0), uint32(0), uint32(0), uint32(math.MaxUint32),
+		uint32(math.MaxUint32), uint32(math.MaxUint32), uint32(1), uint32(2))
+	// Degrees on the 1/2-, 2/3- and 4/5-byte boundaries of a uvarint.
+	f.Add(uint32(0x3f), uint32(0x40), uint32(0x7f), uint32(0x80),
+		uint32(0x203f), uint32(0x2040), uint32(0x3fff), uint32(1<<28))
+	f.Fuzz(func(t *testing.T, u1, v1, in1, out1, u2, v2, in2, out2 uint32) {
 		fuzzBlockRoundTrip[EdgeAug](t, VarintEdgeAugCodec{}, []EdgeAug{
-			{U: u1, V: v1, KeyU: NodeKey{Deg: du1, Prod: pu1}, KeyV: NodeKey{Deg: dv1, Prod: pv1}},
-			{U: u2, V: v2, KeyU: NodeKey{Deg: du2, Prod: pu2}, KeyV: NodeKey{Deg: dv2, Prod: pv2}},
+			{U: u1, V: v1, InU: in1, OutU: out1},
+			{U: u2, V: v2, InU: in2, OutU: out2},
 		})
 	})
 }

@@ -63,7 +63,7 @@ func TestKeyOrderMatchesReference(t *testing.T) {
 	checkKeyOrder(t, "EdgeAugByTarget", EdgeAugByTarget,
 		func(e EdgeAug) []uint32 { return []uint32{e.V, e.U} },
 		func(x, y, z uint32) EdgeAug {
-			return EdgeAug{U: x, V: y, KeyU: NodeKey{Deg: uint64(z)}, KeyV: NodeKey{Prod: uint64(z)}}
+			return EdgeAug{U: x, V: y, InU: z, OutU: z}
 		})
 	checkKeyOrder(t, "LabelByNode", LabelByNode,
 		func(l Label) []uint32 { return []uint32{l.Node, l.SCC} },

@@ -169,53 +169,49 @@ func Greater(u NodeID, ku NodeKey, v NodeID, kv NodeKey) bool {
 	return u > v
 }
 
+// CoverEnd orients the edge (u, v) under the > operator: it returns the
+// endpoint the vertex-cover construction keeps (the greater one) with its
+// key, and the other endpoint.
+func CoverEnd(u NodeID, ku NodeKey, v NodeID, kv NodeKey) (cover NodeID, coverKey NodeKey, other NodeID) {
+	if Greater(u, ku, v, kv) {
+		return u, ku, v
+	}
+	return v, kv, u
+}
+
 // ---------------------------------------------------------------------------
 // Degree-augmented edges (E_d of Algorithm 3)
 // ---------------------------------------------------------------------------
 
-// EdgeAug is an edge with the comparison keys of both endpoints attached,
-// i.e. one row of E_d in Algorithm 3 after both joins with V_d.
+// EdgeAug is one edge of E_d in Algorithm 3 as E_d's sort by target carries
+// it: the edge with its source's in- and out-degree, from which
+// Source().Key gives the source's comparison key.  The target's key is
+// joined from V_d after the sort, so it never travels through the sort.
 type EdgeAug struct {
 	U    NodeID
 	V    NodeID
-	KeyU NodeKey
-	KeyV NodeKey
+	InU  uint32
+	OutU uint32
 }
 
 // Edge returns the underlying edge.
 func (e EdgeAug) Edge() Edge { return Edge{U: e.U, V: e.V} }
 
-// CoverNode returns the endpoint that the vertex-cover construction keeps
-// (the larger endpoint under the > operator).
-func (e EdgeAug) CoverNode() NodeID {
-	if Greater(e.U, e.KeyU, e.V, e.KeyV) {
-		return e.U
-	}
-	return e.V
-}
+// Source returns the degree row of the edge's source.
+func (e EdgeAug) Source() NodeDegree { return NodeDegree{Node: e.U, DegIn: e.InU, DegOut: e.OutU} }
 
-// OtherNode returns the endpoint that is not returned by CoverNode.
-func (e EdgeAug) OtherNode() NodeID {
-	if Greater(e.U, e.KeyU, e.V, e.KeyV) {
-		return e.V
-	}
-	return e.U
-}
-
-// EdgeAugCodec is the 40-byte codec for EdgeAug.
+// EdgeAugCodec is the 16-byte codec for EdgeAug.
 type EdgeAugCodec struct{}
 
-// Size returns 40.
-func (EdgeAugCodec) Size() int { return 40 }
+// Size returns 16.
+func (EdgeAugCodec) Size() int { return 16 }
 
 // Encode writes the record into dst.
 func (EdgeAugCodec) Encode(e EdgeAug, dst []byte) {
 	binary.LittleEndian.PutUint32(dst[0:4], e.U)
 	binary.LittleEndian.PutUint32(dst[4:8], e.V)
-	binary.LittleEndian.PutUint64(dst[8:16], e.KeyU.Deg)
-	binary.LittleEndian.PutUint64(dst[16:24], e.KeyU.Prod)
-	binary.LittleEndian.PutUint64(dst[24:32], e.KeyV.Deg)
-	binary.LittleEndian.PutUint64(dst[32:40], e.KeyV.Prod)
+	binary.LittleEndian.PutUint32(dst[8:12], e.InU)
+	binary.LittleEndian.PutUint32(dst[12:16], e.OutU)
 }
 
 // Decode reads a record from src.
@@ -223,15 +219,15 @@ func (EdgeAugCodec) Decode(src []byte) EdgeAug {
 	return EdgeAug{
 		U:    binary.LittleEndian.Uint32(src[0:4]),
 		V:    binary.LittleEndian.Uint32(src[4:8]),
-		KeyU: NodeKey{Deg: binary.LittleEndian.Uint64(src[8:16]), Prod: binary.LittleEndian.Uint64(src[16:24])},
-		KeyV: NodeKey{Deg: binary.LittleEndian.Uint64(src[24:32]), Prod: binary.LittleEndian.Uint64(src[32:40])},
+		InU:  binary.LittleEndian.Uint32(src[8:12]),
+		OutU: binary.LittleEndian.Uint32(src[12:16]),
 	}
 }
 
 // EdgeAugByTarget orders augmented edges by (V, U).  The key leaves out the
-// endpoint keys, so it determines the record only where (V, U) is unique.
-// That holds for E_d, the one EdgeAug file the engine sorts: it is joined
-// from the deduplicated E_out.
+// source's degrees, so it determines the record only where (V, U) is unique
+// and the degrees are a function of U.  Both hold for E_d, the one EdgeAug
+// stream the engine sorts: it is joined from the deduplicated E_out and V_d.
 func EdgeAugByTarget(e EdgeAug) Key { return Key{Lo: uint64(e.V)<<32 | uint64(e.U)} }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEdgeCodecRoundTrip(t *testing.T) {
@@ -180,11 +181,11 @@ func TestGreaterTransitivityProperty(t *testing.T) {
 
 func TestEdgeAugCodecRoundTrip(t *testing.T) {
 	codec := EdgeAugCodec{}
-	if codec.Size() != 40 {
+	if codec.Size() != 16 {
 		t.Fatalf("Size = %d", codec.Size())
 	}
-	f := func(u, v uint32, du, pu, dv, pv uint64) bool {
-		rec := EdgeAug{U: u, V: v, KeyU: NodeKey{Deg: du, Prod: pu}, KeyV: NodeKey{Deg: dv, Prod: pv}}
+	f := func(u, v, in, out uint32) bool {
+		rec := EdgeAug{U: u, V: v, InU: in, OutU: out}
 		buf := make([]byte, codec.Size())
 		codec.Encode(rec, buf)
 		return codec.Decode(buf) == rec
@@ -194,17 +195,34 @@ func TestEdgeAugCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEdgeAugCoverNode pins CoverEnd on an edge's two orientations and
+// EdgeAug's projections: the source's key comes from its carried degrees.
 func TestEdgeAugCoverNode(t *testing.T) {
-	e := EdgeAug{U: 1, V: 2, KeyU: NodeKey{Deg: 5}, KeyV: NodeKey{Deg: 3}}
-	if e.CoverNode() != 1 || e.OtherNode() != 2 {
-		t.Fatalf("cover = %d, other = %d", e.CoverNode(), e.OtherNode())
+	e := EdgeAug{U: 1, V: 2, InU: 2, OutU: 3}
+	ku := e.Source().Key(true)
+	if ku != (NodeKey{Deg: 5, Prod: 6}) || e.Source().Node != 1 {
+		t.Fatalf("Source = %+v, key %+v", e.Source(), ku)
 	}
-	e2 := EdgeAug{U: 1, V: 2, KeyU: NodeKey{Deg: 3}, KeyV: NodeKey{Deg: 5}}
-	if e2.CoverNode() != 2 || e2.OtherNode() != 1 {
-		t.Fatalf("cover = %d, other = %d", e2.CoverNode(), e2.OtherNode())
+	if c, k, o := CoverEnd(e.U, ku, e.V, NodeKey{Deg: 3}); c != 1 || k != ku || o != 2 {
+		t.Fatalf("cover = %d (key %+v), other = %d", c, k, o)
+	}
+	kv := NodeKey{Deg: 5, Prod: 7}
+	if c, k, o := CoverEnd(e.U, ku, e.V, kv); c != 2 || k != kv || o != 1 {
+		t.Fatalf("cover = %d (key %+v), other = %d", c, k, o)
 	}
 	if e.Edge() != (Edge{U: 1, V: 2}) {
 		t.Fatalf("Edge = %+v", e.Edge())
+	}
+}
+
+// TestEdgeAugIs16Bytes pins E_d's sort record at 16 bytes in memory and in
+// the fixed layout, which sizes its runs at M/2/16 records.
+func TestEdgeAugIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(EdgeAug{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(EdgeAug{}) = %d, want 16", got)
+	}
+	if got := (EdgeAugCodec{}).Size(); got != 16 {
+		t.Fatalf("EdgeAugCodec.Size() = %d, want 16", got)
 	}
 }
 
