@@ -110,8 +110,10 @@ serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
 # Mirrors the `faultsweep` job: the systematic fault-injection sweep (every
-# storage backend x both codecs, sampled fault positions) and its leg over
-# serve.New's DAG and index build, the corruption smoke (every flipped
+# storage backend x both codecs, sampled fault positions), its WithShards(2)
+# leg over the condense and compose steps, its leg over serve.New's DAG and
+# index build, the read-fault sweep over DFS-SCC's label files, the
+# corruption smoke (every flipped
 # payload byte of a v2 frame must surface as ErrCorrupt), and end-to-end
 # CLI runs under an EXTSCC_FAULT plan — a torn write plus a transient read
 # must be absorbed by -retry on both backends (the torn flavor on the os leg
@@ -126,7 +128,7 @@ serve-smoke:
 # runs as the streamed merge feeds the scan, right after the torn write.
 # Each retry leg fails unless sccrun reports both faults recovered.
 faultsweep:
-	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve ./internal/contraction \
+	$(GO) test . ./internal/storage ./internal/recio ./internal/blockio ./internal/serve ./internal/contraction ./internal/baseline \
 		-run 'Fault|Corrupt|Retry|Torn|WriteAppends' -count=1
 	$(GO) run ./cmd/sccgen -kind web -nodes 20000 -out FAULT_graph.edges
 	EXTSCC_FAULT='op=write,n=54,mode=torn,path=extscc-engine-;op=read,n=52,mode=transient,path=extscc-engine-' \

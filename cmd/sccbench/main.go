@@ -24,7 +24,8 @@
 //
 // The emscc and ablation experiments have no sharded path: at a shard count
 // above 1 they run nothing, and sccbench prints one "no sharded path,
-// skipped" line for each.
+// skipped" line for each.  table1 runs nothing at all, so its rows are
+// printed once per grid.
 //
 // For every axis with more than one value sccbench prints the total wall
 // time per value.  -json writes all measurements as a JSON report, and
@@ -82,18 +83,9 @@ func main() {
 	}
 
 	cfg := bench.Config{Scale: *scale, Quick: *quick, TempDir: *tempDir, Retries: *retry}
-	var ms []bench.Measurement
-	for _, b := range backends {
-		for _, codec := range strings.Split(*codecList, ",") {
-			for _, n := range shardCounts {
-				cfg.Storage, cfg.Codec, cfg.Shards = b, codec, n
-				got, err := bench.Run(*experiment, cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				ms = append(ms, got...)
-			}
-		}
+	ms, err := bench.RunGrid(*experiment, cfg, backends, strings.Split(*codecList, ","), shardCounts)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	exps := []string{*experiment}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"extscc"
@@ -19,20 +20,22 @@ type faultRunResult struct {
 	ops    int64 // fault-able backend ops the run performed
 }
 
-// runFaulted executes the sweep workload once against inner wrapped in plan.
-// The run is unsharded, so its backend op sequence is deterministic, which
-// is what makes "inject at the k-th op" reproducible.
-func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retries int, plan *storage.FaultPlan) faultRunResult {
+// runFaulted executes the sweep workload once against inner wrapped in plan,
+// with extra appended to its options.  Unsharded, the run's backend op
+// sequence is deterministic, which is what makes "inject at the k-th op"
+// reproducible; a sharded run's is deterministic after its shard solves
+// join.
+func runFaulted(t *testing.T, inner extscc.Storage, tempDir, codec string, retries int, plan *storage.FaultPlan, extra ...extscc.Option) faultRunResult {
 	t.Helper()
 	fb := storage.NewFault(inner, plan)
-	eng, err := extscc.New(
+	eng, err := extscc.New(append([]extscc.Option{
 		extscc.WithAlgorithm("ext-scc-op"),
 		extscc.WithStorage(fb),
 		extscc.WithTempDir(tempDir),
 		extscc.WithNodeBudget(40),
 		extscc.WithCodec(codec),
 		extscc.WithRetry(retries),
-	)
+	}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +92,28 @@ type sweepFlavor struct {
 	name    string
 	mode    string
 	retries int
+}
+
+// checkFaulted holds one faulted run to the sweep's contract: it either
+// succeeds exactly like the fault-free run base (same labelling, same
+// accounted I/O) or fails with a typed error (ErrInjected / ErrCorrupt).  It
+// reports whether the run succeeded after a retry.
+func checkFaulted(t *testing.T, tag string, fl sweepFlavor, got, base faultRunResult) (recovered bool) {
+	t.Helper()
+	if got.err == nil {
+		if fmt.Sprint(got.labels) != fmt.Sprint(base.labels) {
+			t.Errorf("%s: succeeded with a different labelling", tag)
+		}
+		assertIOEqual(t, tag, got.stats, base.stats)
+		return got.stats.Retries > 0
+	}
+	if !errors.Is(got.err, storage.ErrInjected) && !errors.Is(got.err, extscc.ErrCorrupt) {
+		t.Errorf("%s: failed with an untyped error: %v", tag, got.err)
+	}
+	if fl.retries == 0 && errors.Is(got.err, storage.ErrInjected) && !storage.IsTransient(got.err) && fl.mode == storage.ModeTransient {
+		t.Errorf("%s: transient fault surfaced as non-transient: %v", tag, got.err)
+	}
+	return false
 }
 
 // TestEngineFaultSweep is the systematic robustness gate: run the workload
@@ -156,24 +181,11 @@ func TestEngineFaultSweep(t *testing.T) {
 						Op: storage.OpAny, N: k, Count: 1, Mode: fl.mode, Seed: uint64(k),
 					})
 					got := runFaulted(t, inner, tempDir, codec, fl.retries, plan)
-					if got.err == nil {
-						// Success is only acceptable when it is *exactly* the
-						// fault-free run: same partition, same accounted I/O.
-						if fmt.Sprint(got.labels) != fmt.Sprint(base.labels) {
-							t.Errorf("%s: succeeded with a different labelling", tag)
-						}
-						assertIOEqual(t, tag, got.stats, base.stats)
-						if got.stats.Retries > 0 {
-							recovered++
-						}
-					} else {
+					if checkFaulted(t, tag, fl, got, base) {
+						recovered++
+					}
+					if got.err != nil {
 						failed++
-						if !errors.Is(got.err, storage.ErrInjected) && !errors.Is(got.err, extscc.ErrCorrupt) {
-							t.Errorf("%s: failed with an untyped error: %v", tag, got.err)
-						}
-						if fl.retries == 0 && errors.Is(got.err, storage.ErrInjected) && !storage.IsTransient(got.err) && fl.mode == storage.ModeTransient {
-							t.Errorf("%s: transient fault surfaced as non-transient: %v", tag, got.err)
-						}
 					}
 					assertClean(t, tag, inner, tempDir)
 				}
@@ -206,6 +218,86 @@ func TestEngineFaultSweep(t *testing.T) {
 				}
 				t.Logf("%s/%s: %d ops, %d sampled faults: %d recovered by retry, %d failed clean",
 					backendName, codec, base.ops, samples, recovered, failed)
+			})
+		}
+	}
+}
+
+// TestEngineFaultSweepSharded is the sweep's WithShards(2) leg.  Faults land
+// at sampled positions among the operations on the files the sharded
+// pre-pass's condense step and the final label composition create, selected
+// by path ("condense", "compose").  Both steps run after the shard solves
+// join, so those operations come in a deterministic order.  Every run either
+// succeeds with the labelling and I/O counters of the fault-free sharded run
+// or fails typed, and leaves the backend without a file.  Corruption runs
+// under varint only, as in TestEngineFaultSweep.
+func TestEngineFaultSweepSharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault sweep is a multi-run workload; skipped with -short")
+	}
+	sharded := extscc.WithShards(2)
+	for _, backendName := range []string{"mem", "os"} {
+		for _, codec := range []string{extscc.CodecFixed, extscc.CodecVarint} {
+			t.Run(backendName+"/"+codec, func(t *testing.T) {
+				newBackend := func() (extscc.Storage, string) {
+					if backendName == "mem" {
+						m := storage.NewMem()
+						return m, m.TempPath()
+					}
+					return storage.OS(), t.TempDir()
+				}
+				inner, tempDir := newBackend()
+				base := runFaulted(t, inner, tempDir, codec, 0, storage.NewFaultPlan(), sharded)
+				if base.err != nil {
+					t.Fatalf("fault-free sharded run failed: %v", base.err)
+				}
+				assertClean(t, "baseline", inner, tempDir)
+
+				flavors := []sweepFlavor{
+					{"transient-retry", storage.ModeTransient, 2},
+					{"torn-retry", storage.ModeTorn, 2},
+					{"permanent", storage.ModePermanent, 2},
+				}
+				if codec != extscc.CodecFixed {
+					flavors = append(flavors, sweepFlavor{"corrupt", storage.ModeCorrupt, 2})
+				}
+				samples := int64(8)
+				if backendName == "os" {
+					samples = 4
+				}
+				for _, path := range []string{"condense", "compose"} {
+					// A rule that never fires counts the step's operations.
+					budget := &storage.FaultRule{Path: path, N: math.MaxInt64}
+					inner, tempDir := newBackend()
+					if got := runFaulted(t, inner, tempDir, codec, 0, storage.NewFaultPlan(budget), sharded); got.err != nil {
+						t.Fatalf("%s: counting run failed: %v", path, got.err)
+					}
+					ops := budget.Matches()
+					if ops < 2 {
+						t.Fatalf("%s: %d operations on its files; the sweep needs more", path, ops)
+					}
+					k := min(samples, ops) // a step with few operations is swept at every one
+					recovered, failed := 0, 0
+					for i := int64(0); i < k; i++ {
+						n := 1 + i*(ops-1)/(k-1)
+						fl := flavors[i%int64(len(flavors))]
+						tag := fmt.Sprintf("%s/%s@op%d", path, fl.name, n)
+						inner, tempDir := newBackend()
+						plan := storage.NewFaultPlan(&storage.FaultRule{
+							Path: path, N: n, Count: 1, Mode: fl.mode, Seed: uint64(n),
+						})
+						got := runFaulted(t, inner, tempDir, codec, fl.retries, plan, sharded)
+						if checkFaulted(t, tag, fl, got, base) {
+							recovered++
+						}
+						if got.err != nil {
+							failed++
+						}
+						assertClean(t, tag, inner, tempDir)
+					}
+					t.Logf("%s/%s %s: %d ops, %d sampled faults: %d recovered by retry, %d failed clean",
+						backendName, codec, path, ops, k, recovered, failed)
+				}
 			})
 		}
 	}

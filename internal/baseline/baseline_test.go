@@ -2,15 +2,20 @@ package baseline
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"extscc/internal/blockio"
 	"extscc/internal/edgefile"
 	"extscc/internal/graphgen"
 	"extscc/internal/iomodel"
 	"extscc/internal/memgraph"
 	"extscc/internal/recio"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 func testConfig(t *testing.T) iomodel.Config {
@@ -39,9 +44,12 @@ func checkDFS(t *testing.T, edges []record.Edge, nodes []record.NodeID, useBRT b
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := memgraph.FromEdges(edges, nodes).Tarjan().Labels()
-	if !memgraph.SameSCCPartition(got, want) {
+	tarjan := memgraph.FromEdges(edges, nodes).Tarjan()
+	if want := tarjan.Labels(); !memgraph.SameSCCPartition(got, want) {
 		t.Fatalf("DFS-SCC partition mismatch (brt=%v)\ngot  %v\nwant %v", useBRT, got, want)
+	}
+	if res.NumSCCs != int64(tarjan.Count) {
+		t.Fatalf("DFS-SCC NumSCCs = %d, Tarjan finds %d (brt=%v)", res.NumSCCs, tarjan.Count, useBRT)
 	}
 	return res
 }
@@ -92,6 +100,73 @@ func TestDFSSCCBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestDFSSCCLabelReadFaultSweep injects a read fault at every read of the
+// label files (dfs-labels-raw and dfs-labels) that a DFS-SCC run makes,
+// without retries: a transient fault, a permanent one that keeps firing,
+// and under varint a flipped bit.  A faulted run must fail with a typed
+// error or succeed with Tarjan's partition and SCC count, never report a
+// count that a fault cut short.
+func TestDFSSCCLabelReadFaultSweep(t *testing.T) {
+	edges := graphgen.Random(200, 600, 11)
+	want := memgraph.FromEdges(edges, nil).Tarjan()
+	type flavor struct {
+		mode  string
+		count int64 // 0 keeps firing
+	}
+	for _, codec := range []string{"fixed", "varint"} {
+		run := func(rule *storage.FaultRule) (*DFSResult, []record.Label, error) {
+			t.Helper()
+			mem := storage.NewMem()
+			cfg := iomodel.Config{BlockSize: 256, Memory: 16 * 1024, TempDir: "/dfs", Codec: codec, Storage: mem, Stats: &iomodel.Stats{}}
+			g := buildGraph(t, cfg, edges, nil)
+			cfg.Storage = storage.NewFault(mem, storage.NewFaultPlan(rule))
+			res, err := DFSSCC(context.Background(), g, cfg.TempDir, DFSOptions{}, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			cfg.Storage = mem
+			labels, err := recio.ReadAll(res.LabelPath, record.LabelCodec{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, labels, nil
+		}
+		// A rule that never fires counts the label-file reads.
+		budget := &storage.FaultRule{Op: storage.OpRead, Path: "dfs-labels", N: math.MaxInt64}
+		if _, _, err := run(budget); err != nil {
+			t.Fatalf("%s: fault-free run failed: %v", codec, err)
+		}
+		reads := budget.Matches()
+		if reads < 2 {
+			t.Fatalf("%s: the run read its label files %d times; the sweep needs more", codec, reads)
+		}
+		flavors := []flavor{{storage.ModeTransient, 1}, {storage.ModePermanent, 0}}
+		if codec == "varint" {
+			flavors = append(flavors, flavor{storage.ModeCorrupt, 1})
+		}
+		failed := 0
+		for n := int64(1); n <= reads; n++ {
+			for _, fl := range flavors {
+				res, labels, err := run(&storage.FaultRule{Op: storage.OpRead, Path: "dfs-labels", N: n, Count: fl.count, Mode: fl.mode, Seed: uint64(n)})
+				tag := fmt.Sprintf("%s/%s@read%d", codec, fl.mode, n)
+				if err != nil {
+					failed++
+					if !errors.Is(err, storage.ErrInjected) && !errors.Is(err, blockio.ErrCorrupt) {
+						t.Errorf("%s: failed with an untyped error: %v", tag, err)
+					}
+					continue
+				}
+				if res.NumSCCs != int64(want.Count) || !memgraph.SameSCCPartition(labels, want.Labels()) {
+					t.Errorf("%s: succeeded with %d SCCs, Tarjan finds %d (partition equal: %v)", tag, res.NumSCCs, want.Count, memgraph.SameSCCPartition(labels, want.Labels()))
+				}
+			}
+		}
+		if failed == 0 {
+			t.Errorf("%s: no faulted run failed; the faults missed the label files", codec)
+		}
+	}
+}
+
 func TestEMSCCConvergesOnSmallCyclicGraph(t *testing.T) {
 	cfg := testConfig(t)
 	// Two disjoint cycles plus a bridge: partition-local SCCs are found as
@@ -119,6 +194,54 @@ func TestEMSCCConvergesOnSmallCyclicGraph(t *testing.T) {
 	want := memgraph.FromEdges(edges, nil).Tarjan().Labels()
 	if !memgraph.SameSCCPartition(got, want) {
 		t.Fatal("EM-SCC labels do not match Tarjan")
+	}
+}
+
+// TestEMSCCConvergesAcrossIterations runs EM-SCC where no SCC fits one
+// partition of the input: K 2-cycles {4j, 4j+1} and {4j+2, 4j+3} come first
+// in the file, then every forward link 4j+1 -> 4j+2, then every backward
+// link 4j+3 -> 4j, so each 4-node SCC's two links lie K/2 edges apart, in
+// different partitions.  The first pass contracts the 2-cycles; relabelled
+// and sorted by source, each SCC's two links become adjacent and the second
+// pass contracts them.  Every node appears in several partitions, so both
+// passes relabel through a partial mapping, and the second composes with a
+// cumulative mapping that is no longer the identity.  The partition must
+// equal Tarjan's, under both codec families.
+func TestEMSCCConvergesAcrossIterations(t *testing.T) {
+	const k = 64 // 2-cycles; the partition holds 16 edges
+	var edges []record.Edge
+	for i := 0; i < k; i++ {
+		a, b := record.NodeID(2*i), record.NodeID(2*i+1)
+		edges = append(edges, record.Edge{U: a, V: b}, record.Edge{U: b, V: a})
+	}
+	for j := 0; j < k/2; j++ {
+		edges = append(edges, record.Edge{U: record.NodeID(4*j + 1), V: record.NodeID(4*j + 2)})
+	}
+	for j := 0; j < k/2; j++ {
+		edges = append(edges, record.Edge{U: record.NodeID(4*j + 3), V: record.NodeID(4 * j)})
+	}
+	want := memgraph.FromEdges(edges, nil).Tarjan()
+	for _, codec := range []string{"fixed", "varint"} {
+		cfg := testConfig(t)
+		cfg.Codec = codec
+		g := buildGraph(t, cfg, edges, nil)
+		res, err := EMSCC(context.Background(), g, cfg.TempDir, EMOptions{PartitionEdges: 16}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Iterations < 2 {
+			t.Fatalf("%s: converged=%v after %d iterations, want convergence after at least 2", codec, res.Converged, res.Iterations)
+		}
+		got, err := recio.ReadAll(res.LabelPath, record.LabelCodec{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !memgraph.SameSCCPartition(got, want.Labels()) || res.NumSCCs != int64(want.Count) {
+			t.Fatalf("%s: EM-SCC found %d SCCs with labels %v, Tarjan %d", codec, res.NumSCCs, got, want.Count)
+		}
+		if kept, err := recio.ReadAll(g.EdgePath, record.EdgeCodec{}, cfg); err != nil || len(kept) != len(edges) {
+			t.Fatalf("%s: the input edge file holds %d of %d edges after the run (err %v)", codec, len(kept), len(edges), err)
+		}
 	}
 }
 

@@ -64,6 +64,8 @@ type dfsState struct {
 	start  time.Time
 	ioBase iomodel.Snapshot
 	temps  []string
+	// numSCCs counts the trees of pass 2, one per (root, root) label.
+	numSCCs int64
 }
 
 func (s *dfsState) temp(prefix string) string {
@@ -146,7 +148,8 @@ func (s *dfsState) run() (*DFSResult, error) {
 	}
 
 	// Pass 2: DFS over the reversed graph, taking roots in decreasing
-	// postorder; every DFS tree is one SCC, labelled by its root.
+	// postorder; every DFS tree is one SCC, labelled by its root and counted
+	// as its root's label is written.
 	roots := s.temp("dfs-roots")
 	if err := s.reverseOrder(postorder, roots); err != nil {
 		return nil, err
@@ -170,14 +173,10 @@ func (s *dfsState) run() (*DFSResult, error) {
 	if err := sorter.SortFile(labelsRaw, labelPath); err != nil {
 		return nil, err
 	}
-	numSCCs, err := countDistinctSCCs(labelPath, s.cfg)
-	if err != nil {
-		return nil, err
-	}
 	s.cleanup()
 	return &DFSResult{
 		LabelPath: labelPath,
-		NumSCCs:   numSCCs,
+		NumSCCs:   s.numSCCs,
 		IO:        s.cfg.Stats.Snapshot().Sub(s.ioBase),
 		Duration:  time.Since(s.start),
 	}, nil
@@ -274,6 +273,7 @@ func (s *dfsState) dfsPass(adjPath, rootsPath, postorderPath string, labelWriter
 			if err := labelWriter.Write(record.Label{Node: root, SCC: root}); err != nil {
 				return err
 			}
+			s.numSCCs++
 		}
 		if err := push(root); err != nil {
 			return err
@@ -499,22 +499,4 @@ func maxNodeID(nodePath string, cfg iomodel.Config) (record.NodeID, error) {
 		return 0, err
 	}
 	return r.Read()
-}
-
-// countDistinctSCCs counts distinct SCC ids in a label file.
-func countDistinctSCCs(path string, cfg iomodel.Config) (int64, error) {
-	r, err := recio.NewReader(path, record.LabelCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	seen := map[record.SCCID]struct{}{}
-	for {
-		l, err := r.Read()
-		if err != nil {
-			break
-		}
-		seen[l.SCC] = struct{}{}
-	}
-	return int64(len(seen)), nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"extscc/internal/blockio"
+	"extscc/internal/condense"
 	"extscc/internal/edgefile"
 	"extscc/internal/extsort"
 	"extscc/internal/iomodel"
@@ -100,12 +101,9 @@ func EMSCC(ctx context.Context, g edgefile.Graph, dir string, opts EMOptions, cf
 		return nil, err
 	}
 
-	// Working edge file (copy so the input graph stays untouched).
-	current := temp("em-edges")
-	if _, err := edgefile.ConcatEdges(current, cfg, g.EdgePath); err != nil {
-		return nil, err
-	}
-	currentEdges := g.NumEdges
+	// The first partition pass reads the input edge file in place; it is
+	// never a temp, so the input is never removed.
+	current, currentEdges := g.EdgePath, g.NumEdges
 
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -132,15 +130,18 @@ func EMSCC(ctx context.Context, g edgefile.Graph, dir string, opts EMOptions, cf
 			// progress (Case-1 / Case-2 of Section III).
 			return finish(false, "", 0, iter+1), nil
 		}
-		// Apply the relabelling to the edge file and to the cumulative map.
-		next := temp("em-edges-next")
-		n, err := emApplyRelabel(current, relabel, next, temp, cfg)
+		// Apply the relabelling to the edge file, dropping the edges inside
+		// one representative and the duplicates, and to the cumulative map.
+		// The relabel file lists only the nodes this pass moved; every other
+		// node keeps its id.
+		next := temp("em-edges")
+		n, err := condense.BuildPartial(ctx, current, relabel, next, cfg)
 		if err != nil {
 			return nil, err
 		}
 		current, currentEdges = next, n
-		updated := temp("em-cumulative-next")
-		if err := emComposeMapping(cumulative, relabel, updated, temp, cfg); err != nil {
+		updated := temp("em-cumulative")
+		if _, err := edgefile.ComposeLabels(ctx, cumulative, relabel, updated, true, cfg); err != nil {
 			return nil, err
 		}
 		cumulative = updated
@@ -239,89 +240,6 @@ func emPartitionPass(edgePath string, partitionEdges int, temp func(string) stri
 		return "", 0, err
 	}
 	return sorted, pairs, nil
-}
-
-// emApplyRelabel rewrites both endpoints of the edge file, removes self-loops
-// and parallel edges, and returns the new edge count.
-func emApplyRelabel(edgePath, relabelPath string, outPath string, temp func(string) string, cfg iomodel.Config) (int64, error) {
-	bySource := temp("em-by-source")
-	if err := edgefile.SortEdges(edgePath, bySource, record.EdgeBySource, cfg); err != nil {
-		return 0, err
-	}
-	relabeledU := temp("em-relabeled-u")
-	if err := edgefile.RelabelEdges(bySource, relabelPath, relabeledU, false, cfg); err != nil {
-		return 0, err
-	}
-	byTarget := temp("em-by-target")
-	if err := edgefile.SortEdges(relabeledU, byTarget, record.EdgeByTarget, cfg); err != nil {
-		return 0, err
-	}
-	relabeledV := temp("em-relabeled-v")
-	if err := edgefile.RelabelEdges(byTarget, relabelPath, relabeledV, true, cfg); err != nil {
-		return 0, err
-	}
-	sorted := temp("em-sorted")
-	if err := edgefile.SortEdges(relabeledV, sorted, record.EdgeBySource, cfg); err != nil {
-		return 0, err
-	}
-	r, err := recio.NewReader(sorted, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	return edgefile.DedupeEdges(r.Iter(), outPath, true, cfg)
-}
-
-// emComposeMapping updates the cumulative mapping: every representative that
-// was itself relabelled is replaced by its new representative.
-func emComposeMapping(cumulativePath, relabelPath, outPath string, temp func(string) string, cfg iomodel.Config) error {
-	// Sort the cumulative mapping by its current representative so the
-	// composition is a merge join.
-	byRep := temp("em-cum-by-rep")
-	sorter := extsort.New[record.Label](record.LabelCodec{}, record.LabelBySCC, cfg)
-	if err := sorter.SortFile(cumulativePath, byRep); err != nil {
-		return err
-	}
-	composedRaw := temp("em-cum-composed")
-	cR, err := recio.NewReader(byRep, record.LabelCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	defer cR.Close()
-	mR, err := recio.NewReader(relabelPath, record.LabelCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	defer mR.Close()
-	w, err := recio.NewWriter(composedRaw, record.LabelCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	cum := recio.NewPeekable[record.Label](cR.Iter())
-	rel := recio.NewPeekable[record.Label](mR.Iter())
-	for cum.Valid() {
-		l := cum.Pop()
-		for rel.Valid() && rel.Peek().Node < l.SCC {
-			rel.Pop()
-		}
-		if rel.Valid() && rel.Peek().Node == l.SCC {
-			l.SCC = rel.Peek().SCC
-		}
-		if err := w.Write(l); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	if cum.Err() != nil {
-		w.Close()
-		return cum.Err()
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	// Back to node order.
-	byNode := extsort.New[record.Label](record.LabelCodec{}, record.LabelByNode, cfg)
-	return byNode.SortFile(composedRaw, outPath)
 }
 
 // emFinalSolve loads the residual edge file, solves it in memory, and maps

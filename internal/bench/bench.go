@@ -218,25 +218,16 @@ func Experiments() []string {
 // return no rows there rather than repeat their unsharded sweep.
 func HasShardedPath(experiment string) bool { return experiment != "emscc" && experiment != "ablation" }
 
-// Run executes one experiment, or with "all" every experiment in paper
-// order, and returns its measurements.  An experiment without a sharded
-// path (HasShardedPath) returns no rows when c.Shards > 1.
+// Run executes one experiment at one grid point (c's storage backend, codec
+// and shard count) and returns its measurements.  An experiment without a
+// sharded path (HasShardedPath) returns no rows when c.Shards > 1.  RunGrid
+// runs a grid of points and expands "all".
 func Run(experiment string, c Config) ([]Measurement, error) {
 	c = c.withDefaults()
 	if c.Shards > 1 && !HasShardedPath(experiment) {
 		return nil, nil
 	}
 	switch experiment {
-	case "all":
-		var all []Measurement
-		for _, exp := range Experiments() {
-			ms, err := Run(exp, c)
-			if err != nil {
-				return all, fmt.Errorf("bench: experiment %s: %w", exp, err)
-			}
-			all = append(all, ms...)
-		}
-		return all, nil
 	case "table1":
 		return table1(c)
 	case "fig6":
@@ -262,7 +253,7 @@ func Run(experiment string, c Config) ([]Measurement, error) {
 	case "ablation":
 		return ablation(c)
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (known: all, %s)", experiment, strings.Join(Experiments(), ", "))
+		return nil, fmt.Errorf("bench: unknown experiment %q (known: %s)", experiment, strings.Join(Experiments(), ", "))
 	}
 }
 

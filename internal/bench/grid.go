@@ -13,12 +13,45 @@ import (
 	"extscc/internal/iomodel"
 	"extscc/internal/recio"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 // A grid runs one experiment at every point of the cross product of its
 // storage backends, codec families and shard counts.  Each axis declares
 // what a change along it must leave alone; CheckGrid holds the measurements
 // to it.
+
+// RunGrid runs experiment, or with "all" every experiment in paper order, at
+// every point of the grid backends × codecs × shards (nested in that order)
+// and returns the measurements of every point.  table1 runs nothing and
+// depends on no axis, so its rows come once, from the first point.
+func RunGrid(experiment string, c Config, backends []storage.Backend, codecs []string, shards []int) ([]Measurement, error) {
+	exps := []string{experiment}
+	if experiment == "all" {
+		exps = Experiments()
+	}
+	var ms []Measurement
+	first := true
+	for _, b := range backends {
+		for _, codec := range codecs {
+			for _, n := range shards {
+				c.Storage, c.Codec, c.Shards = b, codec, n
+				for _, exp := range exps {
+					if exp == "table1" && !first {
+						continue
+					}
+					got, err := Run(exp, c)
+					if err != nil {
+						return ms, fmt.Errorf("bench: experiment %s: %w", exp, err)
+					}
+					ms = append(ms, got...)
+				}
+				first = false
+			}
+		}
+	}
+	return ms, nil
+}
 
 // field is one compared quantity of a measurement.
 type field struct {

@@ -9,6 +9,7 @@ import (
 	"extscc/internal/iomodel"
 	"extscc/internal/recio"
 	"extscc/internal/record"
+	"extscc/internal/storage"
 )
 
 // gridPair returns two measurements of one point that differ on the named
@@ -199,5 +200,18 @@ func TestPartitionFingerprint(t *testing.T) {
 	}
 	if got := fingerprint(t, moved); got == fp {
 		t.Fatalf("moving node 4 to another component left the fingerprint at %x", fp)
+	}
+}
+
+// TestRunGridTable1Once runs table1 over the 4-point grid {fixed, varint} ×
+// {1, 2} shards through RunGrid, the loop sccbench runs: table1 depends on
+// no axis, so its three rows come once.
+func TestRunGridTable1Once(t *testing.T) {
+	ms, err := RunGrid("table1", quickConfig(t), []storage.Backend{nil}, []string{"fixed", "varint"}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 3 {
+		t.Fatalf("a 4-point table1 grid returned %d rows, want 3", len(ms))
 	}
 }

@@ -5,11 +5,13 @@
 // the paper's motivating downstream application — and the serving subsystem
 // (internal/serve) materialises it once per ingested graph.
 //
-// Two construction paths are provided.  Build streams the engine's on-disk
-// edge and label files against each other with the external-sort substrate,
-// so the construction is memory-bounded and fully I/O-accounted; FromMemory
-// condenses an in-memory edge list for examples and oracles.  Both produce
-// the identical DAG.
+// Build is the engine's one edge-relabel operator: it maps both endpoints of
+// every edge through a node-sorted node→representative file and drops the
+// edges that fall inside one representative and the duplicates.  Besides the
+// DAG it condenses the graph that the sharded pre-pass hands its remainder
+// (core.ContractShards) and the graph that every EM-SCC iteration contracts
+// (BuildPartial).  FromMemory condenses an in-memory edge list for examples
+// and oracles and produces the identical DAG.
 package condense
 
 import (
@@ -136,7 +138,8 @@ func FromMemory(labelOf map[record.NodeID]record.SCCID, edges []record.Edge) *DA
 // condensation DAG's edge file at outPath: one Edge record per distinct
 // inter-component edge (scc(u) -> scc(v), scc(u) != scc(v)), sorted by
 // (U, V).  The label file must be sorted by node id (the layout the engine's
-// Result.LabelPath guarantees) and must cover every edge endpoint.
+// Result.LabelPath guarantees) and must cover every edge endpoint; an
+// endpoint without a label fails the build.
 //
 // The construction is the classic pair of sort-merge joins: sort the edges
 // by source and merge against the labels to map u -> scc(u), re-sort by
@@ -149,6 +152,17 @@ func FromMemory(labelOf map[record.NodeID]record.SCCID, edges []record.Edge) *DA
 // cfg.TempDir and are removed as the build progresses.  The returned count is
 // the number of DAG edges written.
 func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel.Config) (int64, error) {
+	return build(ctx, edgePath, labelPath, outPath, false, cfg)
+}
+
+// BuildPartial is Build under a partial mapping: the file at mappingPath
+// lists only the nodes that move, and a node it does not list keeps its own
+// id.  EM-SCC relabels its edge file through it after every partition pass.
+func BuildPartial(ctx context.Context, edgePath, mappingPath, outPath string, cfg iomodel.Config) (int64, error) {
+	return build(ctx, edgePath, mappingPath, outPath, true, cfg)
+}
+
+func build(ctx context.Context, edgePath, labelPath, outPath string, partial bool, cfg iomodel.Config) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -162,7 +176,7 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 		return 0, fmt.Errorf("condense: sort edges by source: %w", err)
 	}
 	mappedU := blockio.TempFile(cfg.TempDir, "condense-mapu", cfg.Stats)
-	err = mapEndpoint(byU, labelPath, mappedU, cfg,
+	err = mapEndpoint(byU, labelPath, mappedU, partial, cfg,
 		func(e record.Edge) record.NodeID { return e.U },
 		func(e record.Edge, scc record.SCCID) (record.Edge, bool) {
 			return record.Edge{U: scc, V: e.V}, true
@@ -181,7 +195,7 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 		return 0, fmt.Errorf("condense: sort edges by target: %w", err)
 	}
 	mappedV := blockio.TempFile(cfg.TempDir, "condense-mapv", cfg.Stats)
-	err = mapEndpoint(byV, labelPath, mappedV, cfg,
+	err = mapEndpoint(byV, labelPath, mappedV, partial, cfg,
 		func(e record.Edge) record.NodeID { return e.V },
 		func(e record.Edge, scc record.SCCID) (record.Edge, bool) {
 			if e.U == scc {
@@ -212,8 +226,9 @@ func Build(ctx context.Context, edgePath, labelPath, outPath string, cfg iomodel
 
 // mapEndpoint merge-joins an edge stream sorted by the chosen endpoint with
 // the node-sorted label file, rewriting each edge through rewrite (which may
-// drop it) into outPath.
-func mapEndpoint(edges recio.Iterator[record.Edge], labelPath, outPath string, cfg iomodel.Config,
+// drop it) into outPath.  An endpoint the label file does not list keeps its
+// own id when partial is set and fails the join otherwise.
+func mapEndpoint(edges recio.Iterator[record.Edge], labelPath, outPath string, partial bool, cfg iomodel.Config,
 	key func(record.Edge) record.NodeID,
 	rewrite func(record.Edge, record.SCCID) (record.Edge, bool)) error {
 	lr, err := recio.NewReader(labelPath, record.LabelCodec{}, cfg)
@@ -235,10 +250,13 @@ func mapEndpoint(edges recio.Iterator[record.Edge], labelPath, outPath string, c
 			if err := labels.Err(); err != nil {
 				return err
 			}
-			if !labels.Valid() || labels.Peek().Node != k {
+			scc := k
+			if labels.Valid() && labels.Peek().Node == k {
+				scc = labels.Peek().SCC
+			} else if !partial {
 				return fmt.Errorf("condense: edge endpoint %d has no label in %s", k, labelPath)
 			}
-			if out, keep := rewrite(e, labels.Peek().SCC); keep {
+			if out, keep := rewrite(e, scc); keep {
 				if err := w.Write(out); err != nil {
 					return err
 				}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -244,6 +245,76 @@ func TestBuildUnlabelledNode(t *testing.T) {
 	outPath := filepath.Join(cfg.TempDir, "dag.edges")
 	if _, err := Build(context.Background(), edgePath, labelPath, outPath, cfg); err == nil {
 		t.Fatal("Build succeeded with an unlabelled endpoint")
+	}
+}
+
+// TestBuildPartialKeepsUnlistedNodes pins the partial mapping EM-SCC relabels
+// through: a node the mapping does not list keeps its own id, and the output
+// is the mapped edges sorted by (U, V), without duplicates or self-loops.
+// Build, under the strict rule, fails on the same mapping.  Random graphs at
+// both codec families, with several nodes per listed representative and a
+// node listed twice (EM-SCC's relabel file can list a node once per
+// partition; the first, smallest representative wins).
+func TestBuildPartialKeepsUnlistedNodes(t *testing.T) {
+	for _, codec := range []string{"fixed", "varint"} {
+		t.Run(codec, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 4; trial++ {
+				cfg := testConfig(t, codec)
+				numNodes := 40 + rng.Intn(160)
+				edges := randomGraph(rng, numNodes, numNodes*3)
+				mapping := map[record.NodeID]record.SCCID{}
+				var listed []record.Label
+				for n := 0; n < numNodes; n++ {
+					if rng.Intn(3) == 0 {
+						rep := record.SCCID(rng.Intn(n + 1))
+						mapping[record.NodeID(n)] = rep
+						listed = append(listed, record.Label{Node: record.NodeID(n), SCC: rep})
+						if n > 0 && rng.Intn(4) == 0 {
+							listed = append(listed, record.Label{Node: record.NodeID(n), SCC: rep + 1})
+						}
+					}
+				}
+				mappingPath := filepath.Join(cfg.TempDir, "mapping.labels")
+				if err := recio.WriteSlice(mappingPath, record.LabelCodec{}, cfg, listed); err != nil {
+					t.Fatal(err)
+				}
+				edgePath, _ := writeGraphFiles(t, cfg.TempDir, edges, nil, cfg)
+
+				image := func(n record.NodeID) record.NodeID {
+					if rep, ok := mapping[n]; ok {
+						return rep
+					}
+					return n
+				}
+				var want []record.Edge
+				for _, e := range edges {
+					if u, v := image(e.U), image(e.V); u != v {
+						want = append(want, record.Edge{U: u, V: v})
+					}
+				}
+				sort.Slice(want, func(i, j int) bool { return record.EdgeBySource(want[i]).Less(record.EdgeBySource(want[j])) })
+				want = slices.Compact(want)
+
+				outPath := filepath.Join(cfg.TempDir, "relabelled.edges")
+				n, err := BuildPartial(context.Background(), edgePath, mappingPath, outPath, cfg)
+				if err != nil {
+					t.Fatalf("trial %d: BuildPartial: %v", trial, err)
+				}
+				got, err := recio.ReadAll(outPath, record.EdgeCodec{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != int64(len(got)) || !slices.Equal(got, want) {
+					t.Fatalf("trial %d: BuildPartial wrote %d edges (reported %d), want %d:\n got %v\nwant %v", trial, len(got), n, len(want), got, want)
+				}
+				if len(mapping) < numNodes {
+					if _, err := Build(context.Background(), edgePath, mappingPath, filepath.Join(cfg.TempDir, "strict.edges"), cfg); err == nil {
+						t.Fatalf("trial %d: Build succeeded under a mapping that lists %d of %d nodes", trial, len(mapping), numNodes)
+					}
+				}
+			}
+		})
 	}
 }
 

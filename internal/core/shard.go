@@ -5,9 +5,10 @@
 // whole graph, so collapsing shard-local components is always sound — and
 // the shard solves run concurrently, one goroutine per shard.
 // The per-shard labellings concatenate into a node→representative mapping
-// that condenses the original graph; the (much smaller) condensed remainder
-// is then finished by whichever algorithm the engine is configured with,
-// and the two labellings compose into the final one.
+// through which condense.Build condenses the original graph; the (much
+// smaller) condensed remainder is then finished by whichever algorithm the
+// engine is configured with, and the two labellings compose into the final
+// one (edgefile.ComposeLabels).
 //
 // The pre-pass preserves the SCC partition exactly, but not the identity of
 // each component's representative: which member id names a component
@@ -22,10 +23,9 @@ import (
 	"sync"
 
 	"extscc/internal/blockio"
+	"extscc/internal/condense"
 	"extscc/internal/edgefile"
 	"extscc/internal/iomodel"
-	"extscc/internal/recio"
-	"extscc/internal/record"
 )
 
 // ShardStats summarises one shard's solve.
@@ -48,7 +48,7 @@ type ShardStats struct {
 type ShardResult struct {
 	// Condensed is the graph left after collapsing every shard-local SCC:
 	// its nodes are the representatives, its edges the de-duplicated,
-	// self-loop-free images of the original edges.
+	// self-loop-free images of the original edges, declared Sorted.
 	Condensed edgefile.Graph
 	// MappingPath maps every original node to its representative (label
 	// records sorted by node id; representatives map to themselves).
@@ -70,9 +70,11 @@ func (r *ShardResult) Remove(cfg iomodel.Config) error {
 
 // ContractShards partitions g into shards contiguous source-node ranges,
 // solves every shard's internal subgraph concurrently with Ext-SCC under
-// opts, and condenses g by the union of the shard-local components.  All
-// intermediate files live beneath dir.  Cancelling ctx stops the in-flight
-// shard solves within one contraction step each.
+// opts, and condenses g by the union of the shard-local components.  The
+// shard files live beneath dir, and the sorts and the condense step write
+// theirs beneath cfg.TempDir; the engine passes its run directory as both.
+// Cancelling ctx stops the in-flight shard solves within one contraction
+// step each.
 //
 // Memory: up to shards solves are in flight at once, each budgeted with the
 // full cfg.Memory, so the transient footprint is shards × M.  This pre-pass
@@ -165,73 +167,28 @@ func ContractShards(ctx context.Context, g edgefile.Graph, dir string, shards in
 		return nil, err
 	}
 
-	// Condense: rewrite both endpoints of the original edge file through the
-	// mapping, drop self-loops and parallel edges, and keep exactly the
-	// representatives as the node set.
-	condensed, err := condenseByMapping(ctx, g, out.MappingPath, dir, cfg)
+	// Condense: map both endpoints of the original edge file through the
+	// mapping, which covers every node, and keep exactly the representatives
+	// as the node set.  Build hands the edges over sorted by source,
+	// deduplicated and free of self-loops, so the remainder is declared
+	// Sorted and its first contraction step reads it as E_out without a sort.
+	edgePath := blockio.TempFile(dir, "condensed-edges", cfg.Stats)
+	numEdges, err := condense.Build(ctx, g.EdgePath, out.MappingPath, edgePath, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out.Condensed = condensed
-	return out, nil
-}
-
-// condenseByMapping builds the condensed graph of g under the mapping at
-// mappingPath (every node → its representative, sorted by node).
-func condenseByMapping(ctx context.Context, g edgefile.Graph, mappingPath, dir string, cfg iomodel.Config) (edgefile.Graph, error) {
-	temp := func(prefix string) string { return blockio.TempFile(dir, prefix, cfg.Stats) }
-	fail := func(err error) (edgefile.Graph, error) { return edgefile.Graph{}, err }
-
-	bySource := temp("condense-by-source")
-	if err := edgefile.SortEdgesContext(ctx, g.EdgePath, bySource, record.EdgeBySource, cfg); err != nil {
-		return fail(err)
-	}
-	relabeledU := temp("condense-relabeled-u")
-	err := edgefile.RelabelEdges(bySource, mappingPath, relabeledU, false, cfg)
-	blockio.Remove(bySource, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	byTarget := temp("condense-by-target")
-	err = edgefile.SortEdgesContext(ctx, relabeledU, byTarget, record.EdgeByTarget, cfg)
-	blockio.Remove(relabeledU, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	relabeledV := temp("condense-relabeled-v")
-	err = edgefile.RelabelEdges(byTarget, mappingPath, relabeledV, true, cfg)
-	blockio.Remove(byTarget, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	sorted := temp("condense-sorted")
-	err = edgefile.SortEdgesContext(ctx, relabeledV, sorted, record.EdgeBySource, cfg)
-	blockio.Remove(relabeledV, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	sr, err := recio.NewReader(sorted, record.EdgeCodec{}, cfg)
-	if err != nil {
-		blockio.Remove(sorted, cfg)
-		return fail(err)
-	}
-	edgePath := temp("condensed-edges")
-	numEdges, err := edgefile.DedupeEdges(sr.Iter(), edgePath, true, cfg)
-	sr.Close()
-	blockio.Remove(sorted, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	nodePath := temp("condensed-nodes")
-	numNodes, err := edgefile.RepresentativeNodes(mappingPath, nodePath, cfg)
+	nodePath := blockio.TempFile(dir, "condensed-nodes", cfg.Stats)
+	numNodes, err := edgefile.RepresentativeNodes(out.MappingPath, nodePath, cfg)
 	if err != nil {
 		blockio.Remove(edgePath, cfg)
-		return fail(err)
+		return nil, err
 	}
-	return edgefile.Graph{
+	out.Condensed = edgefile.Graph{
 		EdgePath: edgePath,
 		NodePath: nodePath,
 		NumNodes: numNodes,
 		NumEdges: numEdges,
-	}, nil
+		Sorted:   true,
+	}
+	return out, nil
 }

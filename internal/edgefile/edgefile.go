@@ -384,43 +384,6 @@ func SplitByMembership(in recio.Iterator[record.Edge], nodePath string, members,
 	}
 }
 
-// ConcatEdges appends the edge files at parts into a single edge file at
-// outPath and returns the total number of edges.
-func ConcatEdges(outPath string, cfg iomodel.Config, parts ...string) (int64, error) {
-	w, err := recio.NewWriter(outPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range parts {
-		r, err := recio.NewReader(p, record.EdgeCodec{}, cfg)
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		for {
-			e, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				w.Close()
-				return 0, err
-			}
-			if err := w.Write(e); err != nil {
-				r.Close()
-				w.Close()
-				return 0, err
-			}
-		}
-		r.Close()
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.Count(), nil
-}
-
 // MergeLabels merges two label files sorted by node id into outPath, keeping
 // the node order, and returns the number of labels written.  The inputs must
 // have disjoint node sets (kept nodes vs. removed nodes).
@@ -655,56 +618,6 @@ func SplitByNodeRange(ctx context.Context, g Graph, dir string, k int, cfg iomod
 	return split, nil
 }
 
-// RelabelEdges rewrites one endpoint of every edge according to the mapping
-// file at mappingPath ((node, representative) labels sorted by node).
-// byTarget selects which endpoint; the edge file at edgePath must be sorted
-// by that endpoint.  Endpoints absent from the mapping pass through
-// unchanged.
-func RelabelEdges(edgePath, mappingPath, outPath string, byTarget bool, cfg iomodel.Config) error {
-	eR, err := recio.NewReader(edgePath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	defer eR.Close()
-	mR, err := recio.NewReader(mappingPath, record.LabelCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	defer mR.Close()
-	w, err := recio.NewWriter(outPath, record.EdgeCodec{}, cfg)
-	if err != nil {
-		return err
-	}
-	edges := recio.NewPeekable[record.Edge](eR.Iter())
-	maps := recio.NewPeekable[record.Label](mR.Iter())
-	for edges.Valid() {
-		e := edges.Pop()
-		key := e.U
-		if byTarget {
-			key = e.V
-		}
-		for maps.Valid() && maps.Peek().Node < key {
-			maps.Pop()
-		}
-		if maps.Valid() && maps.Peek().Node == key {
-			if byTarget {
-				e.V = maps.Peek().SCC
-			} else {
-				e.U = maps.Peek().SCC
-			}
-		}
-		if err := w.Write(e); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	if err := firstErr(edges.Err(), maps.Err()); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
 // ConcatLabels appends the label files at parts into a single file at
 // outPath and returns the total number of labels.  When the parts cover
 // disjoint ascending node ranges (per-shard label files in shard order), the
@@ -782,68 +695,61 @@ func RepresentativeNodes(mappingPath, outPath string, cfg iomodel.Config) (int64
 
 // ComposeLabels resolves a two-level labelling: the mapping at mappingPath
 // sends every original node to a representative, and the label file at
-// labelPath assigns every representative its final SCC.  The output at
-// outPath labels every original node with its representative's final SCC,
-// sorted by node id.  Every representative the mapping uses must appear in
-// the label file; a gap is an invariant violation and fails the compose.
-func ComposeLabels(ctx context.Context, mappingPath, labelPath, outPath, dir string, cfg iomodel.Config) (int64, error) {
-	// Sort the mapping by representative so the resolve is a merge join.
-	byRep := blockio.TempFile(dir, "compose-by-rep", cfg.Stats)
-	repSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, record.LabelBySCC, cfg)
-	if err := repSorter.SortFile(mappingPath, byRep); err != nil {
-		return 0, err
-	}
-	defer blockio.Remove(byRep, cfg)
-
-	composed := blockio.TempFile(dir, "compose-raw", cfg.Stats)
-	mR, err := recio.NewReader(byRep, record.LabelCodec{}, cfg)
+// labelPath sends representatives on to their final labels.  The output at
+// outPath labels every original node with its representative's final label,
+// sorted by node id, and the count of its labels is returned.  Unless
+// partial is set, every representative the mapping uses must appear in the
+// label file, and a gap is an invariant violation that fails the compose.
+// With partial set the label file lists only the representatives that move
+// (EM-SCC's relabel file), and one it does not list keeps its own id.
+//
+// The mapping's sort by representative streams into the merge join with the
+// label file, which writes the composed labels to a file under cfg.TempDir;
+// their sort back into node order streams into outPath.
+func ComposeLabels(ctx context.Context, mappingPath, labelPath, outPath string, partial bool, cfg iomodel.Config) (int64, error) {
+	byRep, err := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, record.LabelBySCC, cfg).SortPath(mappingPath)
 	if err != nil {
 		return 0, err
 	}
-	defer mR.Close()
-	lR, err := recio.NewReader(labelPath, record.LabelCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer lR.Close()
-	w, err := recio.NewWriter(composed, record.LabelCodec{}, cfg)
-	if err != nil {
-		return 0, err
-	}
-	maps := recio.NewPeekable[record.Label](mR.Iter())
-	finals := recio.NewPeekable[record.Label](lR.Iter())
-	for maps.Valid() {
-		m := maps.Pop()
-		for finals.Valid() && finals.Peek().Node < m.SCC {
-			finals.Pop()
-		}
-		if !finals.Valid() || finals.Peek().Node != m.SCC {
-			w.Close()
-			blockio.Remove(composed, cfg)
-			return 0, fmt.Errorf("edgefile: ComposeLabels: representative %d of node %d has no final label", m.SCC, m.Node)
-		}
-		if err := w.Write(record.Label{Node: m.Node, SCC: finals.Peek().SCC}); err != nil {
-			w.Close()
-			blockio.Remove(composed, cfg)
-			return 0, err
-		}
-	}
-	if err := firstErr(maps.Err(), finals.Err()); err != nil {
-		w.Close()
-		blockio.Remove(composed, cfg)
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		blockio.Remove(composed, cfg)
-		return 0, err
-	}
+	composed := blockio.TempFile(cfg.TempDir, "compose-raw", cfg.Stats)
 	defer blockio.Remove(composed, cfg)
-
+	n, err := recio.WriteFile(composed, record.LabelCodec{}, cfg, func(w recio.Sink[record.Label]) error {
+		lR, err := recio.NewReader(labelPath, record.LabelCodec{}, cfg)
+		if err != nil {
+			return err
+		}
+		defer lR.Close()
+		finals := recio.NewPeekable(lR.Iter())
+		for {
+			m, ok, err := byRep.Next()
+			if err != nil || !ok {
+				return err
+			}
+			for finals.Valid() && finals.Peek().Node < m.SCC {
+				finals.Pop()
+			}
+			if err := finals.Err(); err != nil {
+				return err
+			}
+			if finals.Valid() && finals.Peek().Node == m.SCC {
+				m.SCC = finals.Peek().SCC
+			} else if !partial {
+				return fmt.Errorf("edgefile: ComposeLabels: representative %d of node %d has no final label", m.SCC, m.Node)
+			}
+			if err := w.Write(m); err != nil {
+				return err
+			}
+		}
+	})
+	byRep.Close()
+	if err != nil {
+		return 0, err
+	}
 	nodeSorter := extsort.NewContext[record.Label](ctx, record.LabelCodec{}, record.LabelByNode, cfg)
 	if err := nodeSorter.SortFile(composed, outPath); err != nil {
 		return 0, err
 	}
-	return w.Count(), nil
+	return n, nil
 }
 
 func firstErr(errs ...error) error {

@@ -441,20 +441,6 @@ func TestSplitByMembershipPartition(t *testing.T) {
 	}
 }
 
-func TestConcatEdges(t *testing.T) {
-	cfg := testConfig(t)
-	a := writeEdges(t, cfg, []record.Edge{{U: 1, V: 2}})
-	b := writeEdges(t, cfg, []record.Edge{{U: 3, V: 4}, {U: 5, V: 6}})
-	out := filepath.Join(t.TempDir(), "cat.bin")
-	n, err := ConcatEdges(out, cfg, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("concatenated %d edges, want 3", n)
-	}
-}
-
 func TestMergeLabels(t *testing.T) {
 	cfg := testConfig(t)
 	dir := t.TempDir()
@@ -482,6 +468,83 @@ func TestMergeLabels(t *testing.T) {
 		if got[i].Node < got[i-1].Node {
 			t.Fatalf("merged labels not sorted: %v", got)
 		}
+	}
+}
+
+// TestComposeLabels pins both mapping rules of ComposeLabels on a random
+// node→representative mapping.  Strict (the sharded pre-pass): the label file
+// covers every representative, and a representative it omits fails the
+// compose.  Partial (EM-SCC's relabel file): it lists only the
+// representatives that move, and every other one keeps its own id.  The
+// memory budget makes the mapping's sort by representative spill.
+func TestComposeLabels(t *testing.T) {
+	for _, codec := range []string{"fixed", "varint"} {
+		t.Run(codec, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Codec, cfg.Memory = codec, 4*1024
+			rng := rand.New(rand.NewSource(9))
+			const numNodes = 2000
+			mapping := make([]record.Label, numNodes)
+			for n := range mapping {
+				mapping[n] = record.Label{Node: record.NodeID(n), SCC: record.NodeID(n)}
+				if n > 0 && rng.Intn(2) == 0 {
+					mapping[n].SCC = mapping[rng.Intn(n)].SCC
+				}
+			}
+			var all, moved []record.Label // labels of every representative, and of some
+			final, movedTo := map[record.NodeID]record.NodeID{}, map[record.NodeID]record.NodeID{}
+			for _, m := range mapping {
+				if m.Node != m.SCC {
+					continue
+				}
+				l := record.Label{Node: m.Node, SCC: record.NodeID(rng.Intn(numNodes))}
+				all = append(all, l)
+				final[l.Node] = l.SCC
+				if rng.Intn(3) == 0 {
+					moved = append(moved, l)
+					movedTo[l.Node] = l.SCC
+				}
+			}
+			dir := t.TempDir()
+			write := func(name string, labels []record.Label) string {
+				path := filepath.Join(dir, name)
+				if err := recio.WriteSlice(path, record.LabelCodec{}, cfg, labels); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+			mappingPath, allPath, movedPath := write("mapping", mapping), write("all", all), write("moved", moved)
+			compose := func(labelPath string, partial bool, want func(rep record.NodeID) record.NodeID) {
+				t.Helper()
+				out := filepath.Join(dir, "composed")
+				n, err := ComposeLabels(context.Background(), mappingPath, labelPath, out, partial, cfg)
+				if err != nil {
+					t.Fatalf("partial=%v: %v", partial, err)
+				}
+				got, err := recio.ReadAll(out, record.LabelCodec{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != numNodes || len(got) != numNodes {
+					t.Fatalf("partial=%v: composed %d labels (reported %d), want %d", partial, len(got), n, numNodes)
+				}
+				for i, l := range got {
+					if w := (record.Label{Node: record.NodeID(i), SCC: want(mapping[i].SCC)}); l != w {
+						t.Fatalf("partial=%v: label %d is %v, want %v", partial, i, l, w)
+					}
+				}
+			}
+			compose(allPath, false, func(rep record.NodeID) record.NodeID { return final[rep] })
+			compose(movedPath, true, func(rep record.NodeID) record.NodeID {
+				if to, ok := movedTo[rep]; ok {
+					return to
+				}
+				return rep
+			})
+			if _, err := ComposeLabels(context.Background(), mappingPath, movedPath, filepath.Join(dir, "strict"), false, cfg); err == nil {
+				t.Fatal("strict ComposeLabels succeeded with representatives missing from the label file")
+			}
+		})
 	}
 }
 

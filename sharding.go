@@ -49,7 +49,7 @@ func runSharded(ctx context.Context, algo Algorithm, t *Task, k int) (AlgoResult
 	// Compose: every original node takes the final label of its shard-phase
 	// representative.
 	out := blockio.TempFile(t.Dir, "sharded-labels", t.cfg.Stats)
-	n, err := edgefile.ComposeLabels(ctx, sres.MappingPath, ares.LabelPath, out, t.Dir, t.cfg)
+	n, err := edgefile.ComposeLabels(ctx, sres.MappingPath, ares.LabelPath, out, false, t.cfg)
 	if err == nil && n != t.graph.NumNodes {
 		err = fmt.Errorf("extscc: sharded run labelled %d of %d nodes", n, t.graph.NumNodes)
 	}
